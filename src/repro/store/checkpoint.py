@@ -25,16 +25,23 @@ The split of labor is deliberate:
   history (how a process-executor worker respawned mid-timeline catches
   up).
 
-Evidence (trace events, query-log entries) is stored as *delta
-segments* — everything since the previous checkpoint — so checkpoint
-cost stays proportional to one round and the full chain concatenates
-back into the uninterrupted evidence stream.
+The chain on disk is a *base plus deltas*: the first checkpoint holds
+the initial measurement and the whole world state, and every later one
+only what changed since the checkpoint before it
+(:meth:`Checkpoint.delta_since`) — the rounds completed since, the
+servers whose session count moved, the added, changed and removed
+entries of each keyed map, the appended executor history and stage
+metrics, and every scalar in full.  Loading folds the files into one
+running state in order (:meth:`Checkpoint.fold`), so write cost stays
+proportional to one round and load memory to one state.  Evidence
+(trace events, query-log entries) is likewise stored as per-checkpoint
+segments that concatenate back into the uninterrupted evidence stream.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -42,18 +49,56 @@ if TYPE_CHECKING:
     from ..simulation import Simulation
 
 #: bump when the checkpoint payload shape changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+#: the keyed maps of a world snapshot; a delta stores, per map, the
+#: added or changed entries and the removed keys.  Every other world
+#: value is a scalar and is stored in full.
+WORLD_MAPS = (
+    "servers",
+    "resolver_cache",
+    "last_contact",
+    "label_next_id",
+    "ip_for_label",
+    "preferred",
+    "ip_domain",
+)
+
+#: the fields a delta replaces outright when folded.
+_REPLACED = (
+    "kind",
+    "clock_now",
+    "notified",
+    "notified_clock",
+    "executor_stages_run",
+    "metrics_snapshot",
+    "trace_segment",
+    "querylog_segment",
+    "stages_begun",
+)
+
+_ABSENT = object()
 
 
 @dataclass
 class Checkpoint:
-    """One atomic unit of persisted campaign progress (picklable)."""
+    """One file of a run's checkpoint chain (picklable).
+
+    The chain's first file (kind ``"initial"``) is the *base*: every
+    field in full.  Each later file is a *delta* against the state the
+    chain folds to before it (:meth:`delta_since`): ``initial`` is None,
+    the list fields hold only what was appended since, and ``world``
+    holds only changed map entries (:func:`diff_world_state`).
+    :meth:`fold` applies a delta in place, so a loaded chain is again a
+    single full ``Checkpoint``.
+    """
 
     kind: str  # "initial" | "round"
     clock_now: _dt.datetime
     notified: bool
     notified_clock: Optional[_dt.datetime]
-    initial: "InitialMeasurement"
+    #: the initial sweep's results (None in a delta).
+    initial: Optional["InitialMeasurement"]
     rounds: List["MeasurementRound"]
     #: mutable world snapshot (see :func:`capture_world_state`).
     world: dict
@@ -72,6 +117,36 @@ class Checkpoint:
     #: stage ordinals consumed so far (re-seeds the resumed tracer).
     stages_begun: int
     version: int = CHECKPOINT_VERSION
+
+    def delta_since(self, previous: "Checkpoint") -> "Checkpoint":
+        """This full checkpoint as a delta against ``previous``, the
+        full state the chain folds to before it."""
+        return replace(
+            self,
+            initial=None,
+            rounds=self.rounds[len(previous.rounds):],
+            world=diff_world_state(previous.world, self.world),
+            executor_history=self.executor_history[
+                len(previous.executor_history):
+            ],
+            executor_stage_metrics=self.executor_stage_metrics[
+                len(previous.executor_stage_metrics):
+            ],
+        )
+
+    def fold(self, delta: "Checkpoint") -> None:
+        """Apply the chain's next file (a delta) to this full state.
+
+        Afterwards this checkpoint equals the full capture the delta was
+        taken from; its evidence segments are the delta's own, since
+        segments are per file (the loader keeps each one).
+        """
+        self.rounds.extend(delta.rounds)
+        self.executor_history.extend(delta.executor_history)
+        self.executor_stage_metrics.extend(delta.executor_stage_metrics)
+        fold_world_state(self.world, delta.world)
+        for name in _REPLACED:
+            setattr(self, name, getattr(delta, name))
 
 
 @dataclass
@@ -97,63 +172,101 @@ class RunProvenance:
 # -- capture ------------------------------------------------------------------
 
 
-def capture_world_state(sim: "Simulation") -> dict:
+def capture_world_state(sim: "Simulation", previous: Optional[dict] = None) -> dict:
     """Snapshot every mutable value the rebuild cannot reproduce.
 
-    Servers are included only when they accepted at least one session:
-    every server-side mutation (inbox, greylist, blacklist, crash count,
-    banner-noise draws, stub query ids) happens inside a session, so an
-    untouched server is already in its rebuilt state.  Under the process
-    executor the parent's servers never accept sessions at all (probing
-    happens in the shard replicas, which rebuild from the event
-    history), which keeps this snapshot uniformly small.
+    The snapshot is flat: the keyed maps named in :data:`WORLD_MAPS`,
+    plus scalars.  Servers are included only when they accepted at
+    least one session: every server-side mutation (inbox, greylist,
+    blacklist, crash count, banner-noise draws, stub query ids) happens
+    inside a session, so an untouched server is already in its rebuilt
+    state.  For the same reason a server whose session count has not
+    moved since ``previous`` (the snapshot the previous checkpoint
+    took) keeps that snapshot's entry, the same object, which is how
+    :func:`diff_world_state` leaves it out of the next delta.  Under the
+    process executor the parent's servers never accept sessions at all
+    (probing happens in the shard replicas, which rebuild from the
+    event history), so the map stays empty there.
     """
     campaign = sim.campaign
+    earlier = previous["servers"] if previous is not None else {}
     servers: Dict[str, dict] = {}
     for ip, server in campaign.network._servers.items():
         if server.sessions_accepted == 0:
             continue
-        servers[ip] = {
-            "sessions_accepted": server.sessions_accepted,
-            "crash_count": server.crash_count,
-            "blacklisted": server._blacklisted,
-            "greylist": dict(server._greylist_first_seen),
-            "inbox": list(server.inbox),
-            "noise_state": server._noise.getstate(),
-            "stub_next_id": (
-                server.resolver._next_id if server.resolver is not None else None
-            ),
-        }
+        snap = earlier.get(ip)
+        if snap is None or snap["sessions_accepted"] != server.sessions_accepted:
+            snap = {
+                "sessions_accepted": server.sessions_accepted,
+                "crash_count": server.crash_count,
+                "blacklisted": server._blacklisted,
+                "greylist": dict(server._greylist_first_seen),
+                "inbox": list(server.inbox),
+                "noise_state": server._noise.getstate(),
+                "stub_next_id": (
+                    server.resolver._next_id
+                    if server.resolver is not None
+                    else None
+                ),
+            }
+        servers[ip] = snap
     resolver = campaign.resolver
     labels = campaign.labels
     ethics = campaign.ethics
     network = campaign.network
     return {
         "servers": servers,
-        "network": {
-            "connection_attempts": network.connection_attempts,
-            "connections_established": network.connections_established,
-        },
-        "ethics": {
-            "last_contact": dict(ethics._last_contact),
-            "active": ethics._active,
-            "peak_concurrency": ethics.peak_concurrency,
-            "connections_opened": ethics.connections_opened,
-        },
-        "labels": {
-            "next_suite": labels._next_suite,
-            "next_id": dict(labels._next_id),
-            "ip_for_label": dict(labels._ip_for_label),
-        },
-        "resolver": {
-            "cache": dict(resolver._cache),
-            "query_count": resolver.query_count,
-            "cache_hits": resolver.cache_hits,
-        },
-        "stub_next_id": campaign._stub._next_id,
+        "resolver_cache": dict(resolver._cache),
+        "last_contact": dict(ethics._last_contact),
+        "label_next_id": dict(labels._next_id),
+        "ip_for_label": dict(labels._ip_for_label),
         "preferred": dict(campaign._preferred),
         "ip_domain": dict(campaign._ip_domain),
+        "connection_attempts": network.connection_attempts,
+        "connections_established": network.connections_established,
+        "ethics_active": ethics._active,
+        "peak_concurrency": ethics.peak_concurrency,
+        "connections_opened": ethics.connections_opened,
+        "next_suite": labels._next_suite,
+        "resolver_query_count": resolver.query_count,
+        "resolver_cache_hits": resolver.cache_hits,
+        "stub_next_id": campaign._stub._next_id,
     }
+
+
+def diff_world_state(previous: dict, current: dict) -> dict:
+    """What changed from ``previous`` to ``current`` (both snapshots).
+
+    Each map becomes ``(changed, removed)``: the entries whose value is
+    not the very object ``previous`` held, and the keys that are gone.
+    Identity is exact here because no map value is mutated in place —
+    each change stores a new object (a new server snapshot, cache
+    entry, timestamp or counter).  Scalars are kept in full.
+    """
+    delta = {}
+    for name, value in current.items():
+        if name in WORLD_MAPS:
+            before = previous[name]
+            delta[name] = (
+                {k: v for k, v in value.items() if before.get(k, _ABSENT) is not v},
+                [k for k in before if k not in value],
+            )
+        else:
+            delta[name] = value
+    return delta
+
+
+def fold_world_state(state: dict, delta: dict) -> None:
+    """Apply a :func:`diff_world_state` delta to ``state`` in place."""
+    for name, value in delta.items():
+        if name in WORLD_MAPS:
+            changed, removed = value
+            entries = state[name]
+            for key in removed:
+                del entries[key]
+            entries.update(changed)
+        else:
+            state[name] = value
 
 
 def capture_checkpoint(
@@ -164,11 +277,14 @@ def capture_checkpoint(
     notified: bool,
     trace_mark: int,
     qlog_mark: int,
+    previous: Optional[Checkpoint] = None,
 ) -> Checkpoint:
-    """Build the checkpoint payload for the campaign's current state.
+    """Capture the campaign's current state as a full checkpoint.
 
     ``trace_mark``/``qlog_mark`` are the positions up to which previous
     checkpoints already persisted evidence; only the delta is stored.
+    ``previous`` is the full state of the previous checkpoint, if any;
+    servers it already holds are reused (see :func:`capture_world_state`).
     """
     campaign = sim.campaign
     executor = campaign.executor
@@ -181,7 +297,9 @@ def capture_checkpoint(
         notified_clock=campaign._notified_clock,
         initial=campaign._require_initial(),
         rounds=list(rounds),
-        world=capture_world_state(sim),
+        world=capture_world_state(
+            sim, previous.world if previous is not None else None
+        ),
         executor_history=list(getattr(executor, "_history", ())),
         executor_stages_run=getattr(executor, "_stages_run", 0),
         executor_stage_metrics=list(executor.metrics.stages),
@@ -196,7 +314,11 @@ def capture_checkpoint(
 
 
 def install_world_state(sim: "Simulation", state: dict) -> None:
-    """Overwrite the rebuilt world's mutable state with a snapshot."""
+    """Overwrite the rebuilt world's mutable state with a snapshot.
+
+    Every map is copied, so the live world never mutates ``state`` (a
+    resumed writer takes its next delta against it).
+    """
     campaign = sim.campaign
     for ip, snap in state["servers"].items():
         server = campaign.network.server_at(ip)
@@ -209,21 +331,21 @@ def install_world_state(sim: "Simulation", state: dict) -> None:
         if snap["stub_next_id"] is not None and server.resolver is not None:
             server.resolver._next_id = snap["stub_next_id"]
     network = campaign.network
-    network.connection_attempts = state["network"]["connection_attempts"]
-    network.connections_established = state["network"]["connections_established"]
+    network.connection_attempts = state["connection_attempts"]
+    network.connections_established = state["connections_established"]
     ethics = campaign.ethics
-    ethics._last_contact = dict(state["ethics"]["last_contact"])
-    ethics._active = state["ethics"]["active"]
-    ethics.peak_concurrency = state["ethics"]["peak_concurrency"]
-    ethics.connections_opened = state["ethics"]["connections_opened"]
+    ethics._last_contact = dict(state["last_contact"])
+    ethics._active = state["ethics_active"]
+    ethics.peak_concurrency = state["peak_concurrency"]
+    ethics.connections_opened = state["connections_opened"]
     labels = campaign.labels
-    labels._next_suite = state["labels"]["next_suite"]
-    labels._next_id = dict(state["labels"]["next_id"])
-    labels._ip_for_label = dict(state["labels"]["ip_for_label"])
+    labels._next_suite = state["next_suite"]
+    labels._next_id = dict(state["label_next_id"])
+    labels._ip_for_label = dict(state["ip_for_label"])
     resolver = campaign.resolver
-    resolver._cache = dict(state["resolver"]["cache"])
-    resolver.query_count = state["resolver"]["query_count"]
-    resolver.cache_hits = state["resolver"]["cache_hits"]
+    resolver._cache = dict(state["resolver_cache"])
+    resolver.query_count = state["resolver_query_count"]
+    resolver.cache_hits = state["resolver_cache_hits"]
     campaign._stub._next_id = state["stub_next_id"]
     campaign._preferred = dict(state["preferred"])
     campaign._ip_domain = dict(state["ip_domain"])
@@ -232,7 +354,8 @@ def install_world_state(sim: "Simulation", state: dict) -> None:
 def restore_simulation(sim: "Simulation", state) -> None:
     """Bring a freshly built simulation to a checkpoint's exact state.
 
-    ``state`` is a :class:`repro.store.RunState`.  The order matters:
+    ``state`` is a :class:`repro.store.RunState`, whose ``checkpoint``
+    is the chain folded into one full state.  The order matters:
 
     1. **Replay the notification** (if the checkpoint is past it) at the
        recorded clock reading — this consumes the same notification-RNG
@@ -302,8 +425,10 @@ def restore_simulation(sim: "Simulation", state) -> None:
         notification_report=notification_report,
     )
     # A store writer attached to this simulation continues the same
-    # chain: it must keep the valid manifest prefix it resumed from.
+    # chain: it keeps the valid manifest prefix it resumed from and
+    # takes its first delta against the folded state.
     sim._store_entries = list(state.entries)
+    sim._store_state = checkpoint
     sim.provenance = RunProvenance(
         run_id=state.run_id,
         config_hash=state.config.content_hash(),

@@ -6,9 +6,9 @@ Layout, under the store root::
       run-<hash8>/                 one directory per RunConfig content hash
         config.json                the full RunConfig (runtime fields too)
         manifest.json              ordered checkpoint index + digests
-        checkpoint-0000.pkl        after run_initial
-        checkpoint-0001.pkl        after round 1
-        ...
+        checkpoint-0000.pkl        after run_initial: the base, in full
+        checkpoint-0001.pkl        after round 1: a delta against 0000
+        ...                        (see repro.store.checkpoint)
 
 Durability relies on exactly two properties, both provided by
 :func:`_atomic_write` (write to a temp file in the same directory,
@@ -20,10 +20,14 @@ Durability relies on exactly two properties, both provided by
   references it, so a kill between the two leaves a manifest that
   simply does not know about the orphan file yet.
 
-On load, every manifest entry's SHA-256 and size are re-verified and
-the longest valid prefix wins: a truncated or corrupted newest
-checkpoint silently degrades to the one before it (the torn-checkpoint
-test exercises exactly this).
+On load, the manifest's shape is checked first — a malformed or
+tampered manifest, or one written in another checkpoint format, is
+refused with :class:`StoreError` — then every entry's size and SHA-256
+are re-verified before its file is unpickled and folded into one
+running state.  The longest valid prefix wins: a truncated or corrupted
+newest checkpoint silently degrades to the one before it (the
+torn-checkpoint test exercises exactly this), and since each delta
+needs every file before it, a hole ends the chain.
 """
 
 from __future__ import annotations
@@ -34,14 +38,14 @@ import os
 import pickle
 import shutil
 from dataclasses import dataclass
-from typing import List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 try:
     import fcntl
 except ImportError:  # non-unix: locking degrades to a no-op
     fcntl = None  # type: ignore[assignment]
 
-from ..errors import CampaignAborted, StoreError
+from ..errors import CampaignAborted, SimulationError, StoreError
 from .checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -54,6 +58,16 @@ if TYPE_CHECKING:
     from ..simulation import Simulation
 
 MANIFEST_VERSION = 1
+
+#: the keys and value types of one manifest checkpoint entry.
+_ENTRY_TYPES: Dict[str, type] = {
+    "file": str,
+    "sha256": str,
+    "size": int,
+    "kind": str,
+    "rounds_completed": int,
+    "clock_now": str,
+}
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -138,7 +152,7 @@ class RunState:
     run_id: str
     run_dir: str
     config: "RunConfig"
-    #: the newest usable checkpoint (end of the valid prefix).
+    #: the valid prefix of the chain folded into one full state.
     checkpoint: Checkpoint
     #: per-checkpoint trace deltas, in checkpoint order.
     trace_segments: List[list]
@@ -152,8 +166,11 @@ class CheckpointWriter:
     """Writes one run's checkpoint chain; bound to a live simulation.
 
     The campaign calls :meth:`after_initial` / :meth:`after_round`; each
-    call pickles a :class:`~repro.store.checkpoint.Checkpoint`, renames
-    it into place, then publishes it in the manifest.  ``abort_after_round``
+    call captures a :class:`~repro.store.checkpoint.Checkpoint`, pickles
+    it — in full for the chain's first file, else as a delta against the
+    previous capture (``state``: the folded chain a resumed writer
+    continues) — renames it into place, then publishes it in the
+    manifest.  ``abort_after_round``
     turns the writer into a fault injector: once that many rounds are
     checkpointed it raises :class:`~repro.errors.CampaignAborted` —
     *after* the checkpoint hit disk — which is how tests and the CI
@@ -166,6 +183,7 @@ class CheckpointWriter:
         sim: "Simulation",
         *,
         entries: List[dict],
+        state: Optional[Checkpoint] = None,
         abort_after_round: Optional[int] = None,
         lock: Optional[StoreLock] = None,
     ) -> None:
@@ -173,6 +191,8 @@ class CheckpointWriter:
         self.sim = sim
         self.abort_after_round = abort_after_round
         self._entries = entries
+        #: the full state the chain on disk folds to (None before the base).
+        self._state = state
         #: the single-writer lock this writer owns (released by
         #: :meth:`close`); ``None`` for writers built directly in tests.
         self.lock = lock
@@ -221,13 +241,19 @@ class CheckpointWriter:
             notified=notified,
             trace_mark=self._trace_mark,
             qlog_mark=self._qlog_mark,
+            previous=self._state,
         )
-        self._trace_mark += len(checkpoint.trace_segment)
-        self._qlog_mark += len(checkpoint.querylog_segment)
-
-        data = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = (
+            checkpoint
+            if self._state is None
+            else checkpoint.delta_since(self._state)
+        )
+        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         filename = f"checkpoint-{len(self._entries):04d}.pkl"
         _atomic_write(os.path.join(self.run_dir, filename), data)
+        self._state = checkpoint
+        self._trace_mark += len(checkpoint.trace_segment)
+        self._qlog_mark += len(checkpoint.querylog_segment)
         self._entries.append(
             {
                 "file": filename,
@@ -274,9 +300,9 @@ class RunStore:
         lock = self.acquire_lock(sim.config)
         resumed = getattr(sim, "_resume", None)
         if resumed is not None:
-            entries = list(getattr(sim, "_store_entries", []))
             return CheckpointWriter(
-                run_dir, sim, entries=entries,
+                run_dir, sim, entries=list(sim._store_entries),
+                state=sim._store_state,
                 abort_after_round=self.abort_after_round, lock=lock,
             )
         # A fresh run of this config replaces any previous attempt: the
@@ -381,7 +407,7 @@ class RunStore:
             ]
             if not matching:
                 available = ", ".join(
-                    f"{name} ({manifest.get('config_hash', '?')[:12]})"
+                    f"{name} ({str(manifest.get('config_hash', '?'))[:12]})"
                     for name, manifest in candidates
                 )
                 raise StoreError(
@@ -399,6 +425,8 @@ class RunStore:
                 manifest = json.load(handle)
         except (OSError, ValueError):
             return None
+        if not isinstance(manifest, dict):
+            return None
         if manifest.get("version") != MANIFEST_VERSION:
             return None
         return manifest
@@ -407,19 +435,33 @@ class RunStore:
         from ..api import RunConfig
 
         run_dir = os.path.join(self.root, name)
-        config = RunConfig.from_dict(manifest["config"])
+        entries = _checked_entries(name, manifest)
+        try:
+            config = RunConfig.from_dict(manifest["config"])
+        except (KeyError, TypeError, ValueError, SimulationError) as error:
+            raise StoreError(
+                f"run {name!r}: manifest 'config' is not a RunConfig ({error})"
+            ) from error
+        state: Optional[Checkpoint] = None
         valid_entries: List[dict] = []
-        checkpoints: List[Checkpoint] = []
-        for entry in manifest.get("checkpoints", []):
+        trace_segments: List[list] = []
+        querylog_segments: List[list] = []
+        for entry in entries:
             checkpoint = self._load_checkpoint(run_dir, entry)
             if checkpoint is None:
                 # Torn or corrupted file: the chain ends at the entry
                 # before it (only the newest write can ever be torn, but
-                # a mid-chain hole must not be skipped over either).
+                # a mid-chain hole must not be skipped over either —
+                # every delta after it needs it).
                 break
+            trace_segments.append(checkpoint.trace_segment)
+            querylog_segments.append(checkpoint.querylog_segment)
+            if state is None:
+                state = checkpoint
+            else:
+                state.fold(checkpoint)
             valid_entries.append(entry)
-            checkpoints.append(checkpoint)
-        if not checkpoints:
+        if state is None:
             raise StoreError(
                 f"run {name!r} has no usable checkpoint (all torn or missing)"
             )
@@ -427,9 +469,9 @@ class RunStore:
             run_id=name,
             run_dir=run_dir,
             config=config,
-            checkpoint=checkpoints[-1],
-            trace_segments=[c.trace_segment for c in checkpoints],
-            querylog_segments=[c.querylog_segment for c in checkpoints],
+            checkpoint=state,
+            trace_segments=trace_segments,
+            querylog_segments=querylog_segments,
             entries=valid_entries,
         )
 
@@ -451,3 +493,42 @@ class RunStore:
         if checkpoint.version != CHECKPOINT_VERSION:
             return None
         return checkpoint
+
+
+def _checked_entries(name: str, manifest: dict) -> List[dict]:
+    """The manifest's checkpoint entries, once its shape is verified.
+
+    A manifest is only ever replaced whole, so a malformed one was
+    tampered with or written by something else: refuse it with a
+    :class:`StoreError` naming the offending part rather than guess.
+    Entry ``i`` must name ``checkpoint-<i>.pkl``, which also keeps every
+    file the loader opens inside the run directory.
+    """
+    stored = manifest.get("checkpoint_version")
+    if stored != CHECKPOINT_VERSION:
+        raise StoreError(
+            f"run {name!r} was checkpointed in format version {stored!r}, "
+            f"but this build reads only version {CHECKPOINT_VERSION}; "
+            "re-run the campaign to write a new chain"
+        )
+    if not isinstance(manifest.get("config"), dict):
+        raise StoreError(f"run {name!r}: manifest has no 'config' object")
+    if not isinstance(manifest.get("config_hash"), str):
+        raise StoreError(f"run {name!r}: manifest has no 'config_hash' string")
+    entries = manifest.get("checkpoints")
+    if not isinstance(entries, list):
+        raise StoreError(f"run {name!r}: manifest 'checkpoints' is not a list")
+    for index, entry in enumerate(entries):
+        where = f"run {name!r}: manifest checkpoint entry {index}"
+        if not isinstance(entry, dict):
+            raise StoreError(f"{where} is not an object")
+        for key, kind in _ENTRY_TYPES.items():
+            value = entry.get(key)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise StoreError(f"{where} has no {kind.__name__} {key!r}")
+        expected = f"checkpoint-{index:04d}.pkl"
+        if entry["file"] != expected:
+            raise StoreError(
+                f"{where} names file {entry['file']!r}, expected {expected!r}"
+            )
+    return entries

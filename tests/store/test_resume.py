@@ -7,8 +7,9 @@ run that was never interrupted.  This module fault-injects the two
 interruption modes the paper's four-month measurement would actually
 face — an exception raised mid-timeline, and a SIGKILLed worker process
 between rounds — at scale 0.02 for both the serial and the
-process-sharded executor, plus a torn-checkpoint crash that must fall
-back to the previous complete checkpoint.
+process-sharded executor, a run interrupted twice (so the last leg
+folds deltas that a resumed writer wrote), plus a torn-checkpoint crash
+that must fall back to the previous complete checkpoint.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.api import RunConfig
 from repro.errors import CampaignAborted
 from repro.obs import Observation, observing
 from repro.simulation import Simulation
-from repro.store import RunStore
+from repro.store import RunStore, capture_world_state
 
 from ..exec.test_determinism import canonicalize
 
@@ -92,6 +93,40 @@ def test_serial_exception_mid_timeline_resumes_byte_identical(
     resumed.run(store=store)
 
     _assert_matches_reference(resumed, obs2, reference, tmp_path)
+
+
+def test_double_interruption_resumes_byte_identical(reference, tmp_path):
+    """Abort after round 2, resume and abort after round 5, then finish.
+
+    The second leg's checkpoints are deltas a resumed writer took
+    against the state it folded on load; the last leg folds the whole
+    chain, both legs' files, back into one state.  At each abort point
+    the folded chain must equal the world it was written from.
+    """
+    config = RunConfig(scale=SCALE, seed=SEED, executor="serial", trace=True)
+    store = RunStore(str(tmp_path / "store"))
+    store.abort_after_round = ABORT_AFTER
+    sim = Simulation.build(config=config, observation=Observation(trace=True))
+    with pytest.raises(CampaignAborted):
+        sim.run(store=store)
+    assert store.load_latest().checkpoint.world == capture_world_state(sim)
+
+    store.abort_after_round = 5
+    second = Simulation.resume(store, observation=Observation(trace=True))
+    with pytest.raises(CampaignAborted):
+        second.run(store=store)
+    state = store.load_latest()
+    assert len(state.checkpoint.rounds) == 5
+    assert len(state.entries) == 6
+    assert state.checkpoint.world == capture_world_state(second)
+
+    store.abort_after_round = None
+    obs3 = Observation(trace=True)
+    third = Simulation.resume(store, observation=obs3)
+    assert third.provenance.rounds_completed == 5
+    third.run(store=store)
+
+    _assert_matches_reference(third, obs3, reference, tmp_path)
 
 
 def test_process_worker_sigkill_between_rounds_resumes_byte_identical(

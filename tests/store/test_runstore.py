@@ -22,6 +22,7 @@ from repro.exec.shardworld import WorldSpec
 from repro.internet.population import PopulationConfig
 from repro.simulation import Simulation
 from repro.store import CampaignAborted, RunStore, StoreError
+from repro.store.checkpoint import WORLD_MAPS, diff_world_state, fold_world_state
 from repro.store.runstore import _atomic_write
 
 SCALE = 0.002
@@ -87,11 +88,12 @@ class TestWorldSpecShim:
 
 @pytest.fixture(scope="module")
 def aborted(tmp_path_factory):
-    """A run checkpointed into a store and aborted after round 1."""
+    """A run checkpointed into a store and aborted after round 2: a
+    base and two deltas."""
     root = tmp_path_factory.mktemp("store")
     config = RunConfig(scale=SCALE, seed=SEED, executor="serial")
     store = RunStore(str(root))
-    store.abort_after_round = 1
+    store.abort_after_round = 2
     sim = Simulation.build(config=config)
     with pytest.raises(CampaignAborted):
         sim.run(store=store)
@@ -119,12 +121,22 @@ class TestStoreLayout:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["config_hash"] == aborted.config.content_hash()
         entries = manifest["checkpoints"]
-        assert [e["kind"] for e in entries] == ["initial", "round"]
-        assert [e["rounds_completed"] for e in entries] == [0, 1]
+        assert [e["kind"] for e in entries] == ["initial", "round", "round"]
+        assert [e["rounds_completed"] for e in entries] == [0, 1, 2]
         for entry in entries:
             data = (run_dir / entry["file"]).read_bytes()
             assert len(data) == entry["size"]
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+
+    def test_round_checkpoints_are_deltas_against_the_base(self, aborted):
+        # Only the initial checkpoint holds the whole world; a round
+        # holds what that round changed.
+        run_dir = aborted.root / aborted.store.runs()[0]
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        base, *rounds = manifest["checkpoints"]
+        assert rounds
+        for entry in rounds:
+            assert entry["size"] < base["size"] / 4, (entry, base)
 
     def test_no_temp_files_left_behind(self, aborted):
         run_dir = aborted.root / aborted.store.runs()[0]
@@ -139,29 +151,151 @@ class TestStoreLayout:
         with pytest.raises(StoreError, match=r"no stored run matches.*holds: run-"):
             aborted.store.load_latest(config_hash=other.content_hash())
 
+    def test_hash_mismatch_listing_survives_a_mistyped_hash(
+        self, aborted, tmp_path
+    ):
+        store, copy = _copy_store(aborted, tmp_path)
+        path = copy / store.runs()[0] / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config_hash"] = 5
+        path.write_text(json.dumps(manifest))
+        other = RunConfig(scale=0.003, seed=6)
+        with pytest.raises(StoreError, match=r"holds: run-\w+ \(5\)"):
+            store.load_latest(config_hash=other.content_hash())
+
     def test_load_latest_matching_hash(self, aborted):
         state = aborted.store.load_latest(
             config_hash=aborted.config.content_hash()
         )
         assert state.checkpoint.kind == "round"
-        assert len(state.checkpoint.rounds) == 1
+        assert len(state.checkpoint.rounds) == 2
         assert state.config == aborted.config
 
     def test_missing_checkpoint_file_truncates_the_chain(self, aborted, tmp_path):
         store, copy = _copy_store(aborted, tmp_path)
         run_id = store.runs()[0]
+        os.remove(copy / run_id / "checkpoint-0002.pkl")
+        state = store.load_latest()
+        assert state.checkpoint.kind == "round"
+        assert len(state.checkpoint.rounds) == 1
+        assert len(state.entries) == 2
+        # A hole mid-chain ends it there: round 2's delta is intact but
+        # is never folded onto a state that lacks round 1.
         os.remove(copy / run_id / "checkpoint-0001.pkl")
+        shutil.copy(
+            aborted.root / run_id / "checkpoint-0002.pkl",
+            copy / run_id / "checkpoint-0002.pkl",
+        )
         state = store.load_latest()
         assert state.checkpoint.kind == "initial"
-        assert len(state.entries) == 1
+        assert state.checkpoint.rounds == []
+        assert [e["file"] for e in state.entries] == ["checkpoint-0000.pkl"]
+        assert len(state.trace_segments) == len(state.querylog_segments) == 1
 
     def test_all_checkpoints_torn_is_an_error(self, aborted, tmp_path):
         store, copy = _copy_store(aborted, tmp_path)
         run_id = store.runs()[0]
-        for name in ("checkpoint-0000.pkl", "checkpoint-0001.pkl"):
-            (copy / run_id / name).write_bytes(b"torn")
+        for name in os.listdir(copy / run_id):
+            if name.startswith("checkpoint-"):
+                (copy / run_id / name).write_bytes(b"torn")
         with pytest.raises(StoreError, match="no usable checkpoint"):
             store.load_latest()
+
+    def test_old_checkpoint_format_is_refused_by_version(self, aborted, tmp_path):
+        store, copy = _copy_store(aborted, tmp_path)
+        path = copy / store.runs()[0] / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["checkpoint_version"] = 1
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(
+            StoreError, match=r"format version 1, .*reads only version 2; re-run"
+        ):
+            store.load_latest()
+
+
+def _drop_sha256(manifest):
+    del manifest["checkpoints"][1]["sha256"]
+
+
+def _checkpoints_as_dict(manifest):
+    manifest["checkpoints"] = {"0": manifest["checkpoints"][0]}
+
+
+def _drop_config(manifest):
+    del manifest["config"]
+
+
+def _config_hash_as_number(manifest):
+    manifest["config_hash"] = 5
+
+
+def _file_outside_run_dir(manifest):
+    manifest["checkpoints"][0]["file"] = "../x.pkl"
+
+
+def _file_out_of_order(manifest):
+    manifest["checkpoints"][1]["file"] = "checkpoint-0002.pkl"
+
+
+def _size_as_text(manifest):
+    entry = manifest["checkpoints"][2]
+    entry["size"] = str(entry["size"])
+
+
+def _entry_not_an_object(manifest):
+    manifest["checkpoints"][1] = ["checkpoint-0001.pkl"]
+
+
+def _config_not_a_run_config(manifest):
+    del manifest["config"]["scale"]
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_drop_sha256, r"entry 1 has no str 'sha256'"),
+        (_checkpoints_as_dict, r"'checkpoints' is not a list"),
+        (_drop_config, r"no 'config' object"),
+        (_config_hash_as_number, r"no 'config_hash' string"),
+        (_file_outside_run_dir, r"entry 0 names file '\.\./x\.pkl'"),
+        (_file_out_of_order, r"entry 1 names file 'checkpoint-0002\.pkl'"),
+        (_size_as_text, r"entry 2 has no int 'size'"),
+        (_entry_not_an_object, r"entry 1 is not an object"),
+        (_config_not_a_run_config, r"'config' is not a RunConfig"),
+    ],
+)
+def test_malformed_manifest_is_refused_naming_the_entry(
+    aborted, tmp_path, tamper, message
+):
+    store, copy = _copy_store(aborted, tmp_path)
+    path = copy / store.runs()[0] / "manifest.json"
+    manifest = json.loads(path.read_text())
+    tamper(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(StoreError, match=message):
+        store.load_latest()
+
+
+class TestWorldDelta:
+    def test_fold_of_diff_reproduces_the_current_snapshot(self):
+        # Map values are compared by identity: a kept object is left
+        # out, a replaced or added one is stored, a dropped key removed.
+        kept, replaced = object(), object()
+        previous = {name: {} for name in WORLD_MAPS}
+        previous["resolver_cache"] = {"kept": kept, "replaced": replaced, "gone": 1}
+        previous["next_suite"] = 3
+        current = {name: {} for name in WORLD_MAPS}
+        current["resolver_cache"] = {"kept": kept, "replaced": object(), "added": 2}
+        current["next_suite"] = 4
+
+        delta = diff_world_state(previous, current)
+        changed, removed = delta["resolver_cache"]
+        assert sorted(changed) == ["added", "replaced"]
+        assert removed == ["gone"]
+        assert delta["next_suite"] == 4
+
+        fold_world_state(previous, delta)
+        assert previous == current
 
 
 class TestAtomicWrite:

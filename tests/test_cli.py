@@ -162,6 +162,22 @@ class TestRunResumeCli:
         assert "resume failed" in err
         assert "no stored run matches" in err
 
+    def test_resume_tampered_manifest_exits_2(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main([
+            "run", *self.BASE, "--store", str(store),
+            "--abort-after-round", "1",
+        ]) == 0
+        capsys.readouterr()
+        (manifest,) = store.glob("run-*/manifest.json")
+        data = json.loads(manifest.read_text())
+        del data["checkpoints"][0]["sha256"]
+        manifest.write_text(json.dumps(data))
+        assert main(["resume", "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert "resume failed" in err
+        assert "checkpoint entry 0 has no str 'sha256'" in err
+
     def test_resume_empty_store_exits_2(self, tmp_path, capsys):
         assert main(["resume", "--store", str(tmp_path / "empty")]) == 2
         assert "no checkpointed runs" in capsys.readouterr().err
