@@ -6,8 +6,8 @@ append, and a daemon thread samples RSS/GC/counters twice a second.
 The sideband's whole value proposition is that it can stay on during
 real campaigns; this bench holds it to that claim.
 
-Protocol: serial executor, tracing enabled on BOTH sides (the sideband
-rides the tracer, so the fair baseline is a traced run), perf toggled.
+Protocol: tracing enabled on BOTH sides (the sideband rides the
+tracer, so the fair baseline is a traced run), perf toggled.
 One discarded warm-up, then ``REPS`` baseline/profiled pairs with the
 within-pair order alternating (frequency scaling and page-cache warmth
 bias whichever run goes second).  The reported overhead is the **median
@@ -16,17 +16,16 @@ and share the machine's momentary state, so a host-level slowdown
 inflates both legs and cancels in the ratio, where a min-vs-min
 comparison needs at least one of each leg to dodge every noise spike.
 The per-leg minima are still recorded for reference.  The measured
-window covers ``sim.run()`` plus the perf ``finalize()`` merge, i.e.
+window covers ``sim.run()`` plus the perf ``finalize()``, i.e.
 everything profiling adds.
 
 **The <5% bound is asserted only when the machine can resolve it**: if
 the baseline legs alone spread wider than the budget (max/min - 1 over
 identical runs), wall clock on this box cannot distinguish a 1% sideband
-from a 5% one and the measurement is recorded, not asserted — the same
-honest-numbers policy ``bench_executor.py`` applies to core-count-bound
-criteria.  CI's runners are stable enough to keep the assertion live
-there; the honest numbers land in ``BENCH_perf.json`` with the
-container's core count, Python version, and the measured noise spread.
+from a 5% one and the measurement is recorded, not asserted.  CI's
+runners are stable enough to keep the assertion live there; the honest
+numbers land in ``BENCH_perf.json`` with the container's core count,
+Python version, and the measured noise spread.
 
 Runnable standalone (``PYTHONPATH=src python benchmarks/bench_perf.py``)
 or under pytest-benchmark with the rest of the bench suite.
@@ -58,8 +57,7 @@ def _run(perf_dir) -> dict:
     """One traced campaign; ``perf_dir`` toggles the sideband."""
     gc.collect()
     config = RunConfig(
-        scale=PERF_SCALE, seed=PERF_SEED, executor="serial",
-        trace=True, perf=perf_dir,
+        scale=PERF_SCALE, seed=PERF_SEED, trace=True, perf=perf_dir
     )
     obs = Observation(trace=True)
     if perf_dir:

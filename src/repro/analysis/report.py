@@ -100,10 +100,7 @@ def generate_report(sim: Simulation, *, title: str = "SPFail reproduction report
     write("## Probe-execution metrics")
     write()
     executor = sim.campaign.executor
-    write(
-        f"Executor: {type(executor).__name__} "
-        f"(results are byte-identical across strategies for the same seed)."
-    )
+    write(f"Executor: {type(executor).__name__}.")
     write()
     write(executor.metrics.render_markdown())
     write()
@@ -162,9 +159,9 @@ def generate_report(sim: Simulation, *, title: str = "SPFail reproduction report
         "sideband, never here)."
     )
     write()
-    from ..obs.perf import campaign_counters
+    from ..obs.perf import simulation_counters
 
-    counters = campaign_counters(sim.campaign)
+    counters = simulation_counters(sim)
     write("| counter | value |")
     write("|---|---|")
     for name in sorted(counters):

@@ -9,7 +9,7 @@ same small surface:
   resident: batch campaigns (:meth:`RunHandle.run`), incremental rounds
   (:meth:`RunHandle.advance_rounds`), and single probes
   (:meth:`RunHandle.probe_domain` / :meth:`RunHandle.check_mta`) all
-  dispatch through the same executor engine, so a probe answered via the
+  dispatch through the same probe executor, so a probe answered via the
   API emits byte-identical task trace events to the same probe inside a
   batch run;
 - :func:`run` / :func:`resume` — one-call wrappers over
@@ -21,14 +21,9 @@ same small surface:
 The run-description value
 -------------------------
 
-Historically a run was described by a spray of keyword arguments
-(``Simulation.build(scale=..., seed=..., population_config=...,
-campaign_config=..., executor=..., workers=...)``) plus a separate
-``exec.shardworld.WorldSpec`` that repeated three of them for the
-process executor's child worlds.  Checkpointable runs need that
-description to be a *value*: something that can be serialized into a
-store manifest, hashed so a resume can prove it is continuing the same
-experiment, and shipped to a worker process to rebuild a world replica.
+Checkpointable runs need their description to be a *value*: something
+that can be serialized into a store manifest and hashed so a resume can
+prove it is continuing the same experiment.
 
 :class:`RunConfig` is that value.  It is frozen, picklable, and
 JSON-round-trippable, and it splits cleanly in two:
@@ -36,12 +31,11 @@ JSON-round-trippable, and it splits cleanly in two:
 - **semantic fields** (``population``, ``campaign``, ``seed``,
   ``retry``) determine every campaign artifact byte-for-byte; they are
   covered by :meth:`RunConfig.content_hash`;
-- **runtime fields** (``executor``, ``workers``, ``trace``, ``world``,
-  ``perf``) choose how the run executes and observes; results are
-  byte-identical across them for the same semantic fields, so they are
-  excluded from the hash — a campaign checkpointed under the serial
-  executor may be resumed under the process executor and vice versa,
-  and a profiled run hashes the same as an unprofiled one.
+- **runtime fields** (``trace``, ``perf``) choose how the run is
+  observed; results are byte-identical across them for the same
+  semantic fields, so they are excluded from the hash — a traced or
+  profiled run hashes the same as a plain one, and a checkpoint taken
+  by either may be resumed by the other.
 """
 
 from __future__ import annotations
@@ -97,11 +91,6 @@ def _decode_fields(cls, data: Optional[dict]):
     return cls(**kwargs)
 
 
-_EXECUTORS = (None, "serial", "sharded", "process")
-
-_WORLD_MODES = ("lazy", "eager")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """A complete, serializable description of one campaign run."""
@@ -118,33 +107,12 @@ class RunConfig:
     #: probe retry policy; ``None`` is the paper's no-retry methodology.
     retry: Optional[RetryPolicy] = None
     # -- runtime fields (excluded from the content hash) ----------------------
-    #: probe-execution strategy name; ``None`` derives from ``workers``.
-    executor: Optional[str] = None
-    #: worker count for the sharded/process strategies.
-    workers: int = 1
     #: whether runs built from this config attach a virtual-time tracer.
     trace: bool = False
-    #: world materialization strategy: ``"lazy"`` builds servers on first
-    #: touch (memory O(touched)); ``"eager"`` pre-builds every server up
-    #: front.  Both produce byte-identical artifacts, so this is a
-    #: runtime field outside the content hash.
-    world: str = "lazy"
     #: wall-clock telemetry sideband directory (``--perf``), or ``None``.
     #: The sideband writes to separate files only and never feeds back
-    #: into artifacts, so — like ``trace`` — it is a runtime field; it is
-    #: serialized because process-executor children read it off the
-    #: config to write their own per-shard perf streams.
+    #: into artifacts, so — like ``trace`` — it is a runtime field.
     perf: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.executor not in _EXECUTORS:
-            raise SimulationError(
-                f"unknown executor {self.executor!r} (serial | sharded | process)"
-            )
-        if self.world not in _WORLD_MODES:
-            raise SimulationError(
-                f"unknown world mode {self.world!r} (lazy | eager)"
-            )
 
     # -- resolution -----------------------------------------------------------
 
@@ -172,8 +140,8 @@ class RunConfig:
 
         Two configs hash identically exactly when their campaigns produce
         byte-identical artifacts: explicit configs equal to the derived
-        defaults hash the same, and runtime fields (executor, workers,
-        trace) never perturb the digest.
+        defaults hash the same, and runtime fields (trace, perf) never
+        perturb the digest.
         """
         blob = json.dumps(
             self.semantic_dict(), sort_keys=True, separators=(",", ":")
@@ -189,10 +157,7 @@ class RunConfig:
             "population": _encode_fields(self.population),
             "campaign": _encode_fields(self.campaign),
             "retry": _encode_fields(self.retry),
-            "executor": self.executor,
-            "workers": self.workers,
             "trace": self.trace,
-            "world": self.world,
             "perf": self.perf,
         }
 
@@ -204,10 +169,7 @@ class RunConfig:
             population=_decode_fields(PopulationConfig, data.get("population")),
             campaign=_decode_fields(CampaignConfig, data.get("campaign")),
             retry=_decode_fields(RetryPolicy, data.get("retry")),
-            executor=data.get("executor"),
-            workers=data.get("workers", 1),
             trace=data.get("trace", False),
-            world=data.get("world", "lazy"),
             perf=data.get("perf"),
         )
 
@@ -373,7 +335,7 @@ class ProbeResult:
 class RunHandle:
     """A built world held resident, answering probes and running rounds.
 
-    Everything dispatches through the campaign's executor engine — the
+    Everything dispatches through the campaign's probe executor — the
     same code path as a batch ``repro run`` — so a probe answered here
     produces byte-identical task trace events to the same probe inside a
     batch campaign of the same config.  The handle serializes nothing
@@ -419,7 +381,7 @@ class RunHandle:
             "domains": len(self._sim.population),
             "addresses": self._sim.fleet.total_ip_count(),
             "executor": type(campaign.executor).__name__,
-            "world": self.config.world,
+            "world": "lazy",
             "initial_complete": campaign.initial is not None,
             "rounds_completed": len(self._rounds),
             "rounds_total": len(campaign.round_dates()),
@@ -449,7 +411,7 @@ class RunHandle:
         *,
         recipient_domains: Optional[Dict[str, str]] = None,
     ) -> Dict[str, DetectionResult]:
-        """Raw probe dispatch through the executor engine (library use)."""
+        """Raw probe dispatch through the probe executor (library use)."""
         with self._observed():
             return self._sim.campaign.probe_ips(
                 stage, ips, recipient_domains=recipient_domains
@@ -625,15 +587,13 @@ class RunHandle:
         self._rounds = list(result.rounds)
         return result
 
-    def close(self) -> None:
-        """Release worker processes (idempotent)."""
-        self._sim.campaign.executor.shutdown()
-
+    # A handle holds no resources beyond memory; the context-manager
+    # form is kept only so ``with open_run(...) as handle:`` still reads.
     def __enter__(self) -> "RunHandle":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        pass
 
 
 # -- module-level entry points ------------------------------------------------
@@ -666,8 +626,6 @@ def resume(
     config_hash: Optional[str] = None,
     *,
     observation=None,
-    executor: object = _UNSET,
-    workers: object = _UNSET,
     perf: object = _UNSET,
 ) -> RunHandle:
     """Reconstruct a checkpointed campaign from a store, as a handle.
@@ -675,9 +633,9 @@ def resume(
     ``store`` is a :class:`repro.store.RunStore`, a store directory
     path, or an already-loaded :class:`repro.store.RunState`;
     ``config_hash`` pins the run to resume (a mismatch is an error
-    listing what the store holds).  ``executor``/``workers``/``perf``
-    override the stored runtime strategy — they are outside the content
-    hash precisely because results do not depend on them.  Continue with
+    listing what the store holds).  ``perf`` overrides the stored
+    sideband directory — it is outside the content hash precisely
+    because results do not depend on it.  Continue with
     ``handle.run(store=...)`` or serve probes straight off the handle.
     """
     from .simulation import Simulation
@@ -695,10 +653,6 @@ def resume(
             "directory path, a repro.store.RunStore, or a RunState"
         )
     overrides = {}
-    if executor is not _UNSET:
-        overrides["executor"] = executor
-    if workers is not _UNSET:
-        overrides["workers"] = workers
     if perf is not _UNSET:
         overrides["perf"] = perf
     sim = Simulation.resume(source, observation=observation, **overrides)

@@ -35,7 +35,7 @@ __all__ = ["ARTIFACT_NAMES", "build_parser", "main"]
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    command = getattr(args, "command", None)
+    command = args.command
     if command == "trace":
         from . import tracecmd
 
@@ -60,4 +60,4 @@ def main(argv=None) -> int:
 
     if command == "resume":
         return resume_command(args)
-    return run_command(args, legacy=command is None)
+    return run_command(args)

@@ -60,7 +60,7 @@ def write_metrics(sim: Simulation, path: str) -> None:
     payload = {
         "scale": sim.config.resolved_population().scale,
         "seed": sim.config.seed,
-        "workers": sim.config.workers,
+        "workers": 1,
         "executor": type(sim.campaign.executor).__name__,
         "metrics": sim.observation.metrics.to_dict(),
         "histogram_percentiles": sim.observation.metrics.percentiles(),

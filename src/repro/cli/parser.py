@@ -1,11 +1,7 @@
 """The argument parser: every subcommand's flags in one place.
 
 The parser is structured around the ``run`` / ``resume`` / ``serve`` /
-``trace`` / ``obs`` subcommands.  The pre-subcommand invocation
-(``python -m repro --scale 0.02 ...``) keeps working with a deprecation
-notice: every run flag still exists at the top level with the same
-defaults, seeding the shared namespace the subcommands override
-selectively (the ``SUPPRESS`` pattern in :func:`_add_run_flags`).
+``trace`` / ``obs`` subcommands; one of them is required.
 """
 
 from __future__ import annotations
@@ -16,52 +12,27 @@ from ..obs.logbridge import LEVELS
 from .artifacts import ARTIFACT_NAMES
 
 
-def _add_run_flags(
-    parser: argparse.ArgumentParser, *, suppress: bool = False
-) -> None:
-    """The campaign-run flags.
-
-    With ``suppress=True`` (the ``run`` subcommand) every flag defaults
-    to ``argparse.SUPPRESS``: the top-level parser has already installed
-    the real defaults on the shared namespace, and the subcommand must
-    only override what the user typed after ``run``.
-    """
-
-    def add(*names, default, **kwargs):
-        parser.add_argument(
-            *names, default=argparse.SUPPRESS if suppress else default, **kwargs
-        )
-
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The campaign-run flags: the world, then the outputs."""
+    add = parser.add_argument
     add(
         "--scale", type=float, default=0.01,
         help="population scale relative to the paper's 441K domains (default 0.01)",
     )
     add("--seed", type=int, default=20211011, help="simulation seed")
     add(
-        "--workers", type=int, default=1, metavar="N",
-        help="probe-execution worker count (N>1 selects the sharded executor; "
-        "with --executor process, the worker-process/shard count)",
+        "--list", action="store_true", default=False,
+        help="list available artifacts and exit",
     )
-    add(
-        "--executor", choices=("serial", "sharded", "process"), default=None,
-        help="probe-execution strategy (default: derived from --workers); "
-        "'process' escapes the GIL by probing shard-local world replicas "
-        "in worker processes; results are byte-identical across strategies "
-        "for the same seed",
-    )
-    add(
-        "--world", choices=("lazy", "eager"), default="lazy",
-        help="world materialization strategy: 'lazy' builds servers on "
-        "first touch (memory tracks the probed set); 'eager' pre-builds "
-        "every server up front; artifacts are byte-identical either way",
-    )
+    _add_output_flags(parser)
+
+
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+    """Artifact/observability outputs shared by ``run`` and ``resume``."""
+    add = parser.add_argument
     add(
         "--artifact", choices=ARTIFACT_NAMES, action="append", default=None,
         help="regenerate only the named table/figure (repeatable)",
-    )
-    add(
-        "--list", action="store_true", default=False,
-        help="list available artifacts and exit",
     )
     add(
         "--report", metavar="FILE", default=None,
@@ -74,7 +45,7 @@ def _add_run_flags(
     add(
         "--trace", metavar="FILE", default=None,
         help="write a canonically ordered virtual-time trace (JSONL) to FILE; "
-        "byte-identical across executor strategies for the same seed",
+        "byte-identical across runs of the same seed, resumed or not",
     )
     add(
         "--metrics-out", metavar="FILE", default=None,
@@ -105,54 +76,6 @@ def _add_run_flags(
     )
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    """Artifact/observability outputs shared by ``run`` and ``resume``.
-
-    ``SUPPRESS`` defaults: the top-level parser already seeded the shared
-    namespace with the real defaults.
-    """
-    parser.add_argument(
-        "--artifact", choices=ARTIFACT_NAMES, action="append",
-        default=argparse.SUPPRESS,
-        help="regenerate only the named table/figure (repeatable)",
-    )
-    parser.add_argument(
-        "--report", metavar="FILE", default=argparse.SUPPRESS,
-        help="write the full paper-vs-measured markdown report to FILE",
-    )
-    parser.add_argument(
-        "--export-csv", metavar="DIR", default=argparse.SUPPRESS,
-        help="write machine-readable CSVs for the key series to DIR",
-    )
-    parser.add_argument(
-        "--trace", metavar="FILE", default=argparse.SUPPRESS,
-        help="write the canonical virtual-time trace (JSONL) to FILE; "
-        "byte-identical to the uninterrupted run's trace",
-    )
-    parser.add_argument(
-        "--metrics-out", metavar="FILE", default=argparse.SUPPRESS,
-        help="write the observability metrics registry (JSON) to FILE",
-    )
-    parser.add_argument(
-        "--log-level", choices=sorted(LEVELS), default=argparse.SUPPRESS,
-        help="enable stdlib logging for the 'repro' logger at this level",
-    )
-    parser.add_argument(
-        "--progress", action="store_true", default=argparse.SUPPRESS,
-        help="render live stage progress to stderr",
-    )
-    parser.add_argument(
-        "--perf", metavar="DIR", default=argparse.SUPPRESS,
-        help="record wall-clock span timings and resource samples into DIR "
-        "(sideband only; canonical artifacts unchanged)",
-    )
-    parser.add_argument(
-        "--ledger", metavar="FILE", default=argparse.SUPPRESS,
-        help="append one performance-ledger record for the resumed run to "
-        "FILE (a record also lands in the run directory's ledger.jsonl)",
-    )
-
-
 def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     """Flags for the long-lived scan daemon (``repro serve``)."""
     world = parser.add_argument_group("resident world")
@@ -161,19 +84,6 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
         help="population scale for a fresh resident world (default 0.01)",
     )
     world.add_argument("--seed", type=int, default=20211011, help="simulation seed")
-    world.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="probe-execution worker count for the resident campaign",
-    )
-    world.add_argument(
-        "--executor", choices=("serial", "sharded", "process"), default=None,
-        help="probe-execution strategy (default: derived from --workers)",
-    )
-    world.add_argument(
-        "--world", choices=("lazy", "eager"), default="lazy",
-        help="world materialization strategy (default lazy: servers build "
-        "on first probe, so a big world starts serving immediately)",
-    )
     world.add_argument(
         "--store", metavar="DIR", default=None,
         help="resume the latest checkpointed run from this store and hold "
@@ -252,19 +162,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description="Run the SPFail (IMC 2022) reproduction campaign.",
     )
-    # Legacy pre-subcommand interface: same flags, same defaults, plus a
-    # deprecation notice at runtime.  These defaults also seed the shared
-    # namespace the subcommands override selectively.
-    _add_run_flags(parser)
-
     sub = parser.add_subparsers(
-        dest="command", metavar="{run,resume,serve,trace,obs}"
+        dest="command", metavar="{run,resume,serve,trace,obs}", required=True
     )
 
     run = sub.add_parser(
         "run", help="run the campaign (optionally checkpointing into a store)"
     )
-    _add_run_flags(run, suppress=True)
+    _add_run_flags(run)
     run.add_argument(
         "--store", metavar="DIR", default=argparse.SUPPRESS,
         help="checkpoint the run into this store directory after the initial "
@@ -293,17 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument(
         "--seed", type=int, dest="resume_seed", default=argparse.SUPPRESS,
         help="expected simulation seed (see --scale)",
-    )
-    resume.add_argument(
-        "--workers", type=int, dest="resume_workers", metavar="N",
-        default=argparse.SUPPRESS,
-        help="override the stored worker count (results are identical "
-        "across strategies, so this is always safe)",
-    )
-    resume.add_argument(
-        "--executor", choices=("serial", "sharded", "process"),
-        dest="resume_executor", default=argparse.SUPPRESS,
-        help="override the stored probe-execution strategy (see --workers)",
     )
     _add_output_flags(resume)
 

@@ -37,14 +37,13 @@ def make_observation(
 
 
 def finalize_perf(observation: Optional[Observation]) -> None:
-    """Merge perf part streams and print a one-line summary."""
+    """Finish the perf streams and print a one-line summary."""
     if observation is None or observation.perf is None:
         return
     summary = observation.perf.finalize()
     print(
         f"perf: {summary['records']:,} span records, "
-        f"{summary['samples']:,} samples from {len(summary['roles'])} "
-        f"role(s) merged into {summary['directory']}"
+        f"{summary['samples']:,} samples written to {summary['directory']}"
     )
 
 
@@ -61,7 +60,7 @@ def append_ledger(
     Targets: the RunStore run directory's ``ledger.jsonl`` (when the run
     was checkpointed) and the shared ``--ledger`` file (when given).
     Appending happens strictly *after* every deterministic artifact and
-    the perf merge are on disk — the ledger reads the run, never the
+    the perf streams are on disk — the ledger reads the run, never the
     other way around, so trace/CSV/report bytes are identical with the
     ledger on or off.
     """
@@ -86,18 +85,12 @@ def append_ledger(
     print(f"ledger: record appended to {', '.join(paths)}")
 
 
-def run_command(args: argparse.Namespace, *, legacy: bool = False) -> int:
+def run_command(args: argparse.Namespace) -> int:
     from ..errors import CampaignAborted
 
     if args.list:
         print("\n".join(ARTIFACT_NAMES))
         return 0
-    if legacy:
-        print(
-            "note: running via top-level flags is deprecated; "
-            "use `python -m repro run ...`",
-            file=sys.stderr,
-        )
 
     perf_dir = getattr(args, "perf", None)
     observation = make_observation(
@@ -109,10 +102,7 @@ def run_command(args: argparse.Namespace, *, legacy: bool = False) -> int:
     config = api.RunConfig(
         scale=args.scale,
         seed=args.seed,
-        executor=args.executor,
-        workers=args.workers,
         trace=bool(args.trace) or bool(perf_dir),
-        world=getattr(args, "world", "lazy"),
         perf=perf_dir,
     )
     print(f"Building the synthetic Internet (scale={args.scale}, seed={args.seed})...")
@@ -141,11 +131,9 @@ def run_command(args: argparse.Namespace, *, legacy: bool = False) -> int:
         if observation is not None:
             reporter.perf = observation.perf
         sim.campaign.executor.progress = reporter
-    executor_name = type(sim.campaign.executor).__name__
     print(
         f"  {len(sim.population):,} domains / {sim.fleet.total_ip_count():,} addresses; "
-        f"running the four-month campaign ({executor_name}, "
-        f"workers={args.workers})..."
+        "running the four-month campaign..."
     )
     from time import perf_counter
 
@@ -166,11 +154,9 @@ def run_command(args: argparse.Namespace, *, legacy: bool = False) -> int:
         run_wall = perf_counter() - started
         code = emit_outputs(sim, args)
     finally:
-        # After sim.run the executor has shut down (its finally), so
-        # every worker's part streams are on disk and safe to merge.
         finalize_perf(observation)
-    # The ledger record is built after the perf merge so a profiled
-    # run's record can embed the per-stage wall attribution.
+    # The ledger record is built after the perf streams are finalized so
+    # a profiled run's record can embed the per-stage wall attribution.
     append_ledger(sim, args, store=store, wall_seconds=run_wall, kind="run")
     return code
 
@@ -204,16 +190,9 @@ def resume_command(args: argparse.Namespace) -> int:
         )
     observation = make_observation(args, trace=trace)
 
-    overrides = {}
-    if hasattr(args, "resume_executor"):
-        overrides["executor"] = args.resume_executor
-    if hasattr(args, "resume_workers"):
-        overrides["workers"] = args.resume_workers
     # Whether the resumed leg is profiled is always this invocation's
     # choice — never inherited from the checkpointed config.
-    handle = api.resume(
-        state, observation=observation, perf=perf_dir, **overrides
-    )
+    handle = api.resume(state, observation=observation, perf=perf_dir)
     sim = handle.simulation
     if observation is not None and observation.perf is not None:
         from ..obs.perf import simulation_counters

@@ -124,23 +124,12 @@ def serve_command(args: argparse.Namespace) -> int:
                 f"(config {state.config.content_hash()[:12]}) as the "
                 f"resident world..."
             )
-            overrides = {}
-            if args.executor is not None:
-                overrides["executor"] = args.executor
-            if args.workers != 1:
-                overrides["workers"] = args.workers
-            handle = api.resume(state, **overrides)
+            handle = api.resume(state)
         else:
-            config = api.RunConfig(
-                scale=args.scale,
-                seed=args.seed,
-                executor=args.executor,
-                workers=args.workers,
-                world=args.world,
-            )
+            config = api.RunConfig(scale=args.scale, seed=args.seed)
             print(
                 f"Building the resident world "
-                f"(scale={args.scale}, seed={args.seed}, {args.world})..."
+                f"(scale={args.scale}, seed={args.seed})..."
             )
             handle = api.open_run(config)
 
@@ -198,7 +187,6 @@ def serve_command(args: argparse.Namespace) -> int:
         finally:
             server.shutdown()
             service.stop()
-            handle.close()
     finally:
         if lock is not None:
             lock.release()

@@ -113,8 +113,8 @@ class SimulatedClock:
         """The earliest pending callback instant (optionally capped).
 
         Returns ``None`` if nothing is scheduled, or nothing is scheduled
-        at or before ``until``.  This is how a batching probe executor
-        finds the next *event horizon* it must stop at.
+        at or before ``until``.  A checkpoint restore uses it to drain
+        every callback that is already due.
         """
         earliest: Optional[_dt.datetime] = None
         for at, _fn in self._callbacks:

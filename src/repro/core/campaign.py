@@ -36,7 +36,7 @@ from ..exec import (
     ExecutionEnvironment,
     ProbeTask,
     RetryPolicy,
-    make_executor,
+    SerialExecutor,
 )
 from ..internet.mta_fleet import MtaFleet
 from ..internet.population import Domain, DomainPopulation, DomainSet
@@ -163,11 +163,7 @@ class MeasurementCampaign:
         config: Optional[CampaignConfig] = None,
         clock: Optional[SimulatedClock] = None,
         notifier: Optional[NotifierFn] = None,
-        executor: Optional[object] = None,
-        workers: int = 1,
         retry: Optional[RetryPolicy] = None,
-        world: Optional[object] = None,
-        ip_filter: Optional[Callable[[str], bool]] = None,
     ) -> None:
         self.population = population
         self.fleet = fleet
@@ -178,18 +174,13 @@ class MeasurementCampaign:
         base = Name.from_text(self.config.base_domain)
         self.responder = SpfTestResponder(base)
         # Every time read below the campaign goes through the router, so
-        # probes observe their task's virtual timeslot regardless of the
-        # execution strategy (see repro.exec).
+        # probes observe their task's virtual timeslot (see repro.exec).
         self.clock_router = ClockRouter(self.clock)
         self.resolver = CachingResolver(clock=self.clock_router)
         self.resolver.register(base, self.responder)
         self.resolver.register(Name.root(), self.fleet.dns_backend)
 
-        # ``ip_filter`` restricts the live network to a shard's slice of
-        # addresses (see repro.exec.shardworld); full campaigns pass None.
-        self.network: Network = fleet.build_network(
-            self.clock_router, self.resolver, ip_filter=ip_filter
-        )
+        self.network: Network = fleet.build_network(self.clock_router, self.resolver)
         self.labels = LabelAllocator(base)
         self.ethics = EthicsControls()
         self._stub = StubResolver(
@@ -205,9 +196,7 @@ class MeasurementCampaign:
             seconds_per_probe=self.config.seconds_per_probe,
             router=self.clock_router,
         )
-        self.executor = make_executor(
-            executor, self.env, workers=workers, retry=retry, world=world
-        )
+        self.executor = SerialExecutor(self.env, retry=retry)
         #: preferred probe method per address, learned at initial time.
         self._preferred: Dict[str, ProbeMethod] = {}
         #: a representative hosted domain per address (RCPT TO targets).
@@ -425,8 +414,8 @@ class MeasurementCampaign:
         ``rounds``, ``notified``, ``notification_report`` — see
         :class:`repro.store.ResumeState`).  The caller is responsible
         for having restored the world first: ``self.initial``, the
-        clock, server/resolver/label state, and the executor's event
-        history must already match the checkpoint instant.
+        clock, and server/resolver/label state must already match the
+        checkpoint instant.
         """
         initial = self._require_initial()
         return self._run_rounds(
@@ -461,11 +450,6 @@ class MeasurementCampaign:
                 self.clock.advance_to(max(self.clock.now, self.config.notification_date))
                 self._notified_clock = self.clock.now
                 notification_report = self.notifier(
-                    initial.vulnerable_domains(), self.config.notification_date
-                )
-                # Shard-world replicas must mirror the notification's
-                # clock/RNG effects; other executors ignore the hook.
-                self.executor.record_notification(
                     initial.vulnerable_domains(), self.config.notification_date
                 )
                 notified = True

@@ -40,8 +40,8 @@ class EthicsControls:
     _active: int = 0
     peak_concurrency: int = 0
     connections_opened: int = 0
-    #: The ledger is shared by every probe-execution worker; the lock
-    #: keeps the accounting exact even under a threaded worker pool.
+    #: The ledger is shared by every probe; the lock keeps the
+    #: accounting exact across threads.
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )

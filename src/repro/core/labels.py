@@ -15,10 +15,9 @@ Two allocation modes coexist:
 - :meth:`LabelAllocator.new_id` hands out sequential ids — the simple
   one-at-a-time mode;
 - :meth:`LabelAllocator.reserve_block` carves a fixed-size id range out
-  of a suite's space up front, so a probe-execution worker can label its
-  task's probes without coordinating with other workers, and the labels
-  a task uses depend only on its position in the work list.  All mutable
-  state is lock-guarded, so blocks may also be drawn from threads.
+  of a suite's space up front, so the labels a probe task uses depend
+  only on its position in the work list.  All mutable state is
+  lock-guarded, so blocks may also be drawn from threads.
 """
 
 from __future__ import annotations
@@ -66,17 +65,6 @@ class LabelAllocator:
             self._next_id[label] = 0
         return label
 
-    def adopt_suite(self, label: str) -> None:
-        """Make a suite label allocated elsewhere usable here.
-
-        A shard-world replica receives its suite labels from the parent
-        process (which ran :meth:`new_suite`); adopting registers the
-        label so :meth:`reserve_block` accepts it without disturbing the
-        replica's own suite counter.
-        """
-        with self._lock:
-            self._next_id.setdefault(label, 0)
-
     def new_id(self, suite: str, target_ip: str) -> str:
         """A fresh server id label within a suite, bound to ``target_ip``."""
         with self._lock:
@@ -103,14 +91,6 @@ class LabelAllocator:
     def _bind(self, suite: str, label: str, target_ip: str) -> None:
         with self._lock:
             self._ip_for_label[(suite, label)] = target_ip
-
-    def bind(self, suite: str, label: str, target_ip: str) -> None:
-        """Record a (suite, id) → ip binding made in another process.
-
-        The process executor re-binds each merged result's ``test_ids``
-        so :meth:`ip_for` answers identically to a single-process run.
-        """
-        self._bind(suite, label, target_ip)
 
     def ip_for(self, suite: str, test_id: str) -> Optional[str]:
         """Which server a (suite, id) pair was allocated to."""

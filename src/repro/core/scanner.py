@@ -25,7 +25,7 @@ from ..clock import SimulatedClock
 from ..dns.resolver import StubResolver
 from ..dns.server import SpfTestResponder
 from ..errors import ResolutionError
-from ..exec import ExecutionEnvironment, ProbeTask, RetryPolicy, make_executor
+from ..exec import ExecutionEnvironment, ProbeTask, RetryPolicy, SerialExecutor
 from ..smtp.transport import Network
 from .detector import DetectionOutcome, DetectionResult
 from .ethics import EthicsControls
@@ -109,7 +109,6 @@ class SpfVulnerabilityScanner:
         resolver: Optional[StubResolver] = None,
         client_ip: str = "198.51.100.7",
         ethics: Optional[EthicsControls] = None,
-        executor: Optional[object] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.clock = clock or SimulatedClock()
@@ -119,10 +118,7 @@ class SpfVulnerabilityScanner:
         self.ethics = ethics or EthicsControls()
         # The scanner is handed an already-clocked network, so it runs the
         # engine in direct-clock mode (no router): probes advance the
-        # scanner's clock itself, and the serial strategy is the default.
-        # The "process" strategy is unavailable here — a pre-built network
-        # cannot be described by a seeded RunConfig, so make_executor
-        # rejects it with an explanatory error.
+        # scanner's clock itself.
         self.env = ExecutionEnvironment(
             clock=self.clock,
             network=network,
@@ -131,7 +127,7 @@ class SpfVulnerabilityScanner:
             ethics=self.ethics,
             client_ip=client_ip,
         )
-        self.executor = make_executor(executor, self.env, retry=retry)
+        self.executor = SerialExecutor(self.env, retry=retry)
 
     # -- scanning ---------------------------------------------------------------
 

@@ -49,9 +49,8 @@ class QueryLog:
         self._base_key = base.key
         self._entries: List[QueryLogEntry] = []
         self._by_labels: Dict[Tuple[str, str], List[QueryLogEntry]] = {}
-        # Probe-execution workers append concurrently; per-label slices
-        # stay consistent because every (suite, id) pair belongs to one
-        # task and the append itself is guarded here.
+        # Appends are guarded; per-label slices stay consistent because
+        # every (suite, id) pair belongs to one task.
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -94,10 +93,10 @@ class QueryLog:
             return self._entries[start:]
 
     def ingest(self, entries: Iterable[QueryLogEntry]) -> None:
-        """Adopt entries recorded by another process's log.
+        """Adopt entries recorded by an earlier process's log.
 
-        Used when merging shard-world evidence back into the parent: the
-        entries were already traced (``dns.query``) in the recording
+        Used when a resume restores a checkpoint's query-log segments:
+        the entries were already traced (``dns.query``) in the recording
         process, so ingestion only appends and re-indexes — it never
         re-emits trace events.
         """

@@ -1,51 +1,28 @@
 """The probe-execution engine.
 
-The paper's measurement tool probed ~180K MTA addresses per round
-*concurrently*; this package decouples **what to probe** (a work list of
-:class:`ProbeTask`) from **how probes run** (pluggable executor
-strategies), so the campaign, the scanner, and any future workload share
-one engine:
+The paper's measurement tool probed ~180K MTA addresses per round; this
+package decouples **what to probe** (a work list of :class:`ProbeTask`)
+from **how probes run** (:class:`SerialExecutor`), so the campaign, the
+scanner, and the serve daemon share one engine.
 
-- :class:`SerialExecutor` — the faithful one-at-a-time strategy: the
-  shared simulated clock advances after every probe, firing scheduled
-  events (patches, MX moves) exactly where the paper's serial tool would
-  have observed them.
-- :class:`ShardedExecutor` — a worker-pool strategy: the work list is
-  sharded over per-worker detection contexts (each with its own
-  :class:`~repro.smtp.client.SmtpClient` and
-  :class:`~repro.core.detector.VulnerabilityDetector`), dispatched in
-  batches, and the shared clock is advanced once per *event horizon*
-  instead of once per probe.
-- :class:`ProcessShardedExecutor` — true multi-core execution: the work
-  list is partitioned by a stable hash of the target address into
-  shard-local **world replicas** (:mod:`repro.exec.shardworld`), each
-  rebuilt from the seed inside its own worker process, with results,
-  evidence, metrics, and trace events merged back deterministically.
-  A shard whose worker dies is re-run in-process instead of aborting
-  the campaign.
-
-Every strategy executes every task at the same simulated instant — task
-``k`` of a stage starts at ``stage_base + k * seconds_per_probe``, and
-in-task waits (greylist backoff, ethics pacing) advance only that task's
-:class:`VirtualClock` — so campaign results are byte-identical between
-executors for the same seed (asserted by ``tests/exec``).
+The serial executor is the faithful one-at-a-time tool: the shared
+simulated clock advances after every probe, firing scheduled events
+(patches, MX moves) exactly where the paper's serial tool would have
+observed them.  Task ``k`` of a stage starts at
+``stage_base + k * seconds_per_probe``, and in-task waits (greylist
+backoff, ethics pacing) advance only that task's :class:`VirtualClock`,
+so every stamp and label is a pure function of the work list.
 """
 
 from .engine import (
     ExecutionEnvironment,
     ProbeExecutor,
-    ProcessShardedExecutor,
     RetryPolicy,
     SerialExecutor,
-    ShardedExecutor,
     WorkerContext,
-    make_executor,
     transient_failure,
 )
 from .metrics import ExecutorMetrics, StageMetrics
-# WorldSpec is a deprecated factory shim; worlds are described by
-# repro.api.RunConfig now.
-from .shardworld import ShardWorld, WorldSpec, shard_of
 from .task import ProbeTask
 from .virtualclock import ClockRouter, VirtualClock
 
@@ -55,16 +32,10 @@ __all__ = [
     "ExecutorMetrics",
     "ProbeExecutor",
     "ProbeTask",
-    "ProcessShardedExecutor",
     "RetryPolicy",
     "SerialExecutor",
-    "ShardWorld",
-    "ShardedExecutor",
     "StageMetrics",
     "VirtualClock",
     "WorkerContext",
-    "WorldSpec",
-    "make_executor",
-    "shard_of",
     "transient_failure",
 ]

@@ -1,37 +1,27 @@
-"""Pluggable probe-execution strategies.
+"""The probe executor.
 
-All executors run every :class:`~repro.exec.task.ProbeTask` of a stage
-at the same simulated instant — task ``k`` starts at
-``stage_base + k * seconds_per_probe`` — and differ only in how the
+:class:`SerialExecutor` runs every :class:`~repro.exec.task.ProbeTask`
+of a stage one at a time: task ``k`` starts at
+``stage_base + k * seconds_per_probe`` of simulated time, and the
 *shared* clock (which fires scheduled events: patches, MX migrations,
-blacklist flips) is driven forward:
+blacklist flips) advances to the end of each task's slot before the next
+task runs, the way the one-at-a-time paper tool experienced time.
 
-- :class:`SerialExecutor` advances it after every task, the way the
-  one-at-a-time paper tool experienced time;
-- :class:`ShardedExecutor` computes the next *event horizon*, dispatches
-  every task whose timeslot precedes it across the worker pool in
-  batches, and advances the clock once per horizon;
-- :class:`ProcessShardedExecutor` escapes the GIL entirely: it partitions
-  the work list by a stable hash of the target IP into shard-local world
-  replicas (:mod:`repro.exec.shardworld`), runs each shard in its own
-  ``ProcessPoolExecutor`` worker, and merges results, query-log evidence,
-  metrics, and trace events back deterministically.
-
-An event scheduled at instant ``E`` therefore partitions the work list
-identically under every strategy (tasks with slots before ``E`` probe
-the pre-event world), which is what makes campaign results byte-identical
-between them — the property ``tests/exec`` asserts at scale 0.02.
+In-task waits (greylist backoff, ethics pacing, retry backoff) advance
+only the task's own :class:`~repro.exec.virtualclock.VirtualClock`, and
+each task draws its id labels from a block reserved by its position in
+the work list.  Every virtual-time stamp, label and trace key is
+therefore a pure function of the work list, which is what keeps traces,
+CSVs and resumed runs byte-identical for the same seed.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import logging
-import pickle
 import time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from dataclasses import dataclass, field, replace as _dc_replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..clock import SimulatedClock
 from ..obs import context as _obs
@@ -97,8 +87,7 @@ class ExecutionEnvironment:
 
     ``router`` enables the virtual-time protocol; when it is ``None``
     (e.g. the scanner was handed a network it cannot re-clock), probes
-    read and advance the shared clock directly and only the serial
-    strategy is available.
+    read and advance the shared clock directly.
     """
 
     clock: SimulatedClock
@@ -117,7 +106,7 @@ class WorkerLabels:
 
     Ids are drawn from the current task's reserved block, so the labels a
     task uses depend only on its position in the work list — never on
-    which worker ran it or in what order.
+    what ran before it.
     """
 
     def __init__(self, parent: LabelAllocator) -> None:
@@ -178,7 +167,7 @@ class WorkerContext:
 
 
 class ProbeExecutor:
-    """Base strategy: per-task execution, retry, and metrics plumbing."""
+    """Base executor: per-task execution, retry, and metrics plumbing."""
 
     name = "abstract"
 
@@ -206,19 +195,6 @@ class ProbeExecutor:
         """Execute one stage's work list; results align with ``tasks``."""
         raise NotImplementedError
 
-    def record_notification(
-        self, domains: Sequence[str], when: _dt.datetime
-    ) -> None:
-        """The campaign ran its notifier at ``when``.
-
-        Only the process executor cares: shard-world replicas must replay
-        the notification's clock and RNG effects.  Everyone else shares
-        the parent's clock and already saw them.
-        """
-
-    def shutdown(self) -> None:
-        """Release executor-held resources (worker processes)."""
-
     # -- shared machinery ------------------------------------------------------
 
     def _slot(self, base: _dt.datetime, index: int, slot: _dt.timedelta) -> _dt.datetime:
@@ -237,9 +213,9 @@ class ProbeExecutor:
         """Close the stage scope and publish stage counters.
 
         Trace attributes are limited to simulation-derived values (task
-        and probe counts, simulated seconds): wall time, worker counts,
-        and batch counts differ between executors and are banned from
-        the trace — they go to the metrics registry instead.
+        and probe counts, simulated seconds): wall time differs between
+        any two runs and is banned from the trace — it goes to the
+        metrics registry instead.
         """
         if self.progress is not None:
             self.progress.end_stage(metrics)
@@ -406,441 +382,3 @@ class SerialExecutor(ProbeExecutor):
         metrics.sim_seconds = (env.clock.now - base).total_seconds()
         self._end_stage_obs(obs, metrics)
         return results
-
-
-class ShardedExecutor(ProbeExecutor):
-    """A worker pool over a sharded work list, batching clock advances.
-
-    Tasks are assigned round-robin to ``workers`` private contexts and
-    dispatched in batches of ``workers * batch_size``.  The shared clock
-    advances only at event horizons (the next scheduled clock event)
-    and at stage end, so a stage costs O(events) clock scans instead of
-    O(tasks) — the difference is what ``benchmarks/bench_executor.py``
-    measures.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        env: ExecutionEnvironment,
-        *,
-        workers: int = 4,
-        batch_size: int = 64,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        if env.router is None:
-            raise SimulationError(
-                "ShardedExecutor needs an environment with a ClockRouter "
-                "(virtual-time protocol); build the network through one"
-            )
-        if workers < 1:
-            raise SimulationError("ShardedExecutor needs at least one worker")
-        super().__init__(env, retry=retry)
-        self.workers = workers
-        self.batch_size = max(1, batch_size)
-
-    def run_stage(
-        self, stage: str, tasks: Sequence[ProbeTask]
-    ) -> List[DetectionResult]:
-        env = self.env
-        metrics = self.metrics.begin_stage(stage, workers=self.workers)
-        metrics.tasks = len(tasks)
-        obs = self._begin_stage_obs(stage, tasks)
-        started = time.perf_counter()
-        base = env.clock.now
-        slot = _dt.timedelta(seconds=env.seconds_per_probe)
-        count = len(tasks)
-        stage_end = self._slot(base, count, slot)
-        pool = [WorkerContext(env, w) for w in range(self.workers)]
-        results: List[Optional[DetectionResult]] = [None] * count
-
-        execute = self._execute
-        nworkers = self.workers
-        span = nworkers * self.batch_size
-        index = 0
-        while index < count:
-            horizon = env.clock.next_scheduled(until=stage_end)
-            limit = count if horizon is None else min(
-                count, _slots_before(horizon, base, slot)
-            )
-            # Timeslots advance incrementally: timedelta arithmetic is
-            # exact (integer microseconds), so base + k*slot == this sum.
-            virtual = self._slot(base, index, slot)
-            while index < limit:
-                batch_end = min(limit, index + span)
-                for k in range(index, batch_end):
-                    results[k] = execute(
-                        pool[k % nworkers], tasks[k], k, virtual, metrics
-                    )
-                    virtual += slot
-                metrics.batches += 1
-                index = batch_end
-            if horizon is not None:
-                # Every pre-horizon task has run; fire the event(s).
-                env.clock.advance_to(max(env.clock.now, horizon))
-        env.clock.advance_to(max(env.clock.now, stage_end))
-        metrics.wall_seconds = time.perf_counter() - started
-        metrics.sim_seconds = (env.clock.now - base).total_seconds()
-        self._end_stage_obs(obs, metrics)
-        return results  # type: ignore[return-value]
-
-
-class ProcessShardedExecutor(ProbeExecutor):
-    """Shard-local world replicas under a process pool.
-
-    The work list is partitioned by ``shard_of(task.ip)`` — a stable
-    hash, so every address's mutable server state (greylist memory,
-    blacklist counters, crash noise) lives in exactly one shard for the
-    whole campaign.  Each shard runs in its own single-worker
-    ``ProcessPoolExecutor`` (one long-lived world replica per process);
-    the parent ships only values down (a :class:`~repro.api.RunConfig`
-    plus the event stream) and merges only values back up.
-
-    Merge order is fixed — shard results land by ascending work-list
-    index — and every merged artifact is order-insensitive or exact
-    (counter sums, sorted histograms, trace keys carrying the parent's
-    stage ordinal and task index), so traces, campaign results, and CSVs
-    are byte-identical to a serial run of the same seed.
-
-    If a worker process dies mid-campaign, its shard degrades gracefully
-    instead of aborting: the parent rebuilds that shard's world in-process,
-    silently replays the recorded event history to catch up, and runs the
-    current and all future stages for that shard itself.  The failure is
-    visible in the ``exec.shard_failures`` counter, the log, and the
-    ``--progress`` stream.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        env: ExecutionEnvironment,
-        *,
-        world,
-        workers: int = 4,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        if env.router is None:
-            raise SimulationError(
-                "ProcessShardedExecutor needs an environment with a "
-                "ClockRouter (virtual-time protocol); build the network "
-                "through one"
-            )
-        if workers < 1:
-            raise SimulationError("ProcessShardedExecutor needs at least one worker")
-        super().__init__(env, retry=retry)
-        self.workers = workers
-        #: the rebuildable spec shipped to children, pinned to this
-        #: executor's retry policy so parent and replica label strides match.
-        self.world = _dc_replace(world, retry=self.retry)
-        #: the full world-event history (stage assignments + notifications),
-        #: replayed from scratch when a shard falls back in-process.
-        self._history: List[object] = []
-        self._pools: Dict[int, ProcessPoolExecutor] = {}
-        #: per-shard high-water mark into ``_history`` already shipped.
-        self._sent: Dict[int, int] = {}
-        self._broken: Set[int] = set()
-        #: in-process replacement worlds for broken shards.
-        self._fallback: Dict[int, object] = {}
-        self._fallback_sent: Dict[int, int] = {}
-        self._stages_run = 0
-        #: event-shipping volume telemetry, gathered only when the run is
-        #: profiled (measuring costs an extra pickle of each payload).
-        self._ship_counting = bool(getattr(self.world, "perf", None))
-        self.ship_payload_bytes = 0
-        self.ship_result_bytes = 0
-        self.ship_events = 0
-
-    # -- world-event plumbing --------------------------------------------------
-
-    def record_notification(
-        self, domains: Sequence[str], when: _dt.datetime
-    ) -> None:
-        from .shardworld import NotifyEvent
-
-        self._history.append(NotifyEvent(tuple(domains), when))
-
-    def _pool(self, shard: int) -> ProcessPoolExecutor:
-        pool = self._pools.get(shard)
-        if pool is None:
-            from .shardworld import _child_init
-
-            # The world spec crosses the process boundary once, at worker
-            # start; per-stage submissions then carry only event deltas.
-            pool = ProcessPoolExecutor(
-                max_workers=1,
-                initializer=_child_init,
-                initargs=(self.world, shard, self.workers),
-            )
-            self._pools[shard] = pool
-        return pool
-
-    def _pending(self, shard: int, sent: Dict[int, int]) -> List[object]:
-        events = [e.for_shard(shard) for e in self._history[sent.get(shard, 0):]]
-        sent[shard] = len(self._history)
-        return events
-
-    def _note_shard_failure(self, shard: int, obs, error: object) -> None:
-        if shard in self._broken:
-            return
-        self._broken.add(shard)
-        pool = self._pools.pop(shard, None)
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        _log.warning(
-            "shard %d worker process died (%s); re-running that shard "
-            "in-process for the rest of the campaign",
-            shard, error,
-        )
-        if obs is not None:
-            obs.metrics.counter("exec.shard_failures").inc(f"shard{shard}")
-        if self.progress is not None:
-            self.progress.stream.write(
-                f"shard {shard} worker died; re-running in-process\n"
-            )
-            self.progress.stream.flush()
-
-    def _run_fallback(self, shard: int):
-        """Run the shard's pending events in-process (degraded mode)."""
-        from .shardworld import ShardWorld
-
-        world = self._fallback.get(shard)
-        if world is None:
-            # The dead child may have left (or still own) this shard's
-            # perf stream; the in-process replacement writes its own.
-            world = ShardWorld(
-                self.world, shard, self.workers, perf_role=f"shard{shard}f"
-            )
-            self._fallback[shard] = world
-        return world.apply(self._pending(shard, self._fallback_sent))
-
-    def shutdown(self) -> None:
-        for pool in self._pools.values():
-            pool.shutdown(wait=True, cancel_futures=True)
-        self._pools.clear()
-
-    def perf_counters(self) -> Dict[str, int]:
-        """Event-shipping volume (repro.obs.perf counter surface).
-
-        All zeros unless the run carries a perf directory — measuring the
-        volume costs an extra pickle of every payload, so it only happens
-        when someone is profiling.
-        """
-        return {
-            "exec.ship_payload_bytes": self.ship_payload_bytes,
-            "exec.ship_result_bytes": self.ship_result_bytes,
-            "exec.ship_events": self.ship_events,
-        }
-
-    def kill_shard(self, shard: int) -> bool:
-        """Fault injection: hard-kill a shard's worker (tests and drills).
-
-        Returns ``False`` when the shard has no live pool (never started,
-        or already broken).  The death is discovered — and degraded-mode
-        recovery engaged — on the next :meth:`run_stage` dispatch, exactly
-        as an organic crash would be.
-        """
-        from .shardworld import _exit_child
-
-        pool = self._pools.get(shard)
-        if pool is None:
-            return False
-        try:
-            pool.submit(_exit_child).result()
-        except BrokenExecutor:
-            pass  # expected: the pool just noticed the death
-        except OSError:
-            pass
-        return True
-
-    # -- stage execution -------------------------------------------------------
-
-    def run_stage(
-        self, stage: str, tasks: Sequence[ProbeTask]
-    ) -> List[DetectionResult]:
-        from .shardworld import StageAssignment, _child_events, shard_of
-
-        env = self.env
-        metrics = self.metrics.begin_stage(stage, workers=self.workers)
-        metrics.tasks = len(tasks)
-        obs = self._begin_stage_obs(stage, tasks)
-        tracing = obs is not None and obs.tracer.enabled
-        started = time.perf_counter()
-        base = env.clock.now
-        slot = _dt.timedelta(seconds=env.seconds_per_probe)
-        count = len(tasks)
-        suite = tasks[0].suite if tasks else ""
-        ordinal = obs.tracer.open_stage_ordinal() if tracing else self._stages_run
-        self._stages_run += 1
-
-        assigned: Dict[int, List[Tuple[int, ProbeTask]]] = {}
-        for index, task in enumerate(tasks):
-            assigned.setdefault(shard_of(task.ip, self.workers), []).append(
-                (index, task)
-            )
-        self._history.append(
-            StageAssignment(
-                ordinal=ordinal, stage=stage, suite=suite, base=base,
-                count=count, trace=tracing, assigned=assigned,
-            )
-        )
-
-        futures: Dict[int, Future] = {}
-        for shard in range(self.workers):
-            if shard in self._broken:
-                continue
-            payload = self._pending(shard, self._sent)
-            if self._ship_counting:
-                self.ship_payload_bytes += len(pickle.dumps(payload))
-            try:
-                futures[shard] = self._pool(shard).submit(_child_events, payload)
-            except BrokenExecutor as error:
-                self._note_shard_failure(shard, obs, error)
-        # Catch up broken shards in-process while healthy workers run.
-        shard_results: Dict[int, object] = {}
-        for shard in range(self.workers):
-            if shard in self._broken and shard not in futures:
-                shard_results[shard] = self._run_fallback(shard)
-        for shard in sorted(futures):
-            try:
-                shard_results[shard] = futures[shard].result()
-                if self._ship_counting:
-                    sres = shard_results[shard]
-                    self.ship_result_bytes += len(pickle.dumps(sres))
-                    self.ship_events += sum(
-                        len(out.events) for out in sres.outputs
-                    )
-            except (BrokenExecutor, OSError, EOFError) as error:
-                self._note_shard_failure(shard, obs, error)
-                shard_results[shard] = self._run_fallback(shard)
-
-        results = self._merge(shard_results, metrics, obs, suite, count)
-        metrics.batches += len(shard_results)
-        if self._ship_counting:
-            for world in self._fallback.values():
-                perf = getattr(world, "perf", None)
-                if perf is not None:
-                    perf.flush(with_sample=True)
-        env.clock.advance_to(max(env.clock.now, self._slot(base, count, slot)))
-        metrics.wall_seconds = time.perf_counter() - started
-        metrics.sim_seconds = (env.clock.now - base).total_seconds()
-        self._end_stage_obs(obs, metrics)
-        return results
-
-    def _merge(
-        self,
-        shard_results: Dict[int, object],
-        metrics: StageMetrics,
-        obs,
-        suite: str,
-        count: int,
-    ) -> List[DetectionResult]:
-        """Fold shard results back into the parent, in work-list order."""
-        env = self.env
-        outputs = []
-        for shard in sorted(shard_results):
-            sres = shard_results[shard]
-            metrics.probes_attempted += sres.probes_attempted
-            metrics.retried += sres.retried
-            metrics.refused += sres.refused
-            metrics.queries_observed += sres.queries_observed
-            env.network.connection_attempts += sres.connection_attempts
-            env.network.connections_established += sres.connections_established
-            env.ethics.connections_opened += sres.connections_opened
-            env.ethics.peak_concurrency = max(
-                env.ethics.peak_concurrency, sres.peak_concurrency
-            )
-            if obs is not None:
-                obs.metrics.merge(sres.metrics)
-            outputs.extend(sres.outputs)
-        outputs.sort(key=lambda out: out.index)
-
-        if suite and count:
-            # One watermark reservation covering every task's id block,
-            # so sequential allocation in this suite continues above it
-            # exactly as after a single-process stage.
-            env.labels.reserve_block(suite, 0, count * self._stride)
-        results: List[Optional[DetectionResult]] = [None] * count
-        log = env.responder.log
-        tracer = obs.tracer if obs is not None else None
-        for out in outputs:
-            if results[out.index] is not None:
-                raise SimulationError(
-                    f"work-list index {out.index} merged from two shards"
-                )
-            results[out.index] = out.result
-            log.ingest(out.queries)
-            if tracer is not None and tracer.enabled:
-                tracer.ingest(out.events)
-            for test_id in out.result.test_ids:
-                env.labels.bind(suite, test_id, out.result.ip)
-        missing = [i for i, r in enumerate(results) if r is None]
-        if missing:
-            raise SimulationError(
-                f"shard merge lost {len(missing)} task(s), first {missing[:5]}"
-            )
-        return results  # type: ignore[return-value]
-
-
-def _slots_before(
-    instant: _dt.datetime, base: _dt.datetime, slot: _dt.timedelta
-) -> int:
-    """How many task slots start strictly before ``instant``.
-
-    Exact timedelta arithmetic (ceil division), so the sharded partition
-    matches the serial executor's "event fires at end-of-slot" rule.
-    """
-    delta = instant - base
-    if delta <= _dt.timedelta(0):
-        return 0
-    return -((-delta) // slot)
-
-
-ExecutorSpec = Union[str, ProbeExecutor, Callable[[ExecutionEnvironment], ProbeExecutor]]
-
-
-def make_executor(
-    spec: Optional[ExecutorSpec],
-    env: ExecutionEnvironment,
-    *,
-    workers: int = 1,
-    retry: Optional[RetryPolicy] = None,
-    world=None,
-) -> ProbeExecutor:
-    """Resolve an executor from a name, instance, factory, or default.
-
-    ``None`` picks :class:`ShardedExecutor` when ``workers > 1`` (and the
-    environment supports it), else :class:`SerialExecutor`.  The
-    ``"process"`` strategy additionally needs ``world`` — a
-    :class:`~repro.api.RunConfig` from which child processes
-    rebuild their shard of the network — so it is only reachable through
-    hosts that can describe their world by value (the campaign via
-    :meth:`repro.simulation.Simulation.build`); scanner-style
-    environments wrapping pre-built state cannot be re-created in a
-    child and get a clear error instead.
-    """
-    if isinstance(spec, ProbeExecutor):
-        return spec
-    if callable(spec):
-        return spec(env)
-    if spec is None:
-        spec = "sharded" if workers > 1 and env.router is not None else "serial"
-    if spec == "serial":
-        return SerialExecutor(env, retry=retry)
-    if spec == "sharded":
-        return ShardedExecutor(env, workers=max(workers, 1), retry=retry)
-    if spec == "process":
-        if world is None:
-            raise SimulationError(
-                "the process executor rebuilds shard worlds from a seeded "
-                "RunConfig, which this host did not provide; construct it "
-                "through Simulation.build(executor='process') (scanner "
-                "environments cannot cross a process boundary)"
-            )
-        return ProcessShardedExecutor(
-            env, world=world, workers=max(workers, 1), retry=retry
-        )
-    raise SimulationError(
-        f"unknown executor {spec!r} (serial | sharded | process)"
-    )

@@ -32,7 +32,7 @@ class StageMetrics:
     refused: int = 0
     #: DNS queries observed at the measurement server for this stage.
     queries_observed: int = 0
-    #: dispatch batches issued (1 per task for the serial strategy).
+    #: dispatch batches issued (1 per task).
     batches: int = 0
     wall_seconds: float = 0.0
     sim_seconds: float = 0.0

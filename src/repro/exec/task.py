@@ -3,8 +3,8 @@
 A :class:`ProbeTask` is *what* to probe — one mail-server address, the
 test-suite label its DNS evidence files under, the probe method that
 worked last time (if any), and a domain the server hosts mail for (the
-RCPT TO target).  *How* the probe runs — which worker, at which simulated
-instant, with how many retries — is the executor's business.
+RCPT TO target).  *How* the probe runs — at which simulated instant,
+with how many retries — is the executor's business.
 """
 
 from __future__ import annotations

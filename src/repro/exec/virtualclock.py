@@ -7,14 +7,13 @@ that slot — greylist backoff and ethics pacing advance the task's own
 cursor, never the shared :class:`~repro.clock.SimulatedClock`.  Because
 the slot is a function of the task's *index*, not of execution order,
 every component that reads time during a probe (SMTP servers, the query
-log, ethics accounting) observes identical instants whether the work
-list ran serially or sharded over a worker pool.
+log, ethics accounting) observes identical instants in every run,
+including a run resumed from a checkpoint.
 
 :class:`ClockRouter` is the seam: it is the clock callable handed to the
 network, resolvers, and query log, and it answers with the executing
-task's virtual time when a probe is in flight (tracked per thread, so a
-thread-pool strategy works unchanged) and with the shared clock
-otherwise.
+task's virtual time when a probe is in flight (tracked per thread) and
+with the shared clock otherwise.
 """
 
 from __future__ import annotations

@@ -84,7 +84,7 @@ class FleetGeoDatabase(GeoDatabase):
     The country comes from the owning unit (pinned at materialization by
     :meth:`MtaFleet.bind_geography`); coordinates are the country's
     reference point plus a per-address jitter fork, so any lookup —
-    including one on a shard replica or after a snapshot restore —
+    including one after a snapshot restore —
     regenerates the identical location.
     """
 

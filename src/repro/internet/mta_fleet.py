@@ -376,8 +376,8 @@ class FleetDnsBackend(DnsBackend):
     Nothing is stored: a query materializes (at most) the one hosting
     unit that owns the name and answers from its current state.  Moves
     are a function of the query time — ``now >= unit.moves_at`` flips the
-    MX host's A record to the new addresses — so shard replicas and
-    snapshot restores answer identically without replaying mutations.
+    MX host's A record to the new addresses — so snapshot restores
+    answer identically without replaying mutations.
     """
 
     def __init__(self, fleet: "MtaFleet") -> None:
@@ -861,7 +861,7 @@ class MtaFleet:
         pure function of the unit's category and move date, and patching
         applies (idempotently) once the unit's plan date has passed.
         Both transitions are monotone, so touch order cannot diverge
-        between executors or across a snapshot restore.
+        between runs or across a snapshot restore.
         """
         unit = self._unit_for_ip(server.ip)
         if unit is None:
@@ -881,20 +881,15 @@ class MtaFleet:
         self,
         clock_fn: Callable[[], _dt.datetime],
         resolver_backend: DnsBackend,
-        *,
-        ip_filter: Optional[Callable[[str], bool]] = None,
     ) -> Network:
         """A lazy network over the fleet's address space.
 
         Servers materialize on first touch (probe, notification, or
         snapshot restore) and are cached by the network, so memory tracks
         the probed set.  ``resolver_backend`` is the DNS path the
-        servers' SPF validators query.  ``ip_filter`` restricts the
-        addressable set — a shard-world replica answers only for the
-        addresses its shard owns and ``server_at`` returns ``None`` for
-        the holes, exactly as the eager per-shard registration did.
+        servers' SPF validators query.
         """
-        provider = _FleetServerProvider(self, clock_fn, resolver_backend, ip_filter)
+        provider = _FleetServerProvider(self, clock_fn, resolver_backend)
         return Network(clock=clock_fn, provider=provider)
 
     def _build_server(
@@ -1007,26 +1002,19 @@ class _FleetServerProvider:
     (moves, patches) into the cached instance.
     """
 
-    __slots__ = ("_fleet", "_clock_fn", "_resolver_backend", "_ip_filter")
+    __slots__ = ("_fleet", "_clock_fn", "_resolver_backend")
 
     def __init__(
         self,
         fleet: MtaFleet,
         clock_fn: Callable[[], _dt.datetime],
         resolver_backend: DnsBackend,
-        ip_filter: Optional[Callable[[str], bool]] = None,
     ) -> None:
         self._fleet = fleet
         self._clock_fn = clock_fn
         self._resolver_backend = resolver_backend
-        self._ip_filter = ip_filter
-
-    def _accepts(self, ip: str) -> bool:
-        return self._ip_filter is None or self._ip_filter(ip)
 
     def create(self, ip: str) -> Optional[SmtpServer]:
-        if not self._accepts(ip):
-            return None
         unit = self._fleet._unit_for_ip(ip)
         if unit is None:
             return None
@@ -1038,13 +1026,11 @@ class _FleetServerProvider:
         self._fleet.sync_server(server, now, patch_model)
 
     def has(self, ip: str) -> bool:
-        return self._accepts(ip) and self._fleet._unit_for_ip(ip) is not None
+        return self._fleet._unit_for_ip(ip) is not None
 
     def addressable_ips(self) -> Iterator[str]:
         for unit in self._fleet.units:
-            for ip in unit.all_ips:
-                if self._accepts(ip):
-                    yield ip
+            yield from unit.all_ips
 
 
 # --------------------------------------------------------------------------

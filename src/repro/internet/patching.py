@@ -21,7 +21,7 @@ so any unit's fate is answerable on first touch without walking the
 fleet, and cached; a plan takes effect through the network's
 sync-on-touch path — every ``server_at`` brings the server's patched
 state up to the clock — rather than through scheduled callbacks, which
-keeps snapshot restores and shard replicas consistent by construction.
+keeps snapshot restores consistent by construction.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class PatchBehaviorModel:
         notification_response_probability: float = 0.02,
     ) -> None:
         #: Sequential stream for the notification coupling (opens arrive
-        #: in event order, which every executor replays identically).
+        #: in event order, which every run replays identically).
         self._rng = SeededRng(seed).fork("patching")
         #: Root for per-unit plan forks — plans are a function of
         #: (seed, unit_id), independent of sampling order.

@@ -8,8 +8,8 @@ a metrics source.
 
 - :mod:`repro.obs.trace` — spans and events stamped with virtual time
   from the simulation clock, carrying stable probe/task ids, exported as
-  canonically ordered JSONL that is byte-identical between the serial
-  and sharded executors for the same seed.
+  canonically ordered JSONL that is byte-identical across runs (and
+  resumes) of the same seed.
 - :mod:`repro.obs.metrics` — named counters/gauges/histograms (SMTP
   reply codes, DNS queries per probe, macro expansions, retry/backoff,
   stage wall-time percentiles), generalizing
@@ -52,7 +52,7 @@ Usage::
     sim.run()
     obs.tracer.write_jsonl("trace.jsonl")
 
-or via the CLI: ``python -m repro --trace t.jsonl --metrics-out m.json``.
+or via the CLI: ``python -m repro run --trace t.jsonl --metrics-out m.json``.
 """
 
 from .analyze import TraceAnalysis

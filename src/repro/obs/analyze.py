@@ -21,7 +21,7 @@ The analysis reconstructs three views from one pass over the events:
 
 All durations are *virtual* seconds — differences of the virtual-time
 stamps the determinism contract guarantees — so every number here is
-itself byte-stable across executors for the same seed.
+itself byte-stable across runs of the same seed.
 
 Outputs: :meth:`TraceAnalysis.render_markdown` (the ``trace summary``
 CLI body and the report's Observability section) and

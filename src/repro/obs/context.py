@@ -10,10 +10,9 @@ the RFC 7208 engine built per-validation inside an MTA) emit events
 without any API change.
 
 The global is process-wide on purpose: one observation spans one
-campaign run, and the executors' worker "pool" shares the process.  The
-:class:`~repro.obs.trace.Tracer` and
+campaign run.  The :class:`~repro.obs.trace.Tracer` and
 :class:`~repro.obs.metrics.MetricsRegistry` behind it are themselves
-thread-safe, so a future truly-threaded executor needs no change here.
+thread-safe.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ class Observation:
 
         For a campaign this is the :class:`~repro.exec.ClockRouter`, so
         events emitted while a probe is in flight are stamped with that
-        probe's virtual timeslot — identically under every executor.
+        probe's virtual timeslot — identically in every run.
         """
         self.tracer.clock = clock
 

@@ -1,8 +1,8 @@
 """Determinism diff: pinpoint the first divergence between two traces.
 
 The repo's central invariant is that the canonical trace for a given
-seed is *byte*-identical across execution strategies
-(``tests/obs/test_trace_determinism.py``).  When that invariant breaks,
+seed is *byte*-identical across runs and across a checkpoint resume
+(``tests/store/test_resume.py``).  When that invariant breaks,
 "the files differ" is useless at half a million events; this module
 turns the failure into an actionable pointer — the first divergent
 event's position, scope, ``seq``, a field-level delta (including a

@@ -247,8 +247,8 @@ def build_record(
         "scale": sim.config.resolved_population().scale,
         "seed": sim.config.seed,
         "executor": type(sim.campaign.executor).__name__,
-        "workers": sim.config.workers,
-        "world": sim.config.world,
+        "workers": 1,
+        "world": "lazy",
         "wall_seconds": round(
             wall_seconds if wall_seconds is not None else total.wall_seconds, 6
         ),
@@ -373,9 +373,9 @@ def retro_record(
         "env": environment_info(),
         "scale": config.resolved_population().scale,
         "seed": config.seed,
-        "executor": config.executor,
-        "workers": config.workers,
-        "world": config.world,
+        "executor": "SerialExecutor",
+        "workers": 1,
+        "world": "lazy",
         "noise": noise,
     }
     if metrics_path:

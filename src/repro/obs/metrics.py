@@ -163,9 +163,8 @@ class MetricsRegistry:
         """The registry's raw contents, suitable for :meth:`merge`.
 
         Unlike :meth:`to_dict` this keeps histogram observations verbatim
-        (not summarized), so a shard-world's registry can cross a process
-        boundary and be folded into the parent's without losing exact
-        percentiles.
+        (not summarized), so a checkpointed registry can be folded into a
+        resumed run's without losing exact percentiles.
         """
         with self._lock:
             counters = {
@@ -181,9 +180,8 @@ class MetricsRegistry:
 
         Counter totals add, gauges take the snapshot's value (last write
         wins, matching :meth:`Gauge.set`), histogram observations extend.
-        Merging shard snapshots in a fixed order keeps every derived
-        artifact deterministic: sums are exact and histogram summaries
-        sort their values before rendering.
+        Every derived artifact stays deterministic: sums are exact and
+        histogram summaries sort their values before rendering.
         """
         for name, state in snapshot["counters"].items():
             counter = self.counter(name)

@@ -1,12 +1,12 @@
 """Wall-clock performance telemetry: the sideband profiler.
 
 Everything else in :mod:`repro.obs` stamps *virtual* time — wall clocks
-are banned from trace payloads because they would differ between runs
-and between executors, breaking the byte-identical canonical export.
-This module is the explicit, structural exception: a
-:class:`PerfRecorder` observes the same span/task/stage boundaries the
-tracer emits, but writes ``perf_counter`` wall timings into *separate*
-sideband files that no deterministic artifact ever reads or embeds.
+are banned from trace payloads because they would differ between runs,
+breaking the byte-identical canonical export.  This module is the
+explicit, structural exception: a :class:`PerfRecorder` observes the
+same span/task/stage boundaries the tracer emits, but writes
+``perf_counter`` wall timings into *separate* sideband files that no
+deterministic artifact ever reads or embeds.
 
 The design makes perturbation impossible rather than merely avoided:
 
@@ -15,23 +15,22 @@ The design makes perturbation impossible rather than merely avoided:
   tracer could incorporate into an event;
 - records go to files of their own (``perf.jsonl`` and
   ``perf_samples.jsonl`` in the ``--perf`` directory), appended with raw
-  ``os.write`` calls so no Python-level stream buffer is shared with —
-  or can be double-flushed by — forked worker processes;
+  ``os.write`` calls so no Python-level stream buffer can hold records
+  back or flush them twice;
 - the join back to the deterministic world happens offline: each span
   record carries the tracer's span id (``s<stage>.t<task>#<n>``), which
   matches the ``span`` field of the canonical trace 1:1, so ``trace
   profile`` can attribute wall seconds to virtual spans after the fact.
 
-Per-process streams and the merge
----------------------------------
+The streams
+-----------
 
-Every process writes its own part files, named by *role*: the parent is
-``main``, process-executor shard workers are ``shard<k>``, and a shard
-that degraded to in-process fallback is ``shard<k>f``.  At
-:meth:`PerfRecorder.finalize` (parent, after executor shutdown) the part
-files are concatenated in deterministic role order — ``main`` first,
-then shards by ascending id — into ``perf.jsonl`` / ``perf_samples.jsonl``,
-mirroring how trace events are merged by shard id today.
+The run's one process writes both streams directly: span records are
+buffered in memory and appended at every stage boundary (and whenever
+the buffer fills), samples are appended as they are taken.  Every
+record carries ``"role": "main"``, the name of the process that wrote
+it.  :meth:`PerfRecorder.finalize` stops the sampler, appends what is
+still buffered and writes ``perf_meta.json``.
 
 Sampler
 -------
@@ -40,9 +39,9 @@ Sampler
 resource sample: RSS (``/proc/self/status``), GC statistics, and — when
 a counter source is bound — the read-only counter surface of the lazy
 world (chunk-LRU hits/misses, unit/server materializations, DNS cache
-hit rate, shard event-shipping bytes).  Reading counters cannot disturb
-them: they are plain integers incremented by the world regardless of
-whether perf is enabled, which is also what lets the report print them
+hit rate).  Reading counters cannot disturb them: they are plain
+integers incremented by the world regardless of whether perf is
+enabled, which is also what lets the report print them
 deterministically.
 """
 
@@ -51,7 +50,6 @@ from __future__ import annotations
 import gc as _gc
 import json
 import os
-import re
 import sys
 import threading
 import time
@@ -62,13 +60,12 @@ __all__ = [
     "PerfProfile",
     "SPAN_STREAM",
     "SAMPLE_STREAM",
-    "campaign_counters",
     "simulation_counters",
     "load_perf_dir",
     "rss_kb",
 ]
 
-#: Merged (post-:meth:`~PerfRecorder.finalize`) stream file names.
+#: Stream file names inside a ``--perf`` directory.
 SPAN_STREAM = "perf.jsonl"
 SAMPLE_STREAM = "perf_samples.jsonl"
 META_FILE = "perf_meta.json"
@@ -76,7 +73,8 @@ META_FILE = "perf_meta.json"
 #: Span records buffered in memory before an ``os.write`` flush.
 _FLUSH_LINES = 50_000
 
-_ROLE_RE = re.compile(r"^shard(\d+)(f?)$")
+#: The ``role`` every record carries: the process that wrote it.
+_ROLE = "main"
 
 
 def rss_kb() -> int:
@@ -106,43 +104,25 @@ def _gc_stats() -> Dict[str, object]:
     }
 
 
-def _role_order(role: str) -> Tuple[int, int, str]:
-    """Deterministic merge order: ``main`` first, then shards by id."""
-    if role == "main":
-        return (0, 0, "")
-    match = _ROLE_RE.match(role)
-    if match is not None:
-        return (1, int(match.group(1)), match.group(2))
-    return (2, 0, role)
-
-
 class PerfRecorder:
-    """One process's wall-clock sideband writer.
+    """The run's wall-clock sideband writer.
 
     Acts as the tracer's ``sink``: :meth:`enter` / :meth:`exit` bracket a
     span, task or stage by its tracer-assigned id and append one JSON
-    record per closed pair.  All writes go to this role's private part
-    files via unbuffered ``os.write`` appends, so a ``fork()`` taken at
-    any instant can never duplicate buffered sideband data, let alone
-    touch a deterministic artifact.
+    record per closed pair.  All writes go to the sideband's own files
+    via unbuffered ``os.write`` appends, never near a deterministic
+    artifact.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        *,
-        role: str = "main",
-        sample_interval: float = 0.5,
-    ) -> None:
+    def __init__(self, directory: str, *, sample_interval: float = 0.5) -> None:
         self.directory = directory
-        self.role = role
         self.sample_interval = sample_interval
         self.record_count = 0
         self.sample_count = 0
         os.makedirs(directory, exist_ok=True)
-        self._span_path = os.path.join(directory, f"spans-{role}.jsonl")
-        self._sample_path = os.path.join(directory, f"samples-{role}.jsonl")
-        # A rerun into the same directory must not append to stale parts.
+        self._span_path = os.path.join(directory, SPAN_STREAM)
+        self._sample_path = os.path.join(directory, SAMPLE_STREAM)
+        # A rerun into the same directory must not append to stale streams.
         for path in (self._span_path, self._sample_path):
             try:
                 os.remove(path)
@@ -153,7 +133,7 @@ class PerfRecorder:
         self._buf: List[str] = []
         self._lock = threading.Lock()
         self._esc_cache: Dict[Optional[str], str] = {None: "null"}
-        self._role_json = json.dumps(role)
+        self._role_json = json.dumps(_ROLE)
         self._counters: Optional[Callable[[], Dict[str, int]]] = None
         self._stop: Optional[threading.Event] = None
         self._thread: Optional[threading.Thread] = None
@@ -206,19 +186,17 @@ class PerfRecorder:
         finally:
             os.close(fd)
 
-    def flush(self, *, with_sample: bool = False) -> None:
-        """Write buffered span records out; optionally append a sample.
+    def flush(self) -> None:
+        """Write buffered span records out.
 
-        Shard workers call this at every stage boundary (with a sample),
-        so their streams are on disk before the parent merges them.
+        The executor calls this at every stage boundary, so a run's span
+        records are on disk stage by stage.
         """
         with self._lock:
             lines = self._buf
             self._buf = []
         if lines:
             self._append(self._span_path, "".join(lines))
-        if with_sample:
-            self._write_sample()
 
     # -- resource sampler -----------------------------------------------------
 
@@ -231,7 +209,7 @@ class PerfRecorder:
             return
         self._stop = threading.Event()
         self._thread = threading.Thread(
-            target=self._sample_loop, name=f"perf-sampler-{self.role}", daemon=True
+            target=self._sample_loop, name="perf-sampler", daemon=True
         )
         self._thread.start()
 
@@ -253,7 +231,7 @@ class PerfRecorder:
     def _write_sample(self) -> None:
         record = {
             "kind": "sample",
-            "role": self.role,
+            "role": _ROLE,
             "t": round(time.perf_counter() - self._epoch, 6),
             "rss_kb": rss_kb(),
             "gc": _gc_stats(),
@@ -269,73 +247,35 @@ class PerfRecorder:
         self._append(self._sample_path, line + "\n")
         self.sample_count += 1
 
-    # -- merge ----------------------------------------------------------------
+    # -- finish ---------------------------------------------------------------
 
     def finalize(self) -> Dict[str, object]:
-        """Stop sampling, flush, and merge all part files.
-
-        Called in the parent after executor shutdown — every worker has
-        exited (flushing at each stage boundary along the way), so the
-        part files are complete.  Parts are concatenated ``main`` first,
-        then shards by ascending id (fallback parts after their shard),
-        into :data:`SPAN_STREAM` / :data:`SAMPLE_STREAM`, and removed.
-        """
+        """Stop sampling, write out buffered records and the meta file."""
         self.stop_sampler()
         self.flush()
-        summary: Dict[str, object] = {"directory": self.directory}
-        roles: List[str] = []
-        for prefix, merged_name, key in (
-            ("spans-", SPAN_STREAM, "records"),
-            ("samples-", SAMPLE_STREAM, "samples"),
-        ):
-            part_roles = [
-                name[len(prefix):-len(".jsonl")]
-                for name in os.listdir(self.directory)
-                if name.startswith(prefix) and name.endswith(".jsonl")
-            ]
-            part_roles.sort(key=_role_order)
-            if prefix == "spans-":
-                roles = part_roles
-            merged = os.path.join(self.directory, merged_name)
-            count = 0
-            fd = os.open(merged, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-            try:
-                for role in part_roles:
-                    path = os.path.join(
-                        self.directory, f"{prefix}{role}.jsonl"
-                    )
-                    with open(path, "rb") as handle:
-                        data = handle.read()
-                    count += data.count(b"\n")
-                    os.write(fd, data)
-                    os.remove(path)
-            finally:
-                os.close(fd)
-            summary[key] = count
-        summary["roles"] = roles or [self.role]
         meta = {
             "python": sys.version.split()[0],
             "sample_interval": self.sample_interval,
-            "records": summary.get("records", 0),
-            "samples": summary.get("samples", 0),
-            "roles": summary["roles"],
+            "records": self.record_count,
+            "samples": self.sample_count,
+            "roles": [_ROLE],
         }
         with open(os.path.join(self.directory, META_FILE), "w") as handle:
             json.dump(meta, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        return summary
+        return dict(meta, directory=self.directory)
 
 
 # -- counter surface ----------------------------------------------------------
 
 
-def campaign_counters(campaign) -> Dict[str, int]:
-    """Read-only counter snapshot of one campaign's (lazy) world.
+def simulation_counters(sim) -> Dict[str, int]:
+    """Read-only counter snapshot of one simulation's (lazy) world.
 
-    Duck-typed over the ``perf_counters()`` methods of the population,
-    fleet, resolver and network; works identically for the parent
-    campaign and a shard-world replica's campaign.
+    Duck-typed over the ``perf_counters()`` methods of the campaign's
+    population, fleet, resolver and network.
     """
+    campaign = sim.campaign
     counters: Dict[str, int] = {}
     for source in (
         getattr(campaign, "population", None),
@@ -346,15 +286,6 @@ def campaign_counters(campaign) -> Dict[str, int]:
         exporter = getattr(source, "perf_counters", None)
         if exporter is not None:
             counters.update(exporter())
-    return counters
-
-
-def simulation_counters(sim) -> Dict[str, int]:
-    """Campaign counters plus the executor's shipping-volume counters."""
-    counters = campaign_counters(sim.campaign)
-    exporter = getattr(getattr(sim.campaign, "executor", None), "perf_counters", None)
-    if exporter is not None:
-        counters.update(exporter())
     return counters
 
 
@@ -419,8 +350,8 @@ class PerfProfile:
         self.samples = samples
         self.span_wall: Dict[str, float] = {}
         self.task_wall: Dict[str, float] = {}
-        #: stage ordinal -> wall seconds (parent record preferred: it
-        #: covers scheduling + shipping + merge, not just probe work).
+        #: stage ordinal -> wall seconds (covers stage bookkeeping, not
+        #: just probe work).
         self.stage_wall: Dict[int, float] = {}
         for record in records:
             if record.kind == "span":
@@ -434,8 +365,7 @@ class PerfProfile:
                     ordinal = int(record.sid[1:])
                 except ValueError:
                     continue
-                if record.role == "main" or ordinal not in self.stage_wall:
-                    self.stage_wall[ordinal] = record.wall
+                self.stage_wall[ordinal] = record.wall
 
     @classmethod
     def load(cls, trace_path: str, perf_dir: str) -> "PerfProfile":
@@ -518,7 +448,7 @@ class PerfProfile:
             row["rss_last_kb"] = rss
             gc_info = sample.get("gc") or {}
             row["gc_collections"] = int(gc_info.get("collections", 0))
-        return sorted(by_role.values(), key=lambda r: _role_order(r["role"]))
+        return sorted(by_role.values(), key=lambda r: r["role"])
 
     def final_counters(self) -> Dict[str, Dict[str, int]]:
         """Last sampled counter snapshot per role."""
@@ -575,8 +505,7 @@ class PerfProfile:
                     stage_task_wall[task.stage_ordinal] = (
                         stage_task_wall.get(task.stage_ordinal, 0.0) + wall
                     )
-        # Stage overhead not inside any task: scheduling, event shipping,
-        # result merge.
+        # Stage overhead not inside any task: scheduling and bookkeeping.
         for ordinal, wall in self.stage_wall.items():
             stage = self.analysis._stages_by_ordinal.get(ordinal)
             label = stage.name if stage is not None else f"s{ordinal}"
@@ -604,7 +533,7 @@ class PerfProfile:
         return {
             "records": len(self.records),
             "samples": len(self.samples),
-            "roles": sorted({r.role for r in self.records}, key=_role_order),
+            "roles": sorted({r.role for r in self.records}),
             "stage_wall_seconds": total_wall,
             "virtual_seconds": total_virtual,
             "stages": self.stage_rows(),
@@ -698,7 +627,7 @@ class PerfProfile:
         """The ``trace profile`` document."""
         total_wall = sum(self.stage_wall.values())
         total_virtual = sum(s.seconds for s in self.analysis.stages)
-        roles = sorted({r.role for r in self.records}, key=_role_order)
+        roles = sorted({r.role for r in self.records})
         parts = [
             "# Wall-clock profile",
             "",

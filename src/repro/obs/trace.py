@@ -5,9 +5,9 @@ emitting component observed through the campaign's clock router — never
 the wall clock.  Virtual time is a pure function of the work list (task
 ``k`` of a stage runs at ``stage_base + k * seconds_per_probe``, and
 in-task waits advance only that task's cursor), so the same seed
-produces the same stamps under every execution strategy.  A wall-clock
-timestamp would differ between runs and between executors, which is why
-wall time is banned from trace payloads outright (it lives in
+produces the same stamps in every run.  A wall-clock timestamp would
+differ between runs, which is why wall time is banned from trace
+payloads outright (it lives in
 :mod:`repro.obs.metrics` instead — and, per span, in the
 :mod:`repro.obs.perf` sideband, which observes span boundaries through
 :attr:`Tracer.sink` but writes to files of its own).
@@ -15,12 +15,11 @@ wall time is banned from trace payloads outright (it lives in
 Ordering uses the same idea.  Each event belongs to a *scope* — the run,
 a stage, or one probe task — and scopes carry a sort prefix derived from
 identity, not from execution order: stage ordinal, then task index
-within the stage, then the per-scope emission sequence.  Task execution
-is single-threaded *within* a task under every strategy, so the per-task
-sequence is deterministic even for a worker-pool executor, and the
+within the stage, then the per-scope emission sequence.  Each task runs
+single-threaded, so the per-task sequence is deterministic, and the
 canonical export (:meth:`Tracer.export_jsonl` sorts by this key) is
-byte-identical between the serial and sharded executors for the same
-seed — the property ``tests/obs/test_trace_determinism.py`` asserts.
+byte-identical across runs of the same seed and across a checkpoint
+resume (``tests/store/test_resume.py``).
 
 The emit path is guarded: every public method returns immediately when
 the tracer is disabled, and instrumentation sites additionally check
@@ -339,7 +338,7 @@ class Tracer:
             self._flush_scope(scope)
         self._local.scope = None
 
-    # -- shard-world support --------------------------------------------------
+    # -- checkpoint support ---------------------------------------------------
 
     def open_stage_ordinal(self) -> int:
         """The ordinal of the open stage (or of the next stage to begin)."""
@@ -349,9 +348,9 @@ class Tracer:
     def seed_stage_ordinal(self, ordinal: int) -> None:
         """Pin the next stage ordinal.
 
-        A shard-world replica's tracer begins each stage at the ordinal
-        the parent assigned, so task scope ids (``s<stage>.t<task>``) and
-        sort keys match the parent's numbering exactly.
+        A resumed run's tracer begins its first stage at the ordinal the
+        checkpoint recorded, so task scope ids (``s<stage>.t<task>``) and
+        sort keys continue the interrupted run's numbering exactly.
         """
         with self._lock:
             self._stages_begun = ordinal
@@ -368,13 +367,12 @@ class Tracer:
             return self._events[start:]
 
     def ingest(self, events: List[TraceEvent]) -> None:
-        """Adopt events traced in another process.
+        """Adopt events traced by an earlier process (a checkpoint segment).
 
-        Each event keeps its canonical (stage ordinal, lane, seq) prefix —
-        already unique per shard because task lanes are the parent-assigned
-        work-list indices — and only the emit-index tiebreak is rewritten
-        from this tracer's counter.  Ingesting shard batches in task-index
-        order therefore reproduces the serial canonical order exactly.
+        Each event keeps its canonical (stage ordinal, lane, seq) prefix
+        and only the emit-index tiebreak is rewritten from this tracer's
+        counter, so ingested events sort exactly where they did in the
+        run that emitted them.
         """
         if not self.enabled or not events:
             return
@@ -421,7 +419,7 @@ class Tracer:
         return sorted(self.events(), key=lambda e: e.key)
 
     def export_jsonl(self) -> str:
-        """The canonical JSONL trace (byte-identical across executors)."""
+        """The canonical JSONL trace (byte-identical across runs of a seed)."""
         return "\n".join(e.to_json() for e in self.canonical_events())
 
     def write_jsonl(self, path: str) -> int:

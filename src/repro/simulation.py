@@ -20,7 +20,6 @@ consumes the returned artifacts.  A run checkpointed into a
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Optional
 
@@ -44,8 +43,8 @@ from .internet.population import (
 from .notification.delivery import NotificationCampaign, NotificationReport
 from .obs import Observation, observing
 
-#: Sentinel distinguishing "not passed" from an explicit ``None`` in the
-#: deprecated keyword shims of :meth:`Simulation.build`.
+#: Sentinel distinguishing "not passed" from an explicit ``None`` in
+#: :meth:`Simulation.resume`'s ``perf`` override.
 _UNSET = object()
 
 
@@ -77,22 +76,11 @@ class Simulation:
         config: Optional[RunConfig] = None,
         *,
         observation: Optional[Observation] = None,
-        scale: object = _UNSET,
-        seed: object = _UNSET,
-        population_config: object = _UNSET,
-        campaign_config: object = _UNSET,
-        executor: object = _UNSET,
-        workers: object = _UNSET,
     ) -> "Simulation":
         """Assemble (but do not run) a complete experiment.
 
-        The primary signature is ``build(config=RunConfig(...))``: one
-        frozen, serializable value describes the whole run, and the
-        process executor ships that same value to its worker processes
-        to rebuild world replicas.  The ``scale``/``seed``/
-        ``population_config``/``campaign_config``/``executor``/
-        ``workers`` keywords are deprecated shims that assemble the
-        equivalent :class:`~repro.api.RunConfig` (and warn).
+        ``config`` is one frozen, serializable :class:`~repro.api.RunConfig`
+        describing the whole run (the default config when omitted).
 
         ``observation`` attaches a :class:`repro.obs.Observation`; its
         tracer is bound to the campaign's clock router so every trace
@@ -102,48 +90,8 @@ class Simulation:
         of the run; ``config.trace`` records whether hosts should attach
         a tracing observation when they rebuild from the config.
         """
-        legacy = {
-            name: value
-            for name, value in (
-                ("scale", scale),
-                ("seed", seed),
-                ("population_config", population_config),
-                ("campaign_config", campaign_config),
-                ("executor", executor),
-                ("workers", workers),
-            )
-            if value is not _UNSET
-        }
-        # An executor *instance* (or factory) cannot ride in a frozen,
-        # serializable config; keep it aside and hand it straight to the
-        # campaign.  String strategy names go through the config.
-        live_executor = None
         if config is None:
-            if legacy:
-                warnings.warn(
-                    "Simulation.build(scale=..., seed=..., ...) keywords are "
-                    "deprecated; pass config=repro.api.RunConfig(...) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            exec_spec = legacy.get("executor")
-            if exec_spec is not None and not isinstance(exec_spec, str):
-                live_executor = exec_spec
-                exec_spec = None
-            config = RunConfig(
-                scale=legacy.get("scale", 0.05),
-                seed=legacy.get("seed", 20211011),
-                population=legacy.get("population_config"),
-                campaign=legacy.get("campaign_config"),
-                executor=exec_spec,
-                workers=legacy.get("workers", 1),
-            )
-        elif legacy:
-            raise SimulationError(
-                "pass either config= or the deprecated keyword arguments, "
-                f"not both (got {sorted(legacy)})"
-            )
-
+            config = RunConfig()
         population_config = config.resolved_population()
         campaign_config = config.resolved_campaign()
         seed = config.seed
@@ -160,12 +108,7 @@ class Simulation:
             fleet,
             config=campaign_config,
             clock=clock,
-            executor=live_executor if live_executor is not None else config.executor,
-            workers=config.workers,
             retry=config.retry,
-            # The config doubles as the world value the process executor's
-            # children rebuild their shard slice from.
-            world=config,
         )
         notification = NotificationCampaign(
             fleet, patch_model, campaign.network, clock, seed=seed
@@ -177,8 +120,6 @@ class Simulation:
         # model is all the wiring they need.
         patch_model.bind_fleet(fleet)
         campaign.network.bind_patch_model(patch_model)
-        if config.world == "eager":
-            campaign.network.materialize_all()
 
         if observation is not None:
             observation.bind_clock(campaign.clock_router)
@@ -202,8 +143,6 @@ class Simulation:
         *,
         config: Optional[RunConfig] = None,
         observation: Optional[Observation] = None,
-        executor: object = _UNSET,
-        workers: object = _UNSET,
         perf: object = _UNSET,
     ) -> "Simulation":
         """Reconstruct a checkpointed campaign mid-timeline.
@@ -220,9 +159,9 @@ class Simulation:
         on touch), and the snapshotted mutable state is installed on
         top, so :meth:`run` continues with the
         remaining rounds and finishes byte-identical to an uninterrupted
-        run.  ``executor``/``workers`` optionally override the stored
-        runtime strategy — they are outside the content hash precisely
-        because results do not depend on them.
+        run.  ``perf`` optionally overrides the stored sideband directory
+        — it is outside the content hash precisely because results do
+        not depend on it.
         """
         from .store import RunState, RunStore, restore_simulation
 
@@ -239,17 +178,10 @@ class Simulation:
             )
 
         cfg = state.config
-        overrides = {}
-        if executor is not _UNSET:
-            overrides["executor"] = executor
-        if workers is not _UNSET:
-            overrides["workers"] = workers
         if perf is not _UNSET:
             # Runtime-only: whether this resumed leg is profiled is the
             # caller's choice, never the checkpoint's.
-            overrides["perf"] = perf
-        if overrides:
-            cfg = _dc_replace(cfg, **overrides)
+            cfg = _dc_replace(cfg, perf=perf)
 
         sim = cls.build(config=cfg, observation=observation)
         restore_simulation(sim, state)
@@ -275,10 +207,6 @@ class Simulation:
                 else:
                     self.result = self._run_campaign(writer)
             finally:
-                # Always release worker processes — a raising run must
-                # not leak live children (and a finished one is done
-                # with them: the result is cached above).
-                self.campaign.executor.shutdown()
                 # A store-built writer holds the single-writer lock;
                 # release it even when the run aborted so a later
                 # resume is not locked out by a dead run.

@@ -108,9 +108,10 @@ class Network:
     def materialize_all(self) -> None:
         """Eagerly build every addressable server (the pre-lazy behavior).
 
-        ``--world eager`` routes through this: the same per-unit RNG
-        forks produce the same servers, just all up front, so traces are
-        byte-identical to the lazy path while memory is O(world) again.
+        The lazy-world tests build their eager reference through this:
+        the same per-unit RNG forks produce the same servers, just all up
+        front, so traces are byte-identical to the lazy path while memory
+        is O(world) again.
         """
         if self._provider is None:
             return

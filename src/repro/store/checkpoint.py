@@ -21,19 +21,17 @@ The split of labor is deliberate:
   probing left behind: per-server session counters, greylist/blacklist
   memory and banner-noise RNG, network/ethics counters, label
   allocations, the resolver cache (cache warmth changes observed query
-  counts), preferred probe methods, and the executor's world-event
-  history (how a process-executor worker respawned mid-timeline catches
-  up).
+  counts), and preferred probe methods.
 
 The chain on disk is a *base plus deltas*: the first checkpoint holds
 the initial measurement and the whole world state, and every later one
 only what changed since the checkpoint before it
 (:meth:`Checkpoint.delta_since`) — the rounds completed since, the
 servers whose session count moved, the added, changed and removed
-entries of each keyed map, the appended executor history and stage
-metrics, and every scalar in full.  Loading folds the files into one
-running state in order (:meth:`Checkpoint.fold`), so write cost stays
-proportional to one round and load memory to one state.  Evidence
+entries of each keyed map, the appended stage metrics, and every scalar
+in full.  Loading folds the files into one running state in order
+(:meth:`Checkpoint.fold`), so write cost stays proportional to one round
+and load memory to one state.  Evidence
 (trace events, query-log entries) is likewise stored as per-checkpoint
 segments that concatenate back into the uninterrupted evidence stream.
 """
@@ -49,7 +47,7 @@ if TYPE_CHECKING:
     from ..simulation import Simulation
 
 #: bump when the checkpoint payload shape changes incompatibly.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: the keyed maps of a world snapshot; a delta stores, per map, the
 #: added or changed entries and the removed keys.  Every other world
@@ -70,7 +68,6 @@ _REPLACED = (
     "clock_now",
     "notified",
     "notified_clock",
-    "executor_stages_run",
     "metrics_snapshot",
     "trace_segment",
     "querylog_segment",
@@ -102,10 +99,6 @@ class Checkpoint:
     rounds: List["MeasurementRound"]
     #: mutable world snapshot (see :func:`capture_world_state`).
     world: dict
-    #: process-executor world-event history (stage assignments +
-    #: notifications); empty for the serial/sharded strategies.
-    executor_history: List[object]
-    executor_stages_run: int
     #: per-stage executor metrics accumulated so far (provenance only).
     executor_stage_metrics: List[object]
     #: cumulative :meth:`MetricsRegistry.snapshot` (None when unobserved).
@@ -126,9 +119,6 @@ class Checkpoint:
             initial=None,
             rounds=self.rounds[len(previous.rounds):],
             world=diff_world_state(previous.world, self.world),
-            executor_history=self.executor_history[
-                len(previous.executor_history):
-            ],
             executor_stage_metrics=self.executor_stage_metrics[
                 len(previous.executor_stage_metrics):
             ],
@@ -142,7 +132,6 @@ class Checkpoint:
         segments are per file (the loader keeps each one).
         """
         self.rounds.extend(delta.rounds)
-        self.executor_history.extend(delta.executor_history)
         self.executor_stage_metrics.extend(delta.executor_stage_metrics)
         fold_world_state(self.world, delta.world)
         for name in _REPLACED:
@@ -183,10 +172,7 @@ def capture_world_state(sim: "Simulation", previous: Optional[dict] = None) -> d
     state.  For the same reason a server whose session count has not
     moved since ``previous`` (the snapshot the previous checkpoint
     took) keeps that snapshot's entry, the same object, which is how
-    :func:`diff_world_state` leaves it out of the next delta.  Under the
-    process executor the parent's servers never accept sessions at all
-    (probing happens in the shard replicas, which rebuild from the
-    event history), so the map stays empty there.
+    :func:`diff_world_state` leaves it out of the next delta.
     """
     campaign = sim.campaign
     earlier = previous["servers"] if previous is not None else {}
@@ -287,7 +273,6 @@ def capture_checkpoint(
     servers it already holds are reused (see :func:`capture_world_state`).
     """
     campaign = sim.campaign
-    executor = campaign.executor
     obs = sim.observation
     tracing = obs is not None and obs.tracer.enabled
     return Checkpoint(
@@ -300,9 +285,7 @@ def capture_checkpoint(
         world=capture_world_state(
             sim, previous.world if previous is not None else None
         ),
-        executor_history=list(getattr(executor, "_history", ())),
-        executor_stages_run=getattr(executor, "_stages_run", 0),
-        executor_stage_metrics=list(executor.metrics.stages),
+        executor_stage_metrics=list(campaign.executor.metrics.stages),
         metrics_snapshot=obs.metrics.snapshot() if obs is not None else None,
         trace_segment=obs.tracer.events_since(trace_mark) if tracing else [],
         querylog_segment=campaign.responder.log.entries_since(qlog_mark),
@@ -369,11 +352,9 @@ def restore_simulation(sim: "Simulation", state) -> None:
        in chronological order in both runs; patch and move *effects*
        need no replay — they are pure functions of the clock, folded
        into each server on touch.
-    3. **Install the mutable snapshot** over the rebuilt world.
-    4. **Restore the executor's event history** so process workers can
-       respawn mid-timeline by replaying it (``_sent`` stays empty: the
-       next stage ships the full history to each fresh worker).
-    5. **Stitch the evidence**: merge the cumulative metrics snapshot,
+    3. **Install the mutable snapshot** over the rebuilt world, and the
+       executor's per-stage metrics.
+    4. **Stitch the evidence**: merge the cumulative metrics snapshot,
        ingest the trace and query-log delta segments in checkpoint
        order, and re-seed stage numbering.
     """
@@ -387,9 +368,6 @@ def restore_simulation(sim: "Simulation", state) -> None:
             checkpoint.initial.vulnerable_domains(),
             campaign.config.notification_date,
         )
-        # The executor's restored history already contains this
-        # notification's NotifyEvent; record_notification must NOT run
-        # again here or replicas would replay it twice.
     else:
         notification_report = None
 
@@ -401,11 +379,7 @@ def restore_simulation(sim: "Simulation", state) -> None:
     campaign.initial = checkpoint.initial
     campaign._notified_clock = checkpoint.notified_clock
 
-    executor = campaign.executor
-    if hasattr(executor, "_history"):
-        executor._history = list(checkpoint.executor_history)
-        executor._stages_run = checkpoint.executor_stages_run
-    executor.metrics.stages = list(checkpoint.executor_stage_metrics)
+    campaign.executor.metrics.stages = list(checkpoint.executor_stage_metrics)
 
     obs = sim.observation
     if obs is not None:

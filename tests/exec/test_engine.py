@@ -1,9 +1,8 @@
 """Unit tests for the probe-execution engine.
 
-Covers the retry/backoff policy against injected transient 421 failures,
-the executor factory, the virtual-time slot arithmetic, and the
-campaign-ordering guard (``run_snapshot`` before ``run_initial`` must
-raise :class:`~repro.errors.CampaignError`).
+Covers the retry/backoff policy against injected transient 421 failures
+and the campaign-ordering guard (``run_snapshot`` before ``run_initial``
+must raise :class:`~repro.errors.CampaignError`).
 """
 
 from __future__ import annotations
@@ -17,17 +16,14 @@ from repro.core.detector import DetectionOutcome
 from repro.core.ethics import EthicsControls
 from repro.core.labels import LabelAllocator
 from repro.dns import CachingResolver, Name, SpfTestResponder, StubResolver
-from repro.errors import CampaignError, SimulationError
+from repro.errors import CampaignError
 from repro.exec import (
     ClockRouter,
     ExecutionEnvironment,
     ProbeTask,
     RetryPolicy,
     SerialExecutor,
-    ShardedExecutor,
-    make_executor,
 )
-from repro.exec.engine import _slots_before
 from repro.simulation import Simulation
 from repro.smtp import Network, SmtpServer, SpfStack, SpfTiming
 from repro.smtp.policies import FailureStage, ServerPolicy
@@ -127,50 +123,6 @@ class TestRetryPolicy:
         # The stage spans exactly one timeslot of shared time, regardless
         # of the minutes of backoff the task itself waited through.
         assert (env.clock.now - base).total_seconds() == env.seconds_per_probe
-
-
-class TestExecutorFactory:
-    def test_default_is_serial(self):
-        env, _server = build_world()
-        assert isinstance(make_executor(None, env), SerialExecutor)
-
-    def test_workers_select_sharded_when_routed(self):
-        env, _server = build_world(use_router=True)
-        executor = make_executor(None, env, workers=4)
-        assert isinstance(executor, ShardedExecutor)
-        assert executor.workers == 4
-
-    def test_workers_fall_back_to_serial_without_router(self):
-        env, _server = build_world()
-        assert isinstance(make_executor(None, env, workers=4), SerialExecutor)
-
-    def test_sharded_requires_router(self):
-        env, _server = build_world()
-        with pytest.raises(SimulationError):
-            ShardedExecutor(env, workers=2)
-
-    def test_unknown_name_rejected(self):
-        env, _server = build_world()
-        with pytest.raises(SimulationError):
-            make_executor("parallel", env)
-
-    def test_instance_and_factory_pass_through(self):
-        env, _server = build_world()
-        instance = SerialExecutor(env)
-        assert make_executor(instance, env) is instance
-        built = make_executor(lambda e: SerialExecutor(e), env)
-        assert isinstance(built, SerialExecutor)
-
-
-class TestSlotArithmetic:
-    def test_slots_before(self):
-        base = SimulatedClock().now
-        slot = _dt.timedelta(seconds=0.25)
-        assert _slots_before(base, base, slot) == 0
-        assert _slots_before(base + _dt.timedelta(seconds=0.1), base, slot) == 1
-        assert _slots_before(base + _dt.timedelta(seconds=0.25), base, slot) == 1
-        assert _slots_before(base + _dt.timedelta(seconds=0.26), base, slot) == 2
-        assert _slots_before(base - _dt.timedelta(seconds=5), base, slot) == 0
 
 
 class TestCampaignOrderingGuard:

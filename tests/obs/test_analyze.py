@@ -164,20 +164,3 @@ class TestDegenerateTraces:
         # no vt stamps → zero durations, but rendering still works
         assert analysis.virtual_seconds == 0.0
         assert "unit" in analysis.render_markdown()
-
-
-def test_analysis_is_deterministic_across_executors(tmp_path):
-    """The analyzer consumes canonical traces, so summaries agree too."""
-    summaries = []
-    for executor, workers in (("serial", 1), ("sharded", 3)):
-        observation = Observation(trace=True)
-        sim = Simulation.build(
-            config=RunConfig(
-                scale=SCALE, seed=SEED, executor=executor, workers=workers
-            ),
-            observation=observation,
-        )
-        sim.run()
-        analysis = TraceAnalysis.from_tracer(observation.tracer)
-        summaries.append(analysis.render_markdown() + analysis.folded_stacks())
-    assert summaries[0] == summaries[1]

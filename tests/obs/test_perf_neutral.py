@@ -9,8 +9,7 @@ between *any* two runs, perf or not).
 
 The second half of the contract is that the sideband itself is useful:
 every span/task/stage record joins 1:1 against the canonical trace by
-span id, for the serial and the process-sharded executor alike, and the
-merged stream's role order is deterministic.
+span id, and the streams carry resource samples and world counters.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from repro.simulation import Simulation
 
 SCALE = 0.02
 SEED = 20211011
-WORKERS = 2
 
 
 def _csv_bytes(directory):
@@ -47,12 +45,9 @@ def _csv_bytes(directory):
     }
 
 
-def _run(root, *, executor, workers, perf):
+def _run(root, *, perf):
     perf_dir = str(root / "perf") if perf else None
-    config = RunConfig(
-        scale=SCALE, seed=SEED, executor=executor, workers=workers,
-        trace=True, perf=perf_dir,
-    )
+    config = RunConfig(scale=SCALE, seed=SEED, trace=True, perf=perf_dir)
     obs = Observation(trace=True)
     if perf_dir:
         obs.attach_perf(PerfRecorder(perf_dir, sample_interval=0.05))
@@ -77,26 +72,12 @@ def _run(root, *, executor, workers, perf):
 
 @pytest.fixture(scope="module")
 def serial_off(tmp_path_factory):
-    return _run(tmp_path_factory.mktemp("serial-off"),
-                executor="serial", workers=1, perf=False)
+    return _run(tmp_path_factory.mktemp("serial-off"), perf=False)
 
 
 @pytest.fixture(scope="module")
 def serial_on(tmp_path_factory):
-    return _run(tmp_path_factory.mktemp("serial-on"),
-                executor="serial", workers=1, perf=True)
-
-
-@pytest.fixture(scope="module")
-def process_off(tmp_path_factory):
-    return _run(tmp_path_factory.mktemp("process-off"),
-                executor="process", workers=WORKERS, perf=False)
-
-
-@pytest.fixture(scope="module")
-def process_on(tmp_path_factory):
-    return _run(tmp_path_factory.mktemp("process-on"),
-                executor="process", workers=WORKERS, perf=True)
+    return _run(tmp_path_factory.mktemp("serial-on"), perf=True)
 
 
 # -- canonical artifacts are untouched ---------------------------------------
@@ -105,16 +86,6 @@ def process_on(tmp_path_factory):
 def test_serial_trace_and_csv_bytes_identical(serial_off, serial_on):
     assert serial_on.trace == serial_off.trace
     assert serial_on.csv == serial_off.csv
-
-
-def test_process_trace_and_csv_bytes_identical(process_off, process_on):
-    assert process_on.trace == process_off.trace
-    assert process_on.csv == process_off.csv
-
-
-def test_process_trace_matches_serial(serial_off, process_on):
-    # Profiling a process run must not cost executor byte-identity either.
-    assert process_on.trace == serial_off.trace
 
 
 _WALL_CELLS = re.compile(r"\| [\d.]+ \| [\d,]+ \|$")
@@ -143,10 +114,6 @@ def _mask_wall(report: str) -> str:
 
 def test_serial_report_identical_modulo_wall_columns(serial_off, serial_on):
     assert _mask_wall(serial_on.report) == _mask_wall(serial_off.report)
-
-
-def test_process_report_identical_modulo_wall_columns(process_off, process_on):
-    assert _mask_wall(process_on.report) == _mask_wall(process_off.report)
 
 
 def test_report_cache_counters_present_and_perf_independent(
@@ -196,7 +163,7 @@ def _perf_sids(perf_dir):
     return records, by_kind
 
 
-@pytest.mark.parametrize("fixture", ["serial_on", "process_on"])
+@pytest.mark.parametrize("fixture", ["serial_on"])
 def test_perf_records_join_trace_one_to_one(fixture, request):
     run = request.getfixturevalue(fixture)
     records, by_kind = _perf_sids(run.perf_dir)
@@ -209,62 +176,26 @@ def test_perf_records_join_trace_one_to_one(fixture, request):
     assert all(record.wall >= 0.0 for record in records)
 
 
-def test_merged_streams_and_meta_exist(process_on):
+def test_merged_streams_and_meta_exist(serial_on):
     for name in (SPAN_STREAM, SAMPLE_STREAM, META_FILE):
-        path = os.path.join(process_on.perf_dir, name)
+        path = os.path.join(serial_on.perf_dir, name)
         assert os.path.exists(path), name
         assert os.path.getsize(path) > 0, name
-    # No leftover per-role part files after the merge.
-    leftovers = [
-        name for name in os.listdir(process_on.perf_dir)
-        if name.startswith(("spans-", "samples-"))
-    ]
-    assert leftovers == []
-    meta = json.load(open(os.path.join(process_on.perf_dir, META_FILE)))
-    assert meta["roles"][0] == "main"
+    # The streams are the only record files in the directory.
+    assert sorted(os.listdir(serial_on.perf_dir)) == sorted(
+        [SPAN_STREAM, SAMPLE_STREAM, META_FILE]
+    )
+    meta = json.load(open(os.path.join(serial_on.perf_dir, META_FILE)))
+    assert meta["roles"] == ["main"]
+    records, _ = _perf_sids(serial_on.perf_dir)
+    assert meta["records"] == len(records)
 
 
-def test_merge_is_deterministic_across_worker_counts(serial_on, process_on):
-    """The same campaign yields the same joinable record set at any width.
-
-    Wall values differ (they are wall clock); the *identity* of the
-    stream — which spans exist, keyed by sid — must not depend on how
-    many workers ran the probes.
-    """
-    serial_records, serial_kinds = _perf_sids(serial_on.perf_dir)
-    process_records, process_kinds = _perf_sids(process_on.perf_dir)
-    assert serial_kinds == process_kinds
-    assert len(serial_records) == len(process_records)
-
-
-def test_merged_role_order_is_canonical(process_on):
-    from repro.obs.perf import _role_order
-
-    records, _ = _perf_sids(process_on.perf_dir)
-    roles = []
-    for record in records:
-        if not roles or roles[-1] != record.role:
-            roles.append(record.role)
-    assert roles == sorted(roles, key=_role_order)
-    assert roles[0] == "main"
-    assert len(roles) == len(set(roles)) == WORKERS + 1
-
-
-def test_samples_carry_resources_and_counters(process_on):
-    _, samples = load_perf_dir(process_on.perf_dir)
+def test_samples_carry_resources_and_counters(serial_on):
+    _, samples = load_perf_dir(serial_on.perf_dir)
     assert samples
-    roles = {sample["role"] for sample in samples}
-    assert "main" in roles and len(roles) >= 2
+    assert {sample["role"] for sample in samples} == {"main"}
     final = samples[-1]
     assert final["rss_kb"] > 0
     assert "gc" in final
-    by_role_last = {sample["role"]: sample for sample in samples}
-    shard_counters = next(
-        sample["counters"] for role, sample in by_role_last.items()
-        if role.startswith("shard")
-    )
-    assert shard_counters.get("dns.resolver.queries", 0) > 0
-    main_counters = by_role_last["main"]["counters"]
-    # Ship-volume telemetry is recorded by the parent when profiling.
-    assert main_counters.get("exec.ship_payload_bytes", 0) > 0
-    assert main_counters.get("exec.ship_result_bytes", 0) > 0
+    assert final["counters"].get("dns.resolver.queries", 0) > 0

@@ -1,10 +1,11 @@
-"""Serial and sharded runs must produce byte-identical canonical traces.
+"""A traced run's canonical trace is complete and wall-clock free.
 
-The tracer's contract (see :mod:`repro.obs.trace`) extends the executor
-byte-identity guarantee of ``tests/exec/test_determinism.py`` to the
-observability layer: every event is stamped with virtual time and sorted
-by identity-derived keys, so the canonical JSONL export for the same
-seed is the same byte string no matter which strategy ran the probes.
+The tracer's contract (see :mod:`repro.obs.trace`) is that every event
+is stamped with virtual time and sorted by identity-derived keys, so the
+canonical JSONL export for a seed is the same byte string in every run
+(``tests/store/test_resume.py`` holds a resumed run to it).  This module
+checks the shape of one scale-0.02 trace: valid JSONL, a virtual-time
+stamp on every event, and a probe id on every task-scoped event.
 """
 
 from __future__ import annotations
@@ -19,36 +20,20 @@ from repro.simulation import Simulation
 
 SCALE = 0.02
 SEED = 20211011
-WORKERS = 7
 
 
-def _traced_run(executor: str, workers: int) -> Observation:
+@pytest.fixture(scope="module")
+def observation():
     observation = Observation(trace=True)
     sim = Simulation.build(
-        config=RunConfig(
-            scale=SCALE, seed=SEED, executor=executor, workers=workers
-        ),
-        observation=observation,
+        config=RunConfig(scale=SCALE, seed=SEED), observation=observation
     )
     sim.run()
     return observation
 
 
-@pytest.fixture(scope="module")
-def traces():
-    serial = _traced_run("serial", 1)
-    sharded = _traced_run("sharded", WORKERS)
-    return serial, sharded
-
-
-def test_canonical_traces_are_byte_identical(traces):
-    serial, sharded = traces
-    assert serial.tracer.export_jsonl() == sharded.tracer.export_jsonl()
-
-
-def test_trace_is_nonempty_valid_jsonl_with_vt_and_probe_ids(traces):
-    serial, _ = traces
-    lines = serial.tracer.export_jsonl().splitlines()
+def test_trace_is_nonempty_valid_jsonl_with_vt_and_probe_ids(observation):
+    lines = observation.tracer.export_jsonl().splitlines()
     assert len(lines) > 1000
     task_scoped = 0
     for line in lines:
@@ -60,9 +45,8 @@ def test_trace_is_nonempty_valid_jsonl_with_vt_and_probe_ids(traces):
     assert task_scoped > 0
 
 
-def test_task_scopes_cover_every_probe(traces):
-    serial, _ = traces
-    events = serial.tracer.canonical_events()
+def test_task_scopes_cover_every_probe(observation):
+    events = observation.tracer.canonical_events()
     begins = sum(1 for e in events if e.name == "task.begin")
     ends = sum(1 for e in events if e.name == "task.end")
     assert begins == ends > 0

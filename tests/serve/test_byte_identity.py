@@ -55,11 +55,8 @@ def api_probe(batch_observation):
     handle = api.open_run(
         api.RunConfig(scale=SCALE, seed=SEED), observation=observation
     )
-    try:
-        domain = handle.simulation.population.table.name_at(0)
-        result = handle.probe_domain(domain)
-    finally:
-        handle.close()
+    domain = handle.simulation.population.table.name_at(0)
+    result = handle.probe_domain(domain)
     return observation, result
 
 

@@ -29,8 +29,7 @@ SEED = 5
 def handle():
     h = api.open_run(api.RunConfig(scale=SCALE, seed=SEED))
     h.ensure_initial()
-    yield h
-    h.close()
+    return h
 
 
 @pytest.fixture(scope="module")

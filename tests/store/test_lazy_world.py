@@ -1,13 +1,13 @@
 """Lazy and eager world construction must be observationally identical.
 
-The lazy world (PR 6) materializes servers on first touch; ``--world
-eager`` pre-builds every addressable server from the same per-unit RNG
-forks.  The contract: traces and exported CSVs are byte-identical
-between the two modes, for the serial *and* the process-sharded
-executor, and an interrupted lazy run resumed from its checkpoint store
-still lands on the eager reference bytes — proving that snapshot
-restore, first-touch regeneration, and eager construction all describe
-the same world.
+The lazy world materializes servers on first touch; the eager reference
+here pre-builds every addressable server
+(:meth:`~repro.smtp.transport.Network.materialize_all`) from the same
+per-unit RNG forks before the campaign runs.  The contract: traces and
+exported CSVs are byte-identical between the two, and an interrupted
+lazy run resumed from its checkpoint store still lands on the eager
+reference bytes — proving that snapshot restore, first-touch
+regeneration, and eager construction all describe the same world.
 """
 
 from __future__ import annotations
@@ -43,9 +43,11 @@ def _artifacts(sim, obs, root):
     return trace.read_bytes(), _csv_bytes(csv_dir)
 
 
-def _run(config, root):
+def _run(config, root, *, eager=False):
     obs = Observation(trace=True)
     sim = Simulation.build(config=config, observation=obs)
+    if eager:
+        sim.campaign.network.materialize_all()
     sim.run()
     trace, csv = _artifacts(sim, obs, root)
     return SimpleNamespace(sim=sim, trace=trace, csv=csv)
@@ -53,12 +55,10 @@ def _run(config, root):
 
 @pytest.fixture(scope="module")
 def eager_reference(tmp_path_factory):
-    """The eager serial run both lazy modes must reproduce exactly."""
+    """The eager run the lazy runs must reproduce exactly."""
     root = tmp_path_factory.mktemp("eager")
-    config = RunConfig(
-        scale=SCALE, seed=SEED, executor="serial", trace=True, world="eager"
-    )
-    return _run(config, root)
+    config = RunConfig(scale=SCALE, seed=SEED, trace=True)
+    return _run(config, root, eager=True)
 
 
 def test_eager_mode_materializes_everything_up_front(eager_reference):
@@ -67,8 +67,7 @@ def test_eager_mode_materializes_everything_up_front(eager_reference):
 
 
 def test_serial_lazy_matches_eager_bytes(eager_reference, tmp_path):
-    config = RunConfig(scale=SCALE, seed=SEED, executor="serial", trace=True)
-    assert config.world == "lazy"
+    config = RunConfig(scale=SCALE, seed=SEED, trace=True)
     lazy = _run(config, tmp_path)
     assert lazy.trace == eager_reference.trace
     assert lazy.csv == eager_reference.csv
@@ -81,20 +80,11 @@ def test_serial_lazy_matches_eager_bytes(eager_reference, tmp_path):
     )
 
 
-def test_process_lazy_matches_eager_bytes(eager_reference, tmp_path):
-    config = RunConfig(
-        scale=SCALE, seed=SEED, executor="process", workers=2, trace=True
-    )
-    lazy = _run(config, tmp_path)
-    assert lazy.trace == eager_reference.trace
-    assert lazy.csv == eager_reference.csv
-
-
 def test_interrupted_lazy_run_resumes_to_eager_bytes(eager_reference, tmp_path):
     """Kill a lazy run after round 2; the resumed world — rebuilt lazily
     and patched up from the snapshot of *touched* servers — must still
     finish byte-identical to the eager reference."""
-    config = RunConfig(scale=SCALE, seed=SEED, executor="serial", trace=True)
+    config = RunConfig(scale=SCALE, seed=SEED, trace=True)
     store = RunStore(str(tmp_path / "store"))
     store.abort_after_round = 2
     sim = Simulation.build(config=config, observation=Observation(trace=True))

@@ -3,19 +3,16 @@
 The checkpoint/resume contract (see :mod:`repro.store`) is that a run
 killed after round *k* and resumed from its store finishes with the
 same canonical trace and the same exported CSVs, down to the byte, as a
-run that was never interrupted.  This module fault-injects the two
-interruption modes the paper's four-month measurement would actually
-face — an exception raised mid-timeline, and a SIGKILLed worker process
-between rounds — at scale 0.02 for both the serial and the
-process-sharded executor, a run interrupted twice (so the last leg
-folds deltas that a resumed writer wrote), plus a torn-checkpoint crash
-that must fall back to the previous complete checkpoint.
+run that was never interrupted.  This module fault-injects an
+exception raised mid-timeline at scale 0.02, a run interrupted twice
+(so the last leg folds deltas that a resumed writer wrote), and a
+torn-checkpoint crash that must fall back to the previous complete
+checkpoint.
 """
 
 from __future__ import annotations
 
 import os
-import signal
 from types import SimpleNamespace
 
 import pytest
@@ -23,15 +20,72 @@ import pytest
 from repro.analysis.export import export_all
 from repro.api import RunConfig
 from repro.errors import CampaignAborted
-from repro.obs import Observation, observing
+from repro.obs import Observation
 from repro.simulation import Simulation
 from repro.store import RunStore, capture_world_state
-
-from ..exec.test_determinism import canonicalize
 
 SCALE = 0.02
 SEED = 20211011
 ABORT_AFTER = 2
+
+
+def _canon_transaction(transaction):
+    return (
+        transaction.kind.value,
+        transaction.status.value,
+        transaction.sender,
+        transaction.recipient,
+        transaction.server_ip,
+        tuple(reply.code.value for reply in transaction.replies),
+    )
+
+
+def _canon_detection(result):
+    return (
+        result.ip,
+        result.suite,
+        result.outcome.value,
+        tuple(sorted(b.value for b in result.behaviors)),
+        tuple(result.test_ids),
+        result.successful_method.value if result.successful_method else None,
+        result.queries_observed,
+        tuple(sorted((m.value, o.value) for m, o in result.method_outcomes.items())),
+        tuple(_canon_transaction(t) for t in result.transactions),
+    )
+
+
+def canonicalize(result):
+    """A fully ordered, comparable view of a campaign result."""
+    initial = result.initial
+    out = [
+        initial.date.isoformat(),
+        tuple(sorted((d, tuple(ips)) for d, ips in initial.domain_ips.items())),
+        tuple(
+            sorted(
+                (ip, _canon_detection(record.result))
+                for ip, record in initial.ip_records.items()
+            )
+        ),
+        tuple(sorted((d, s.value) for d, s in initial.domain_status.items())),
+    ]
+    for rnd in result.rounds:
+        out.append(
+            (
+                rnd.date.isoformat(),
+                tuple(sorted((ip, o.value) for ip, o in rnd.results.items())),
+                tuple(
+                    sorted(
+                        (ip, m.value if m else None)
+                        for ip, m in rnd.methods.items()
+                    )
+                ),
+            )
+        )
+    out.append(
+        tuple(sorted((d, s.value) for d, s in result.snapshot_status.items()))
+    )
+    out.append(result.snapshot_date.isoformat() if result.snapshot_date else None)
+    return out
 
 
 def _csv_bytes(directory):
@@ -47,7 +101,7 @@ def reference(tmp_path_factory):
     root = tmp_path_factory.mktemp("reference")
     obs = Observation(trace=True)
     sim = Simulation.build(
-        config=RunConfig(scale=SCALE, seed=SEED, executor="serial", trace=True),
+        config=RunConfig(scale=SCALE, seed=SEED, trace=True),
         observation=obs,
     )
     sim.run()
@@ -79,7 +133,7 @@ def test_serial_exception_mid_timeline_resumes_byte_identical(
     store.abort_after_round = ABORT_AFTER
     obs = Observation(trace=True)
     sim = Simulation.build(
-        config=RunConfig(scale=SCALE, seed=SEED, executor="serial", trace=True),
+        config=RunConfig(scale=SCALE, seed=SEED, trace=True),
         observation=obs,
     )
     with pytest.raises(CampaignAborted):
@@ -103,7 +157,7 @@ def test_double_interruption_resumes_byte_identical(reference, tmp_path):
     chain, both legs' files, back into one state.  At each abort point
     the folded chain must equal the world it was written from.
     """
-    config = RunConfig(scale=SCALE, seed=SEED, executor="serial", trace=True)
+    config = RunConfig(scale=SCALE, seed=SEED, trace=True)
     store = RunStore(str(tmp_path / "store"))
     store.abort_after_round = ABORT_AFTER
     sim = Simulation.build(config=config, observation=Observation(trace=True))
@@ -129,57 +183,6 @@ def test_double_interruption_resumes_byte_identical(reference, tmp_path):
     _assert_matches_reference(third, obs3, reference, tmp_path)
 
 
-def test_process_worker_sigkill_between_rounds_resumes_byte_identical(
-    reference, tmp_path
-):
-    """SIGKILL a process-executor worker between rounds; resume the run.
-
-    The resumed campaign spawns fresh worker pools mid-timeline (rebuilt
-    from the checkpointed config plus the replayed event history) and
-    must still land on the *serial* reference bytes — proving both crash
-    recovery and cross-strategy identity at once.
-    """
-    config = RunConfig(
-        scale=SCALE, seed=SEED, executor="process", workers=2, trace=True
-    )
-    store = RunStore(str(tmp_path / "store"))
-    store.abort_after_round = ABORT_AFTER
-    obs = Observation(trace=True)
-    sim = Simulation.build(config=config, observation=obs)
-    executor = sim.campaign.executor
-    writer = store.writer(sim)
-    try:
-        with observing(obs):
-            with pytest.raises(CampaignAborted):
-                sim.campaign.run(store=writer)
-        # Round k's checkpoint is on disk and the worker pools are still
-        # alive: SIGKILL one worker between rounds, as a crashing host
-        # would, then abandon the whole run.
-        pids = [
-            process.pid
-            for pool in executor._pools.values()
-            for process in pool._processes.values()
-        ]
-        assert pids, "process executor finished rounds without worker pools"
-        os.kill(pids[0], signal.SIGKILL)
-    finally:
-        executor.shutdown()
-        # Release the single-writer lock the abandoned run holds, as a
-        # crashed process's OS-level cleanup would.
-        writer.close()
-
-    store.abort_after_round = None
-    obs2 = Observation(trace=True)
-    resumed = Simulation.resume(store, observation=obs2)
-    assert resumed.provenance.rounds_completed == ABORT_AFTER
-    result = resumed.run(store=store)
-
-    _assert_matches_reference(resumed, obs2, reference, tmp_path)
-    assert repr(canonicalize(result)).encode() == repr(
-        canonicalize(reference.sim.result)
-    ).encode()
-
-
 def test_torn_newest_checkpoint_falls_back_to_previous(tmp_path):
     """A kill mid-write leaves a torn newest file; load must degrade.
 
@@ -187,7 +190,7 @@ def test_torn_newest_checkpoint_falls_back_to_previous(tmp_path):
     longer matches, so the chain ends one entry earlier — and resuming
     from there still reproduces the uninterrupted campaign exactly.
     """
-    config = RunConfig(scale=0.005, seed=SEED, executor="serial")
+    config = RunConfig(scale=0.005, seed=SEED)
     store = RunStore(str(tmp_path / "store"))
     store.abort_after_round = 2
     sim = Simulation.build(config=config)

@@ -17,8 +17,6 @@ import pytest
 
 from repro.api import RunConfig
 from repro.core.campaign import CampaignConfig
-from repro.errors import SimulationError
-from repro.exec.shardworld import WorldSpec
 from repro.internet.population import PopulationConfig
 from repro.simulation import Simulation
 from repro.store import CampaignAborted, RunStore, StoreError
@@ -31,9 +29,7 @@ SEED = 5
 
 class TestRunConfig:
     def test_json_round_trip(self):
-        config = RunConfig(
-            scale=0.004, seed=7, executor="sharded", workers=3, trace=True
-        )
+        config = RunConfig(scale=0.004, seed=7, trace=True, perf="perf")
         clone = RunConfig.from_json(config.to_json())
         assert clone == config
         assert clone.content_hash() == config.content_hash()
@@ -51,8 +47,8 @@ class TestRunConfig:
     def test_runtime_fields_do_not_change_the_hash(self):
         base = RunConfig(scale=0.004, seed=7)
         for runtime in (
-            RunConfig(scale=0.004, seed=7, executor="process", workers=8),
-            RunConfig(scale=0.004, seed=7, executor="serial", trace=True),
+            RunConfig(scale=0.004, seed=7, perf="perf"),
+            RunConfig(scale=0.004, seed=7, trace=True),
         ):
             assert runtime.content_hash() == base.content_hash()
 
@@ -68,30 +64,13 @@ class TestRunConfig:
         )
         assert explicit.content_hash() == base.content_hash()
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(SimulationError, match="executor"):
-            RunConfig(executor="quantum")
-
-
-class TestWorldSpecShim:
-    def test_returns_runconfig_and_warns(self):
-        population = PopulationConfig(scale=0.004, seed=SEED)
-        campaign = CampaignConfig()
-        with pytest.warns(DeprecationWarning, match="WorldSpec is deprecated"):
-            spec = WorldSpec(population, campaign, SEED)
-        assert isinstance(spec, RunConfig)
-        assert spec.population == population
-        assert spec.campaign == campaign
-        assert spec.seed == SEED
-        assert spec.scale == population.scale
-
 
 @pytest.fixture(scope="module")
 def aborted(tmp_path_factory):
     """A run checkpointed into a store and aborted after round 2: a
     base and two deltas."""
     root = tmp_path_factory.mktemp("store")
-    config = RunConfig(scale=SCALE, seed=SEED, executor="serial")
+    config = RunConfig(scale=SCALE, seed=SEED)
     store = RunStore(str(root))
     store.abort_after_round = 2
     sim = Simulation.build(config=config)
@@ -205,10 +184,10 @@ class TestStoreLayout:
         store, copy = _copy_store(aborted, tmp_path)
         path = copy / store.runs()[0] / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["checkpoint_version"] = 1
+        manifest["checkpoint_version"] = 2
         path.write_text(json.dumps(manifest))
         with pytest.raises(
-            StoreError, match=r"format version 1, .*reads only version 2; re-run"
+            StoreError, match=r"format version 2, .*reads only version 3; re-run"
         ):
             store.load_latest()
 

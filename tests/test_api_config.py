@@ -1,9 +1,8 @@
-"""The RunConfig build API and its deprecated keyword shims.
+"""The RunConfig build API.
 
-``Simulation.build(config=RunConfig(...))`` is the primary signature;
-the old ``scale=``/``seed=``/``executor=`` keywords must keep working
-(warning once) and produce *identical* experiments — asserted down to
-the trace bytes.
+``Simulation.build(config=RunConfig(...))`` is the only signature; the
+old ``scale=``/``seed=``/``executor=`` keywords are gone, so passing
+them is a plain ``TypeError``.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ import warnings
 import pytest
 
 from repro.api import RunConfig
-from repro.errors import SimulationError
-from repro.obs import Observation
 from repro.simulation import Simulation
 
 SCALE = 0.002
@@ -22,9 +19,11 @@ SEED = 5
 
 
 class TestBuildShims:
-    def test_legacy_keywords_warn(self):
-        with pytest.warns(DeprecationWarning, match="config=repro.api.RunConfig"):
-            Simulation.build(scale=SCALE, seed=SEED)
+    """The removed keyword shims are refused outright."""
+
+    def test_legacy_keywords_raise_type_error(self):
+        with pytest.raises(TypeError):
+            Simulation.build(scale=0.01)
 
     def test_config_build_emits_no_warning(self):
         with warnings.catch_warnings():
@@ -33,44 +32,10 @@ class TestBuildShims:
         assert sim.config.scale == SCALE
 
     def test_config_plus_legacy_keywords_rejected(self):
-        with pytest.raises(SimulationError, match="not both"):
+        with pytest.raises(TypeError):
             Simulation.build(config=RunConfig(scale=SCALE), seed=SEED)
 
     def test_build_records_its_config(self):
-        config = RunConfig(scale=SCALE, seed=SEED, executor="sharded", workers=3)
+        config = RunConfig(scale=SCALE, seed=SEED, trace=True)
         sim = Simulation.build(config=config)
         assert sim.config is config
-
-    def test_legacy_build_synthesizes_an_equivalent_config(self):
-        with pytest.warns(DeprecationWarning):
-            sim = Simulation.build(scale=SCALE, seed=SEED, workers=3)
-        config = RunConfig(scale=SCALE, seed=SEED, workers=3)
-        assert sim.config.content_hash() == config.content_hash()
-        assert sim.config.workers == 3
-
-
-class TestEquivalence:
-    def test_legacy_and_config_builds_trace_identically(self, tmp_path):
-        obs_old = Observation(trace=True)
-        with pytest.warns(DeprecationWarning):
-            old = Simulation.build(
-                scale=SCALE, seed=SEED, executor="sharded", workers=3,
-                observation=obs_old,
-            )
-        old.run()
-
-        obs_new = Observation(trace=True)
-        new = Simulation.build(
-            config=RunConfig(
-                scale=SCALE, seed=SEED, executor="sharded", workers=3, trace=True
-            ),
-            observation=obs_new,
-        )
-        new.run()
-
-        left = tmp_path / "old.jsonl"
-        right = tmp_path / "new.jsonl"
-        obs_old.tracer.write_jsonl(str(left))
-        obs_new.tracer.write_jsonl(str(right))
-        assert left.read_bytes() == right.read_bytes()
-        assert old.result.snapshot_status == new.result.snapshot_status

@@ -19,9 +19,7 @@ SEED = 5
 
 @pytest.fixture(scope="module")
 def handle():
-    h = api.open_run(api.RunConfig(scale=SCALE, seed=SEED))
-    yield h
-    h.close()
+    return api.open_run(api.RunConfig(scale=SCALE, seed=SEED))
 
 
 @pytest.fixture(scope="module")
@@ -39,10 +37,7 @@ class TestOpenRun:
 
     def test_default_config(self):
         h = api.open_run()
-        try:
-            assert h.config == api.RunConfig()
-        finally:
-            h.close()
+        assert h.config == api.RunConfig()
 
     def test_context_manager_closes(self):
         with api.open_run(api.RunConfig(scale=SCALE, seed=SEED)) as h:
@@ -148,11 +143,8 @@ class TestModuleEntryPoints:
         api.run(config, store=store)
 
         resumed = api.resume(str(store.root), config.content_hash())
-        try:
-            assert resumed.status()["initial_complete"]
-            result = resumed.run(store=store)
-        finally:
-            resumed.close()
+        assert resumed.status()["initial_complete"]
+        result = resumed.run(store=store)
         assert len(result.rounds) == len(reference.rounds)
         assert result.snapshot_status == reference.snapshot_status
 

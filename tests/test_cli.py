@@ -11,13 +11,13 @@ from repro.__main__ import ARTIFACT_NAMES, main
 
 class TestCli:
     def test_list(self, capsys):
-        assert main(["--list"]) == 0
+        assert main(["run", "--list"]) == 0
         out = capsys.readouterr().out
         for name in ARTIFACT_NAMES:
             assert name in out
 
     def test_single_artifact(self, capsys):
-        assert main(["--scale", "0.002", "--seed", "5", "--artifact", "table6"]) == 0
+        assert main(["run", "--scale", "0.002", "--seed", "5", "--artifact", "table6"]) == 0
         out = capsys.readouterr().out
         assert "Debian" in out
         assert "Unpatched" in out
@@ -28,7 +28,7 @@ class TestCli:
         assert (
             main(
                 [
-                    "--scale", "0.002", "--seed", "5",
+                    "run", "--scale", "0.002", "--seed", "5",
                     "--report", str(report),
                     "--export-csv", str(csv_dir),
                 ]
@@ -48,7 +48,7 @@ class TestCli:
         assert (
             main(
                 [
-                    "--scale", "0.002", "--seed", "5",
+                    "run", "--scale", "0.002", "--seed", "5",
                     "--artifact", "table6",
                     "--trace", str(trace),
                     "--metrics-out", str(metrics),
@@ -81,7 +81,7 @@ class TestCli:
         assert (
             main(
                 [
-                    "--scale", "0.002", "--seed", "5",
+                    "run", "--scale", "0.002", "--seed", "5",
                     "--artifact", "table6",
                     "--log-level", "INFO",
                 ]
@@ -93,7 +93,7 @@ class TestCli:
 
     def test_module_invocation(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "--list"],
+            [sys.executable, "-m", "repro", "run", "--list"],
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0
@@ -110,11 +110,13 @@ class TestRunResumeCli:
         assert "deprecated" not in captured.err
 
     def test_legacy_top_level_flags_print_a_notice(self, capsys):
-        assert main(self.BASE) == 0
+        # The pre-subcommand form is gone: argparse exits 2 with usage.
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.BASE)
+        assert exit_info.value.code == 2
         captured = capsys.readouterr()
-        assert "Debian" in captured.out
-        assert "deprecated" in captured.err
-        assert "python -m repro run" in captured.err
+        assert "Debian" not in captured.out
+        assert "usage: python -m repro" in captured.err
 
     def test_abort_after_round_requires_store(self, capsys):
         assert main(["run", *self.BASE, "--abort-after-round", "1"]) == 2
@@ -184,27 +186,20 @@ class TestRunResumeCli:
 
 
 @pytest.fixture(scope="module")
-def smoke_traces(tmp_path_factory):
-    """Serial and sharded traced runs of the same seed, for trace tooling."""
-    root = tmp_path_factory.mktemp("traces")
-    serial = root / "serial.jsonl"
-    sharded = root / "sharded.jsonl"
+def smoke_trace(tmp_path_factory):
+    """One traced run, for trace tooling."""
+    trace = tmp_path_factory.mktemp("traces") / "trace.jsonl"
     assert main([
-        "--scale", "0.002", "--seed", "5",
-        "--artifact", "table6", "--trace", str(serial),
+        "run", "--scale", "0.002", "--seed", "5",
+        "--artifact", "table6", "--trace", str(trace),
     ]) == 0
-    assert main([
-        "--scale", "0.002", "--seed", "5", "--workers", "3",
-        "--artifact", "table6", "--trace", str(sharded),
-    ]) == 0
-    return serial, sharded
+    return trace
 
 
 class TestTraceSubcommands:
-    def test_summary_prints_markdown(self, smoke_traces, capsys):
-        serial, _ = smoke_traces
+    def test_summary_prints_markdown(self, smoke_trace, capsys):
         capsys.readouterr()
-        assert main(["trace", "summary", str(serial)]) == 0
+        assert main(["trace", "summary", str(smoke_trace)]) == 0
         out = capsys.readouterr().out
         assert "# Trace summary" in out
         assert "## Stages" in out
@@ -212,13 +207,12 @@ class TestTraceSubcommands:
         assert "Critical path" in out
         assert "p50" in out
 
-    def test_summary_writes_out_and_folded_files(self, smoke_traces, tmp_path, capsys):
-        serial, _ = smoke_traces
+    def test_summary_writes_out_and_folded_files(self, smoke_trace, tmp_path, capsys):
         out_file = tmp_path / "summary.md"
         folded = tmp_path / "trace.folded"
         capsys.readouterr()
         assert main([
-            "trace", "summary", str(serial),
+            "trace", "summary", str(smoke_trace),
             "--out", str(out_file), "--folded", str(folded),
         ]) == 0
         assert "# Trace summary" in out_file.read_text()
@@ -227,12 +221,11 @@ class TestTraceSubcommands:
             assert path.startswith("campaign;")
             assert int(value) > 0
 
-    def test_summary_json_file_and_stdout(self, smoke_traces, tmp_path, capsys):
-        serial, _ = smoke_traces
+    def test_summary_json_file_and_stdout(self, smoke_trace, tmp_path, capsys):
         out_file = tmp_path / "summary.json"
         capsys.readouterr()
         assert main([
-            "trace", "summary", str(serial), "--json", str(out_file),
+            "trace", "summary", str(smoke_trace), "--json", str(out_file),
         ]) == 0
         captured = capsys.readouterr()
         # --json FILE suppresses the markdown (machine consumers get one
@@ -244,7 +237,7 @@ class TestTraceSubcommands:
         assert payload["stages"][0]["name"] == "initial"
         assert payload["critical_path"]
         # "-" streams the same JSON to stdout instead.
-        assert main(["trace", "summary", str(serial), "--json", "-"]) == 0
+        assert main(["trace", "summary", str(smoke_trace), "--json", "-"]) == 0
         streamed = json.loads(capsys.readouterr().out)
         assert streamed["events"] == payload["events"]
 
@@ -270,15 +263,8 @@ class TestTraceSubcommands:
             assert set(row) >= {"name", "virtual", "wall", "wall_per_probe_us"}
         assert payload["spans"]
 
-    def test_diff_serial_vs_sharded_reports_identical(self, smoke_traces, capsys):
-        serial, sharded = smoke_traces
-        capsys.readouterr()
-        assert main(["trace", "diff", str(serial), str(sharded)]) == 0
-        assert "identical" in capsys.readouterr().out
-
-    def test_diff_pinpoints_a_corrupted_event(self, smoke_traces, tmp_path, capsys):
-        serial, _ = smoke_traces
-        lines = serial.read_text().splitlines()
+    def test_diff_pinpoints_a_corrupted_event(self, smoke_trace, tmp_path, capsys):
+        lines = smoke_trace.read_text().splitlines()
         target = 7
         payload = json.loads(lines[target])
         payload["attrs"]["corrupted"] = True
@@ -288,28 +274,26 @@ class TestTraceSubcommands:
         corrupted = tmp_path / "corrupted.jsonl"
         corrupted.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert main(["trace", "diff", str(serial), str(corrupted)]) == 1
+        assert main(["trace", "diff", str(smoke_trace), str(corrupted)]) == 1
         out = capsys.readouterr().out
         assert f"first divergence at event {target}" in out
         assert "attrs['corrupted']" in out
 
     def test_progress_flag_renders_to_stderr_without_touching_trace(
-        self, smoke_traces, tmp_path, capsys
+        self, smoke_trace, tmp_path, capsys
     ):
-        serial, _ = smoke_traces
         progress_trace = tmp_path / "progress.jsonl"
         assert main([
-            "--scale", "0.002", "--seed", "5", "--artifact", "table6",
+            "run", "--scale", "0.002", "--seed", "5", "--artifact", "table6",
             "--trace", str(progress_trace), "--progress",
         ]) == 0
         err = capsys.readouterr().err
         assert "stage initial:" in err
         assert "probes/s" in err and "ETA" in err
         # --progress must not alter the trace bytes
-        assert progress_trace.read_bytes() == serial.read_bytes()
+        assert progress_trace.read_bytes() == smoke_trace.read_bytes()
 
-    def test_run_perf_then_trace_profile(self, smoke_traces, tmp_path, capsys):
-        serial, _ = smoke_traces
+    def test_run_perf_then_trace_profile(self, smoke_trace, tmp_path, capsys):
         perf_dir = tmp_path / "perf"
         perf_trace = tmp_path / "perf.jsonl"
         assert main([
@@ -322,7 +306,7 @@ class TestTraceSubcommands:
         # --progress grows RSS/sample cells when perf is on.
         assert "rss" in captured.err and "samples" in captured.err
         # the sideband never alters the canonical trace bytes
-        assert perf_trace.read_bytes() == serial.read_bytes()
+        assert perf_trace.read_bytes() == smoke_trace.read_bytes()
         assert (perf_dir / "perf.jsonl").stat().st_size > 0
         assert (perf_dir / "perf_samples.jsonl").stat().st_size > 0
 
@@ -355,7 +339,7 @@ class TestTraceSubcommands:
     def test_metrics_out_carries_histogram_percentiles(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"
         assert main([
-            "--scale", "0.002", "--seed", "5", "--artifact", "table6",
+            "run", "--scale", "0.002", "--seed", "5", "--artifact", "table6",
             "--metrics-out", str(metrics),
         ]) == 0
         payload = json.loads(metrics.read_text())

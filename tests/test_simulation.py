@@ -26,24 +26,26 @@ class TestBuild:
 
 
 class TestShutdownOnFailure:
-    def test_executor_released_when_the_campaign_raises(self, monkeypatch):
-        """A raising run must still shut the executor down (try/finally)."""
-        sim = Simulation.build(config=RunConfig(scale=0.002, seed=5))
-        executor = sim.campaign.executor
-        calls = []
-        original = executor.shutdown
-        monkeypatch.setattr(
-            executor, "shutdown", lambda: (calls.append(True), original())
-        )
+    def test_store_lock_released_when_the_campaign_raises(
+        self, monkeypatch, tmp_path
+    ):
+        """A raising run must still release its writer lock (try/finally)."""
+        from repro.store import RunStore
+
+        config = RunConfig(scale=0.002, seed=5)
+        sim = Simulation.build(config=config)
+        store = RunStore(str(tmp_path / "store"))
 
         def boom(*, store=None):
             raise RuntimeError("probe infrastructure fell over")
 
         monkeypatch.setattr(sim.campaign, "run", boom)
         with pytest.raises(RuntimeError, match="fell over"):
-            sim.run()
-        assert calls == [True]
+            sim.run(store=store)
         assert sim.result is None  # a failed run caches nothing
+        lock = store.acquire_lock(config)
+        assert lock.held
+        lock.release()
 
 
 class TestDeterminism:
