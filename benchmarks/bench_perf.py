@@ -56,9 +56,7 @@ MAX_OVERHEAD = 0.05
 def _run(perf_dir) -> dict:
     """One traced campaign; ``perf_dir`` toggles the sideband."""
     gc.collect()
-    config = RunConfig(
-        scale=PERF_SCALE, seed=PERF_SEED, trace=True, perf=perf_dir
-    )
+    config = RunConfig(scale=PERF_SCALE, seed=PERF_SEED, trace=True)
     obs = Observation(trace=True)
     if perf_dir:
         obs.attach_perf(PerfRecorder(perf_dir))

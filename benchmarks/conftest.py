@@ -11,9 +11,7 @@ regenerated artifacts can be diffed against the paper.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import platform
 from typing import List
 
 import pytest
@@ -51,27 +49,6 @@ def emit(text: str) -> None:
     _EMITTED.append(text)
 
 
-def available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
-def env_info() -> dict:
-    """Machine provenance stamped uniformly into every BENCH record.
-
-    Bench numbers are meaningless without knowing what ran them; every
-    ``BENCH_<name>.json`` carries the core count, Python version, and
-    git commit (plus a dirty flag) of the checkout that produced it, so
-    a number in the ledger can always be tied back to the code it
-    measured.
-    """
-    info = {"cpus": available_cpus(), "python": platform.python_version()}
-    info.update(obs_ledger.git_provenance(str(RESULTS_DIR)))
-    return info
-
-
 def emit_json(name: str, payload: dict) -> pathlib.Path:
     """Write a machine-readable benchmark record to ``BENCH_<name>.json``.
 
@@ -82,7 +59,10 @@ def emit_json(name: str, payload: dict) -> pathlib.Path:
     """
     path = RESULTS_DIR / f"BENCH_{name}.json"
     record = dict(payload)
-    record["env"] = env_info()
+    # Machine provenance (cores, Python, git commit and dirty flag), so
+    # a number can always be tied back to the code it measured; the
+    # ledger record below reuses it rather than probing git again.
+    record["env"] = obs_ledger.environment_info(str(RESULTS_DIR))
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     obs_ledger.append_record(
         str(LEDGER_PATH), obs_ledger.bench_record(name, record)

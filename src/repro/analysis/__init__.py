@@ -25,6 +25,8 @@ Figure 8  Alexa Top 1000 conclusive results over time            ``figure8``
 ========  =====================================================  =============
 """
 
+from typing import Callable, Dict
+
 from .table1 import build_table1, render_table1
 from .table2 import build_table2, render_table2
 from .table3 import build_table3, render_table3
@@ -41,7 +43,38 @@ from .figure7 import build_figure7, render_figure7
 from .figure8 import build_figure8, render_figure8
 from .notification_funnel import build_notification_funnel, render_notification_funnel
 
+#: Every regenerated artifact, in report order: name → renderer over a
+#: completed simulation.  The CLI's ``--artifact`` and the report's
+#: "Regenerated artifacts" section both read this one mapping.
+ARTIFACTS: Dict[str, Callable[[object], str]] = {
+    "table1": lambda sim: render_table1(build_table1(sim.population)),
+    "table2": lambda sim: render_table2(build_table2(sim.population)),
+    "table3": lambda sim: render_table3(
+        build_table3(sim.population, sim.run().initial)
+    ),
+    "table4": lambda sim: render_table4(
+        build_table4(sim.population, sim.run().initial)
+    ),
+    "table5": lambda sim: render_table5(build_table5(sim)),
+    "table6": lambda sim: render_table6(build_table6()),
+    "table7": lambda sim: render_table7(build_table7(sim.run().initial)),
+    "figure2": lambda sim: render_figure2(build_figure2(sim)),
+    "figure3": lambda sim: render_figure3(build_figure3(sim)),
+    "figure4": lambda sim: render_figure4(build_figure4(sim)),
+    "figure5": lambda sim: render_figure5(build_figure5(sim)),
+    "figure6": lambda sim: render_figure6(build_figure6(sim)),
+    "figure7": lambda sim: render_figure7(build_figure7(sim)),
+    "figure8": lambda sim: render_figure8(build_figure8(sim)),
+    "notification": lambda sim: render_notification_funnel(
+        build_notification_funnel(sim)
+    ),
+}
+
+#: The artifact names, in report order.
+ARTIFACT_NAMES = tuple(ARTIFACTS)
+
 __all__ = [
+    "ARTIFACTS", "ARTIFACT_NAMES",
     "build_table1", "render_table1",
     "build_table2", "render_table2",
     "build_table3", "render_table3",

@@ -8,41 +8,10 @@ and figure, plus run provenance (scale, seed, population sizes).
 from __future__ import annotations
 
 import io
-from typing import List, Optional
+from typing import List
 
 from ..simulation import Simulation
-from . import (
-    build_figure2,
-    build_figure3,
-    build_figure4,
-    build_figure5,
-    build_figure6,
-    build_figure7,
-    build_figure8,
-    build_notification_funnel,
-    build_table1,
-    build_table2,
-    build_table3,
-    build_table4,
-    build_table5,
-    build_table6,
-    build_table7,
-    render_figure2,
-    render_figure3,
-    render_figure4,
-    render_figure5,
-    render_figure6,
-    render_figure7,
-    render_figure8,
-    render_notification_funnel,
-    render_table1,
-    render_table2,
-    render_table3,
-    render_table4,
-    render_table5,
-    render_table6,
-    render_table7,
-)
+from . import ARTIFACTS
 from .paper_targets import TargetResult, evaluate_targets
 
 
@@ -168,28 +137,11 @@ def generate_report(sim: Simulation, *, title: str = "SPFail reproduction report
         write(f"| {name} | {counters[name]:,} |")
     write()
 
-    blocks = [
-        render_table1(build_table1(sim.population)),
-        render_table2(build_table2(sim.population)),
-        render_table3(build_table3(sim.population, result.initial)),
-        render_table4(build_table4(sim.population, result.initial)),
-        render_table5(build_table5(sim)),
-        render_table6(build_table6()),
-        render_table7(build_table7(result.initial)),
-        render_figure2(build_figure2(sim)),
-        render_figure3(build_figure3(sim)),
-        render_figure4(build_figure4(sim)),
-        render_figure5(build_figure5(sim)),
-        render_figure6(build_figure6(sim)),
-        render_figure7(build_figure7(sim)),
-        render_figure8(build_figure8(sim)),
-        render_notification_funnel(build_notification_funnel(sim)),
-    ]
     write("## Regenerated artifacts")
     write()
-    for block in blocks:
+    for render in ARTIFACTS.values():
         write("```")
-        write(block)
+        write(render(sim))
         write("```")
         write()
     return out.getvalue()

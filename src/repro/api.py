@@ -31,11 +31,12 @@ JSON-round-trippable, and it splits cleanly in two:
 - **semantic fields** (``population``, ``campaign``, ``seed``,
   ``retry``) determine every campaign artifact byte-for-byte; they are
   covered by :meth:`RunConfig.content_hash`;
-- **runtime fields** (``trace``, ``perf``) choose how the run is
-  observed; results are byte-identical across them for the same
-  semantic fields, so they are excluded from the hash — a traced or
-  profiled run hashes the same as a plain one, and a checkpoint taken
-  by either may be resumed by the other.
+- the **runtime field** ``trace`` says whether hosts rebuilding the
+  run should attach a tracer; results are byte-identical either way,
+  so it is excluded from the hash — a traced run hashes the same as a
+  plain one, and a checkpoint taken by either may be resumed by the
+  other.  Profiling (``--perf``) is chosen per process on the
+  :class:`repro.obs.Observation` and is not part of the description.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core.campaign import CampaignConfig, DomainStatus
-from .core.detector import DetectionOutcome, DetectionResult, ProbeMethod
+from .core.detector import DetectionOutcome, DetectionResult
 from .errors import SimulationError
 from .exec.engine import RetryPolicy
 from .internet.population import DomainSet, PopulationConfig
@@ -57,10 +58,6 @@ from .internet.population import DomainSet, PopulationConfig
 #: Version stamped into every :class:`ProbeRequest` / :class:`ProbeResult`
 #: wire payload; bumped only on incompatible schema changes.
 SCHEMA_VERSION = 1
-
-#: Sentinel distinguishing "not passed" from an explicit ``None`` in
-#: :func:`resume`'s runtime overrides.
-_UNSET = object()
 
 
 def _encode_fields(obj) -> Optional[dict]:
@@ -106,13 +103,9 @@ class RunConfig:
     campaign: Optional[CampaignConfig] = None
     #: probe retry policy; ``None`` is the paper's no-retry methodology.
     retry: Optional[RetryPolicy] = None
-    # -- runtime fields (excluded from the content hash) ----------------------
+    # -- runtime field (excluded from the content hash) -----------------------
     #: whether runs built from this config attach a virtual-time tracer.
     trace: bool = False
-    #: wall-clock telemetry sideband directory (``--perf``), or ``None``.
-    #: The sideband writes to separate files only and never feeds back
-    #: into artifacts, so — like ``trace`` — it is a runtime field.
-    perf: Optional[str] = None
 
     # -- resolution -----------------------------------------------------------
 
@@ -140,8 +133,8 @@ class RunConfig:
 
         Two configs hash identically exactly when their campaigns produce
         byte-identical artifacts: explicit configs equal to the derived
-        defaults hash the same, and runtime fields (trace, perf) never
-        perturb the digest.
+        defaults hash the same, and the runtime ``trace`` field never
+        perturbs the digest.
         """
         blob = json.dumps(
             self.semantic_dict(), sort_keys=True, separators=(",", ":")
@@ -158,11 +151,12 @@ class RunConfig:
             "campaign": _encode_fields(self.campaign),
             "retry": _encode_fields(self.retry),
             "trace": self.trace,
-            "perf": self.perf,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        # Keys older versions wrote (``perf``, ``executor``, ``workers``,
+        # ``world``) are ignored, so their stores still load.
         return cls(
             scale=data["scale"],
             seed=data["seed"],
@@ -170,7 +164,6 @@ class RunConfig:
             campaign=_decode_fields(CampaignConfig, data.get("campaign")),
             retry=_decode_fields(RetryPolicy, data.get("retry")),
             trace=data.get("trace", False),
-            perf=data.get("perf"),
         )
 
     def to_json(self, *, indent: Optional[int] = 2) -> str:
@@ -349,10 +342,6 @@ class RunHandle:
 
     def __init__(self, sim) -> None:
         self._sim = sim
-        self._rounds: List[object] = []
-        resumed = getattr(sim, "_resume", None)
-        if resumed is not None:
-            self._rounds = list(resumed.rounds)
         self._domain_index: Optional[Dict[str, object]] = None
 
     # -- introspection --------------------------------------------------------
@@ -383,7 +372,7 @@ class RunHandle:
             "executor": type(campaign.executor).__name__,
             "world": "lazy",
             "initial_complete": campaign.initial is not None,
-            "rounds_completed": len(self._rounds),
+            "rounds_completed": len(campaign.rounds),
             "rounds_total": len(campaign.round_dates()),
             "clock": campaign.clock.now.isoformat(),
         }
@@ -509,13 +498,14 @@ class RunHandle:
         domain measured vulnerable initially and no tracked address
         still measures vulnerable in that round.
         """
-        initial = self._sim.campaign._require_initial()
+        campaign = self._sim.campaign
+        initial = campaign._require_initial()
         if domain not in initial.domain_status:
             raise SimulationError(f"unknown domain {domain!r}")
         initially = initial.domain_status[domain]
         ips = initial.domain_ips.get(domain, [])
         rounds = []
-        for index, rnd in enumerate(self._rounds):
+        for index, rnd in enumerate(campaign.rounds):
             if index < since:
                 continue
             outcomes = {
@@ -566,26 +556,28 @@ class RunHandle:
     def advance_rounds(self, count: int = 1) -> List[object]:
         """Run the next ``count`` scheduled longitudinal rounds.
 
-        Returns the newly completed :class:`MeasurementRound` objects
-        (fewer than ``count`` when the schedule runs out).  Private
-        notification is a batch-run concern and is not triggered here.
+        Runs the initial sweep first if it has not happened.  Returns
+        the newly completed :class:`MeasurementRound` objects (fewer
+        than ``count`` when the schedule runs out).  This is the batch
+        run's own round loop (:meth:`MeasurementCampaign.advance_rounds`),
+        so crossing the notification date sends the private
+        notification exactly as a batch run does.
         """
         self.ensure_initial()
-        campaign = self._sim.campaign
-        tracked = campaign.tracked_ips()
-        done = len(self._rounds)
-        fresh = []
         with self._observed():
-            for date in campaign.round_dates()[done : done + count]:
-                fresh.append(campaign.run_round(date, tracked))
-        self._rounds.extend(fresh)
-        return fresh
+            return self._sim.campaign.advance_rounds(count)
 
     def run(self, *, store=None):
-        """Run (or finish) the full batch campaign timeline."""
-        result = self._sim.run(store=store)
-        self._rounds = list(result.rounds)
-        return result
+        """Run the rest of the campaign timeline; returns the result.
+
+        A handle whose campaign is already under way (initial sweep,
+        :meth:`advance_rounds`, or a resume) finishes it: the remaining
+        rounds, then the final snapshot — the same bytes a fresh batch
+        run produces.  ``store`` checkpoints the rounds this call runs;
+        attached to a campaign already under way, its first checkpoint
+        carries everything so far.  The result is cached.
+        """
+        return self._sim.run(store=store)
 
     # A handle holds no resources beyond memory; the context-manager
     # form is kept only so ``with open_run(...) as handle:`` still reads.
@@ -626,16 +618,13 @@ def resume(
     config_hash: Optional[str] = None,
     *,
     observation=None,
-    perf: object = _UNSET,
 ) -> RunHandle:
     """Reconstruct a checkpointed campaign from a store, as a handle.
 
     ``store`` is a :class:`repro.store.RunStore`, a store directory
     path, or an already-loaded :class:`repro.store.RunState`;
     ``config_hash`` pins the run to resume (a mismatch is an error
-    listing what the store holds).  ``perf`` overrides the stored
-    sideband directory — it is outside the content hash precisely
-    because results do not depend on it.  Continue with
+    listing what the store holds).  Continue with
     ``handle.run(store=...)`` or serve probes straight off the handle.
     """
     from .simulation import Simulation
@@ -652,8 +641,4 @@ def resume(
             f"cannot resume from {type(store).__name__}; pass a store "
             "directory path, a repro.store.RunStore, or a RunState"
         )
-    overrides = {}
-    if perf is not _UNSET:
-        overrides["perf"] = perf
-    sim = Simulation.resume(source, observation=observation, **overrides)
-    return RunHandle(sim)
+    return RunHandle(Simulation.resume(source, observation=observation))

@@ -26,7 +26,7 @@ through :mod:`repro.__main__`, which re-exports :func:`main` from here.
 
 from __future__ import annotations
 
-from .artifacts import ARTIFACT_NAMES
+from ..analysis import ARTIFACT_NAMES
 from .parser import build_parser
 
 __all__ = ["ARTIFACT_NAMES", "build_parser", "main"]

@@ -1,52 +1,17 @@
-"""Artifact generation and post-campaign outputs for the CLI.
+"""Post-campaign outputs for the CLI.
 
-The artifact registry maps every paper table/figure name to a renderer
-over a completed :class:`repro.simulation.Simulation`; ``emit_outputs``
-is everything that happens after a campaign finishes — reports, CSVs,
-traces, metrics, and the throughput summary line.
+``emit_outputs`` is everything that happens after a campaign finishes —
+artifacts (rendered through :data:`repro.analysis.ARTIFACTS`), reports,
+CSVs, traces, metrics, and the throughput summary line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from typing import Callable, Dict
 
-from .. import analysis
+from ..analysis import ARTIFACT_NAMES, ARTIFACTS
 from ..simulation import Simulation
-
-ARTIFACT_NAMES = (
-    "table1", "table2", "table3", "table4", "table5", "table6", "table7",
-    "figure2", "figure3", "figure4", "figure5", "figure6", "figure7",
-    "figure8", "notification",
-)
-
-
-def artifact_registry(sim: Simulation) -> Dict[str, Callable[[], str]]:
-    result = sim.run()
-    return {
-        "table1": lambda: analysis.render_table1(analysis.build_table1(sim.population)),
-        "table2": lambda: analysis.render_table2(analysis.build_table2(sim.population)),
-        "table3": lambda: analysis.render_table3(
-            analysis.build_table3(sim.population, result.initial)
-        ),
-        "table4": lambda: analysis.render_table4(
-            analysis.build_table4(sim.population, result.initial)
-        ),
-        "table5": lambda: analysis.render_table5(analysis.build_table5(sim)),
-        "table6": lambda: analysis.render_table6(analysis.build_table6()),
-        "table7": lambda: analysis.render_table7(analysis.build_table7(result.initial)),
-        "figure2": lambda: analysis.render_figure2(analysis.build_figure2(sim)),
-        "figure3": lambda: analysis.render_figure3(analysis.build_figure3(sim)),
-        "figure4": lambda: analysis.render_figure4(analysis.build_figure4(sim)),
-        "figure5": lambda: analysis.render_figure5(analysis.build_figure5(sim)),
-        "figure6": lambda: analysis.render_figure6(analysis.build_figure6(sim)),
-        "figure7": lambda: analysis.render_figure7(analysis.build_figure7(sim)),
-        "figure8": lambda: analysis.render_figure8(analysis.build_figure8(sim)),
-        "notification": lambda: analysis.render_notification_funnel(
-            analysis.build_notification_funnel(sim)
-        ),
-    }
 
 
 def write_trace(sim: Simulation, path: str) -> int:
@@ -87,11 +52,9 @@ def emit_outputs(sim: Simulation, args: argparse.Namespace) -> int:
         print(f"{len(written)} CSV files written to {args.export_csv}")
 
     if not (args.report or args.export_csv) or args.artifact:
-        registry = artifact_registry(sim)
-        names = args.artifact or list(ARTIFACT_NAMES)
-        for name in names:
+        for name in args.artifact or ARTIFACT_NAMES:
             print()
-            print(registry[name]())
+            print(ARTIFACTS[name](sim))
 
     if args.trace:
         count = write_trace(sim, args.trace)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 
 from ..obs.logbridge import LEVELS
-from .artifacts import ARTIFACT_NAMES
+from ..analysis import ARTIFACT_NAMES
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -94,7 +94,9 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
         "--warm-rounds", type=int, default=0, metavar="N",
         help="advance N remeasurement rounds before accepting requests, so "
         "patch_status_since has history to answer from (default 0; the "
-        "initial sweep always runs)",
+        "initial sweep always runs; as in a batch run, the private "
+        "notification goes out before the first round on or after "
+        "2021-11-15, i.e. when N >= 11)",
     )
 
     listen = parser.add_argument_group("listener and admission")

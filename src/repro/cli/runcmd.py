@@ -12,8 +12,9 @@ import argparse
 import sys
 from typing import Optional
 
+from ..analysis import ARTIFACT_NAMES
 from ..obs import Observation, attach_trace_handler, configure_logging
-from .artifacts import ARTIFACT_NAMES, emit_outputs
+from .artifacts import emit_outputs
 
 
 def make_observation(
@@ -103,7 +104,6 @@ def run_command(args: argparse.Namespace) -> int:
         scale=args.scale,
         seed=args.seed,
         trace=bool(args.trace) or bool(perf_dir),
-        perf=perf_dir,
     )
     print(f"Building the synthetic Internet (scale={args.scale}, seed={args.seed})...")
     handle = api.open_run(config, observation=observation)
@@ -188,11 +188,10 @@ def resume_command(args: argparse.Namespace) -> int:
             "will miss the checkpointed prefix",
             file=sys.stderr,
         )
+    # Whether the resumed leg is profiled is this invocation's choice:
+    # the sideband hangs off the observation, not the stored config.
     observation = make_observation(args, trace=trace)
-
-    # Whether the resumed leg is profiled is always this invocation's
-    # choice — never inherited from the checkpointed config.
-    handle = api.resume(state, observation=observation, perf=perf_dir)
+    handle = api.resume(state, observation=observation)
     sim = handle.simulation
     if observation is not None and observation.perf is not None:
         from ..obs.perf import simulation_counters

@@ -2,8 +2,9 @@
 
 The command builds (or resumes) a world through :mod:`repro.api`, warms
 it — the initial sweep always runs, plus ``--warm-rounds`` longitudinal
-rounds so ``patch_status_since`` has history — then serves JSON requests
-until interrupted.  With ``--loadtest N`` it instead drives a
+rounds so ``patch_status_since`` has history; they are the batch run's
+own rounds, notification included — then serves JSON requests until
+interrupted.  With ``--loadtest N`` it instead drives a
 deterministic synthetic request mix against its own live listener,
 prints the latency report, optionally appends a ledger record, and
 exits non-zero on any 5xx (the acceptance gate for the service).

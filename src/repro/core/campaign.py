@@ -23,7 +23,7 @@ from __future__ import annotations
 import datetime as _dt
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from .. import clock as clockmod
 from ..clock import SimulatedClock
@@ -39,7 +39,7 @@ from ..exec import (
     SerialExecutor,
 )
 from ..internet.mta_fleet import MtaFleet
-from ..internet.population import Domain, DomainPopulation, DomainSet
+from ..internet.population import Domain, DomainPopulation
 from ..smtp.transport import Network
 from .detector import (
     DetectionOutcome,
@@ -202,10 +202,19 @@ class MeasurementCampaign:
         #: a representative hosted domain per address (RCPT TO targets).
         self._ip_domain: Dict[str, str] = {}
         self.initial: Optional[InitialMeasurement] = None
+        #: longitudinal rounds completed so far, in schedule order.
+        self.rounds: List[MeasurementRound] = []
+        #: what the notifier returned (``None`` until it has run).
+        self.notification_report: Optional[object] = None
         #: virtual instant at which the notifier ran (``None`` until it
         #: has); checkpoints persist it so a resume can replay the
         #: notification at the exact clock reading the original run used.
         self._notified_clock: Optional[_dt.datetime] = None
+
+    @property
+    def notified(self) -> bool:
+        """Whether the private notification has gone out."""
+        return self._notified_clock is not None
 
     # -- resolution -----------------------------------------------------------
 
@@ -390,81 +399,67 @@ class MeasurementCampaign:
                 current += self.config.round_interval
         return dates
 
-    # -- full run -----------------------------------------------------------------
+    def advance_rounds(
+        self, count: Optional[int] = None, *, store=None
+    ) -> List[MeasurementRound]:
+        """Run the next ``count`` scheduled rounds (all remaining if None).
 
-    def run(self, *, store=None) -> CampaignResult:
-        """Execute the entire campaign timeline.
-
+        The one loop over the timeline: batch runs, resumed runs and
+        :meth:`repro.api.RunHandle.advance_rounds` all come through
+        here, so the notifier fires before the first round dated on or
+        after the notification date however the rounds are driven.
         ``store`` is an optional checkpoint writer (duck-typed:
-        ``after_initial(campaign)`` / ``after_round(campaign, rounds,
-        notified)``, see :class:`repro.store.CheckpointWriter`); it is
-        invoked after the initial sweep and after every completed round,
-        so a killed run can be continued via :meth:`resume_run`.
-        """
-        initial = self.run_initial()
-        if store is not None:
-            store.after_initial(self)
-        return self._run_rounds(initial, rounds=[], notified=False,
-                                notification_report=None, store=store)
-
-    def resume_run(self, resumed, *, store=None) -> CampaignResult:
-        """Continue a checkpointed campaign with the remaining rounds.
-
-        ``resumed`` carries the restored progress (duck-typed:
-        ``rounds``, ``notified``, ``notification_report`` — see
-        :class:`repro.store.ResumeState`).  The caller is responsible
-        for having restored the world first: ``self.initial``, the
-        clock, and server/resolver/label state must already match the
-        checkpoint instant.
+        ``after_round(campaign)``, see
+        :class:`repro.store.CheckpointWriter`), invoked after every
+        completed round.  Returns the rounds this call completed.
         """
         initial = self._require_initial()
-        return self._run_rounds(
-            initial,
-            rounds=list(resumed.rounds),
-            notified=resumed.notified,
-            notification_report=resumed.notification_report,
-            store=store,
-        )
-
-    def _run_rounds(
-        self,
-        initial: InitialMeasurement,
-        *,
-        rounds: List[MeasurementRound],
-        notified: bool,
-        notification_report: Optional[object],
-        store,
-    ) -> CampaignResult:
-        """The longitudinal loop, entered fresh or from a checkpoint.
-
-        ``rounds`` holds the rounds already completed (empty for a fresh
-        run); the loop continues with the remaining ``round_dates()``.
-        """
         tracked = self.tracked_ips()
-        for date in self.round_dates()[len(rounds):]:
+        done = len(self.rounds)
+        dates = self.round_dates()[done:]
+        if count is not None:
+            dates = dates[:count]
+        for date in dates:
             if (
-                not notified
+                not self.notified
                 and self.notifier is not None
                 and date >= self.config.notification_date
             ):
                 self.clock.advance_to(max(self.clock.now, self.config.notification_date))
                 self._notified_clock = self.clock.now
-                notification_report = self.notifier(
+                self.notification_report = self.notifier(
                     initial.vulnerable_domains(), self.config.notification_date
                 )
-                notified = True
-            rounds.append(self.run_round(date, tracked))
+            self.rounds.append(self.run_round(date, tracked))
             if store is not None:
-                store.after_round(self, rounds, notified)
+                store.after_round(self)
+        return self.rounds[done:]
 
+    # -- full run -----------------------------------------------------------------
+
+    def run(self, *, store=None) -> CampaignResult:
+        """Execute the rest of the campaign timeline, then the snapshot.
+
+        A fresh campaign starts with the initial sweep; one that already
+        ran it (and perhaps some rounds, or was restored from a
+        checkpoint) continues with the remaining rounds.  ``store`` is
+        an optional checkpoint writer (duck-typed: ``after_initial`` /
+        ``after_round``, see :class:`repro.store.CheckpointWriter`); it
+        is invoked after the initial sweep and after every completed
+        round, so a killed run can be resumed.
+        """
+        if self.initial is None:
+            self.run_initial()
+            if store is not None:
+                store.after_initial(self)
+        self.advance_rounds(store=store)
         snapshot_date = self.config.window2_end
-        snapshot = self.run_snapshot(snapshot_date)
         return CampaignResult(
-            initial=initial,
-            rounds=rounds,
-            snapshot_status=snapshot,
+            initial=self.initial,
+            rounds=list(self.rounds),
+            snapshot_status=self.run_snapshot(snapshot_date),
             snapshot_date=snapshot_date,
-            notification_report=notification_report,
+            notification_report=self.notification_report,
         )
 
     # -- final snapshot --------------------------------------------------------------

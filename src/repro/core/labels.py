@@ -15,16 +15,16 @@ Two allocation modes coexist:
 - :meth:`LabelAllocator.new_id` hands out sequential ids — the simple
   one-at-a-time mode;
 - :meth:`LabelAllocator.reserve_block` carves a fixed-size id range out
-  of a suite's space up front, so the labels a probe task uses depend
-  only on its position in the work list.  All mutable state is
-  lock-guarded, so blocks may also be drawn from threads.
+  of a suite's space for the running probe task, and :meth:`new_id`
+  draws from it until :meth:`release_block`, so the labels a task uses
+  depend only on its position in the work list.
 """
 
 from __future__ import annotations
 
 import string
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dns.name import Name
 from ..errors import SimulationError
@@ -55,6 +55,8 @@ class LabelAllocator:
         self._next_suite = 0
         self._next_id: Dict[str, int] = {}
         self._ip_for_label: Dict[Tuple[str, str], str] = {}
+        #: the running task's reserved ids: ``[suite, next, end]``.
+        self._block: Optional[List] = None
         self._lock = threading.Lock()
 
     def new_suite(self) -> str:
@@ -66,19 +68,37 @@ class LabelAllocator:
         return label
 
     def new_id(self, suite: str, target_ip: str) -> str:
-        """A fresh server id label within a suite, bound to ``target_ip``."""
+        """A fresh server id label within a suite, bound to ``target_ip``.
+
+        While a block is reserved the id comes from it; running past
+        the block's end, or asking for another suite, is an error.
+        """
         with self._lock:
-            if suite not in self._next_id:
-                raise SimulationError(f"unknown suite label {suite!r}")
-            counter = self._next_id[suite]
-            self._next_id[suite] = counter + 1
+            block = self._block
+            if block is not None:
+                if block[0] != suite:
+                    raise SimulationError(
+                        f"the running task reserved suite {block[0]!r}, not {suite!r}"
+                    )
+                counter = block[1]
+                if counter >= block[2]:
+                    raise SimulationError(
+                        f"label block for suite {suite!r} exhausted at id {block[2]}"
+                    )
+                block[1] = counter + 1
+            else:
+                if suite not in self._next_id:
+                    raise SimulationError(f"unknown suite label {suite!r}")
+                counter = self._next_id[suite]
+                self._next_id[suite] = counter + 1
             label = _label_for(counter)
             self._ip_for_label[(suite, label)] = target_ip
         return label
 
-    def reserve_block(self, suite: str, start: int, size: int) -> "LabelBlock":
+    def reserve_block(self, suite: str, start: int, size: int) -> None:
         """Reserve ids ``[start, start + size)`` of ``suite`` for one task.
 
+        :meth:`new_id` draws from the block until :meth:`release_block`.
         Sequential allocation in the same suite continues above the
         highest reservation, so the two modes never collide.
         """
@@ -86,11 +106,11 @@ class LabelAllocator:
             if suite not in self._next_id:
                 raise SimulationError(f"unknown suite label {suite!r}")
             self._next_id[suite] = max(self._next_id[suite], start + size)
-        return LabelBlock(self, suite, start, size)
+            self._block = [suite, start, start + size]
 
-    def _bind(self, suite: str, label: str, target_ip: str) -> None:
-        with self._lock:
-            self._ip_for_label[(suite, label)] = target_ip
+    def release_block(self) -> None:
+        """End the running task's reservation (back to sequential ids)."""
+        self._block = None
 
     def ip_for(self, suite: str, test_id: str) -> Optional[str]:
         """Which server a (suite, id) pair was allocated to."""
@@ -100,32 +120,3 @@ class LabelAllocator:
         """The advertised MAIL FROM domain for one probe."""
         return f"{test_id}.{suite}.{self.base}"
 
-
-class LabelBlock:
-    """A contiguous id range reserved for one probe task."""
-
-    __slots__ = ("allocator", "suite", "_next", "_end")
-
-    def __init__(
-        self, allocator: LabelAllocator, suite: str, start: int, size: int
-    ) -> None:
-        self.allocator = allocator
-        self.suite = suite
-        self._next = start
-        self._end = start + size
-
-    def new_id(self, target_ip: str) -> str:
-        """The block's next id label, bound to ``target_ip``."""
-        if self._next >= self._end:
-            raise SimulationError(
-                f"label block for suite {self.suite!r} exhausted at id {self._end}"
-            )
-        counter = self._next
-        self._next += 1
-        label = _label_for(counter)
-        self.allocator._bind(self.suite, label, target_ip)
-        return label
-
-    @property
-    def remaining(self) -> int:
-        return self._end - self._next

@@ -19,7 +19,6 @@ from .engine import (
     ProbeExecutor,
     RetryPolicy,
     SerialExecutor,
-    WorkerContext,
     transient_failure,
 )
 from .metrics import ExecutorMetrics, StageMetrics
@@ -36,6 +35,5 @@ __all__ = [
     "SerialExecutor",
     "StageMetrics",
     "VirtualClock",
-    "WorkerContext",
     "transient_failure",
 ]

@@ -13,6 +13,10 @@ each task draws its id labels from a block reserved by its position in
 the work list.  Every virtual-time stamp, label and trace key is
 therefore a pure function of the work list, which is what keeps traces,
 CSVs and resumed runs byte-identical for the same seed.
+
+The executor owns its probe context — the task clock, the SMTP client
+and the detector — and builds it once, so a stage (one per serve probe)
+costs no set-up of its own.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from __future__ import annotations
 import datetime as _dt
 import logging
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from ..clock import SimulatedClock
 from ..obs import context as _obs
@@ -32,9 +36,8 @@ from ..core.detector import (
     VulnerabilityDetector,
 )
 from ..core.ethics import EthicsControls
-from ..core.labels import LabelAllocator, LabelBlock
+from ..core.labels import LabelAllocator
 from ..dns.server import SpfTestResponder
-from ..errors import SimulationError
 from ..smtp.client import SmtpClient, TransactionStatus
 from ..smtp.protocol import ReplyCode
 from ..smtp.transport import Network
@@ -98,72 +101,6 @@ class ExecutionEnvironment:
     client_ip: str = "198.51.100.7"
     seconds_per_probe: float = 0.25
     router: Optional[ClockRouter] = None
-    detector_kwargs: Dict[str, object] = field(default_factory=dict)
-
-
-class WorkerLabels:
-    """A per-worker :class:`LabelAllocator` facade.
-
-    Ids are drawn from the current task's reserved block, so the labels a
-    task uses depend only on its position in the work list — never on
-    what ran before it.
-    """
-
-    def __init__(self, parent: LabelAllocator) -> None:
-        self.parent = parent
-        self._block: Optional[LabelBlock] = None
-
-    @property
-    def base(self):
-        return self.parent.base
-
-    def begin_task(self, block: LabelBlock) -> None:
-        self._block = block
-
-    def new_id(self, suite: str, target_ip: str) -> str:
-        block = self._block
-        if block is None or block.suite != suite:
-            raise SimulationError(
-                f"no label block reserved for suite {suite!r} on this worker"
-            )
-        return block.new_id(target_ip)
-
-    def ip_for(self, suite: str, test_id: str) -> Optional[str]:
-        return self.parent.ip_for(suite, test_id)
-
-    def mail_from_domain(self, suite: str, test_id: str) -> str:
-        return self.parent.mail_from_domain(suite, test_id)
-
-
-class WorkerContext:
-    """One worker's private detection context.
-
-    Each worker owns its SMTP client, its detector, its virtual clock,
-    and its label facade; all evidence still lands in the shared query
-    log, ethics ledger, and label registry.
-    """
-
-    def __init__(self, env: ExecutionEnvironment, worker_id: int) -> None:
-        self.worker_id = worker_id
-        self.env = env
-        self.vclock = VirtualClock(env.clock.now)
-        self.labels = WorkerLabels(env.labels)
-        self.client = SmtpClient(env.network, client_ip=env.client_ip)
-        if env.router is not None:
-            wait: Callable[[float], None] = self.vclock.advance_seconds
-            now = lambda: self.vclock.now
-        else:
-            wait = env.clock.advance_seconds
-            now = lambda: env.clock.now
-        self.detector = VulnerabilityDetector(
-            self.client,
-            env.responder,
-            self.labels,
-            ethics=env.ethics,
-            wait=wait,
-            now=now,
-            **env.detector_kwargs,
-        )
 
 
 class ProbeExecutor:
@@ -186,6 +123,23 @@ class ProbeExecutor:
         #: each detect() drives at most two probe methods; each attempt
         #: (original + retries) therefore needs at most two id labels.
         self._stride = 2 * (1 + self.retry.max_retries)
+        #: the running task's clock: with a router, the task's waits
+        #: advance it instead of the shared clock.
+        self._vclock = VirtualClock(env.clock.now)
+        if env.router is not None:
+            wait = self._vclock.advance_seconds
+            now = lambda: self._vclock.now
+        else:
+            wait = env.clock.advance_seconds
+            now = lambda: env.clock.now
+        self.detector = VulnerabilityDetector(
+            SmtpClient(env.network, client_ip=env.client_ip),
+            env.responder,
+            env.labels,
+            ethics=env.ethics,
+            wait=wait,
+            now=now,
+        )
 
     # -- public API -----------------------------------------------------------
 
@@ -225,7 +179,6 @@ class ProbeExecutor:
         m.counter("exec.stages").inc(self.name)
         m.counter("exec.probes").inc(amount=metrics.probes_attempted)
         m.counter("exec.refused").inc(amount=metrics.refused)
-        m.counter("exec.batches").inc(amount=metrics.batches)
         m.histogram("exec.stage_wall_seconds").observe(metrics.wall_seconds)
         m.histogram("exec.stage_probes_per_second").observe(metrics.probes_per_second)
         if obs.tracer.enabled:
@@ -253,17 +206,13 @@ class ProbeExecutor:
 
     def _execute(
         self,
-        ctx: WorkerContext,
         task: ProbeTask,
         index: int,
         virtual_start: _dt.datetime,
         metrics: StageMetrics,
     ) -> DetectionResult:
         env = self.env
-        block = env.labels.reserve_block(
-            task.suite, index * self._stride, self._stride
-        )
-        ctx.labels.begin_task(block)
+        env.labels.reserve_block(task.suite, index * self._stride, self._stride)
         obs = _obs.ACTIVE
         tracing = obs is not None and obs.tracer.enabled
         if tracing:
@@ -278,14 +227,14 @@ class ProbeExecutor:
                 ),
             )
         if env.router is not None:
-            ctx.vclock.reset(virtual_start)
-            env.router.push(ctx.vclock)
+            self._vclock.reset(virtual_start)
+            env.router.push(self._vclock)
         try:
-            result = self._detect_with_retry(ctx, task, metrics)
+            result = self._detect_with_retry(task, metrics)
             if obs is not None:
                 # Still inside the task's virtual timeslot: stamp the end
                 # event with the task clock, not the shared one.
-                end_vt = ctx.vclock.now if env.router is not None else env.clock.now
+                end_vt = self._vclock.now if env.router is not None else env.clock.now
                 self._observe_task(obs, tracing, result, end_vt)
             if self.progress is not None:
                 self.progress.task_done(metrics)
@@ -295,6 +244,7 @@ class ProbeExecutor:
                 obs.tracer.drop_task()
             raise
         finally:
+            env.labels.release_block()
             if env.router is not None:
                 env.router.pop()
 
@@ -316,11 +266,11 @@ class ProbeExecutor:
             )
 
     def _detect_with_retry(
-        self, ctx: WorkerContext, task: ProbeTask, metrics: StageMetrics
+        self, task: ProbeTask, metrics: StageMetrics
     ) -> DetectionResult:
         attempt = 0
         while True:
-            result = ctx.detector.detect(
+            result = self.detector.detect(
                 task.ip,
                 task.suite,
                 preferred_method=task.preferred_method,
@@ -344,7 +294,7 @@ class ProbeExecutor:
                     )
             attempt += 1
             if self.env.router is not None:
-                ctx.vclock.advance_seconds(backoff)
+                self._vclock.advance_seconds(backoff)
             else:
                 self.env.clock.advance_seconds(backoff)
 
@@ -358,19 +308,17 @@ class SerialExecutor(ProbeExecutor):
         self, stage: str, tasks: Sequence[ProbeTask]
     ) -> List[DetectionResult]:
         env = self.env
-        metrics = self.metrics.begin_stage(stage, workers=1)
+        metrics = self.metrics.begin_stage(stage)
         metrics.tasks = len(tasks)
         obs = self._begin_stage_obs(stage, tasks)
         started = time.perf_counter()
         base = env.clock.now
         slot = _dt.timedelta(seconds=env.seconds_per_probe)
-        ctx = WorkerContext(env, 0)
         results: List[DetectionResult] = []
         for index, task in enumerate(tasks):
             results.append(
-                self._execute(ctx, task, index, self._slot(base, index, slot), metrics)
+                self._execute(task, index, self._slot(base, index, slot), metrics)
             )
-            metrics.batches += 1
             # Fire any events due inside this probe's timeslot before the
             # next probe runs — the serial tool's view of time.
             end_of_slot = self._slot(base, index + 1, slot)

@@ -24,7 +24,6 @@ class StageMetrics:
     """Counters for one executed measurement stage."""
 
     stage: str
-    workers: int = 1
     tasks: int = 0
     #: detector invocations, including executor-level retries.
     probes_attempted: int = 0
@@ -32,8 +31,6 @@ class StageMetrics:
     refused: int = 0
     #: DNS queries observed at the measurement server for this stage.
     queries_observed: int = 0
-    #: dispatch batches issued (1 per task).
-    batches: int = 0
     wall_seconds: float = 0.0
     sim_seconds: float = 0.0
 
@@ -48,13 +45,11 @@ class StageMetrics:
         """JSON-ready snapshot (``--metrics-out`` and benchmark files)."""
         return {
             "stage": self.stage,
-            "workers": self.workers,
             "tasks": self.tasks,
             "probes_attempted": self.probes_attempted,
             "retried": self.retried,
             "refused": self.refused,
             "queries_observed": self.queries_observed,
-            "batches": self.batches,
             "wall_seconds": self.wall_seconds,
             "sim_seconds": self.sim_seconds,
             "probes_per_second": self.probes_per_second,
@@ -67,22 +62,20 @@ class ExecutorMetrics:
 
     stages: List[StageMetrics] = field(default_factory=list)
 
-    def begin_stage(self, stage: str, *, workers: int = 1) -> StageMetrics:
-        metrics = StageMetrics(stage=stage, workers=workers)
+    def begin_stage(self, stage: str) -> StageMetrics:
+        metrics = StageMetrics(stage=stage)
         self.stages.append(metrics)
         return metrics
 
     def total(self) -> StageMetrics:
-        """All stages aggregated (workers = max over stages)."""
+        """All stages aggregated."""
         total = StageMetrics(stage="total")
         for stage in self.stages:
-            total.workers = max(total.workers, stage.workers)
             total.tasks += stage.tasks
             total.probes_attempted += stage.probes_attempted
             total.retried += stage.retried
             total.refused += stage.refused
             total.queries_observed += stage.queries_observed
-            total.batches += stage.batches
             total.wall_seconds += stage.wall_seconds
             total.sim_seconds += stage.sim_seconds
         return total

@@ -300,20 +300,19 @@ def bench_record(name: str, payload: dict, *, ts: Optional[float] = None) -> dic
     The scalar payload fields land under ``metrics`` so a benchmark's
     history (``obs history --metric overhead benchmarks/ledger.jsonl``)
     reads with the same machinery as campaign records — including
-    not-asserted statuses like ``overhead_asserted: false``.
+    not-asserted statuses like ``overhead_asserted: false``.  The
+    payload's own ``env`` (an :func:`environment_info` result) is used
+    when present; otherwise the environment is probed here.
     """
-    record = {
+    env = payload.get("env")
+    return {
         "v": LEDGER_VERSION,
         "kind": "bench",
         "ts": round(ts if ts is not None else time.time(), 3),
         "bench": name,
-        "env": environment_info(),
+        "env": dict(env) if isinstance(env, dict) else environment_info(),
         "metrics": _scalar_payload(payload),
     }
-    env = payload.get("env")
-    if isinstance(env, dict):
-        record["env"] = dict(record["env"], **env)
-    return record
 
 
 def validate_record(record: dict) -> dict:

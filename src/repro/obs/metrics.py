@@ -16,7 +16,20 @@ sorted by name and key so diffs between runs stay readable.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
+
+
+def exact_percentile(samples: Sequence[float], q: float) -> float:
+    """The exact q-quantile (nearest-rank) of a non-empty sample list.
+
+    ``q`` is a fraction in [0, 1]: the value at rank ``ceil(q * n)``
+    (at least 1) of the sorted samples.
+    """
+    if not samples:
+        raise ValueError("percentile of an empty sample set")
+    ordered = sorted(samples)
+    rank = max(1, min(len(ordered), int(-(-q * len(ordered) // 1))))
+    return ordered[rank - 1]
 
 
 class Counter:
@@ -89,13 +102,10 @@ class Histogram:
         return sum(self._values)
 
     def percentile(self, p: float) -> float:
-        """Exact percentile (nearest-rank); 0 for an empty histogram."""
+        """Exact percentile ``p`` (0–100, nearest-rank); 0 when empty."""
         with self._lock:
-            if not self._values:
-                return 0.0
-            ordered = sorted(self._values)
-        rank = max(0, min(len(ordered) - 1, round(p / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
+            values = list(self._values)
+        return exact_percentile(values, p / 100.0) if values else 0.0
 
     def to_dict(self) -> dict:
         with self._lock:
@@ -103,20 +113,15 @@ class Histogram:
         if not values:
             return {"count": 0}
         values.sort()
-
-        def at(p: float) -> float:
-            rank = max(0, min(len(values) - 1, round(p / 100.0 * (len(values) - 1))))
-            return values[rank]
-
         return {
             "count": len(values),
             "sum": sum(values),
             "min": values[0],
             "max": values[-1],
             "mean": sum(values) / len(values),
-            "p50": at(50),
-            "p90": at(90),
-            "p99": at(99),
+            "p50": exact_percentile(values, 0.50),
+            "p90": exact_percentile(values, 0.90),
+            "p99": exact_percentile(values, 0.99),
         }
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 #: Sort lane for events emitted before a scope's tasks (stage.begin) and
@@ -62,8 +62,8 @@ class TraceEvent:
     parent: Optional[str] = None
     probe: Optional[str] = None
     attrs: Dict[str, object] = field(default_factory=dict)
-    #: Canonical sort prefix: (stage ordinal, lane, seq, emit index).
-    key: Tuple[int, int, int, int] = (0, 0, 0, 0)
+    #: Canonical sort key: (stage ordinal, lane, seq), unique per event.
+    key: Tuple[int, ...] = (0, 0, 0)
 
     def to_json(self) -> str:
         payload = {
@@ -132,7 +132,6 @@ class Tracer:
         self.sink = None
         self._events: List[TraceEvent] = []
         self._lock = threading.Lock()
-        self._emit_counter = 0
         self._stages_begun = 0
         self._run_scope = _Scope("run", 0, _LANE_RUN)
         #: the open stage scope (stages are ambient across worker threads).
@@ -169,10 +168,7 @@ class Tracer:
             vt = self.clock()
         if not scope.shared:
             # Task scopes are single-threaded: buffer lock-free and batch
-            # into the global list when the task closes.  The emit-index
-            # slot of the key is assigned at flush time; canonical order
-            # never depends on it because (stage ordinal, lane, seq) is
-            # already unique per event.
+            # into the global list when the task closes.
             seq = scope.seq
             scope.seq += 1
             event = TraceEvent(
@@ -184,15 +180,13 @@ class Tracer:
                 parent=parent,
                 probe=scope.probe,
                 attrs=attrs or {},
-                key=(scope.stage_ord, lane if lane is not None else scope.lane, seq, 0),
+                key=(scope.stage_ord, lane if lane is not None else scope.lane, seq),
             )
             scope.buf.append(event)
             return event
         with self._lock:
             seq = scope.seq
             scope.seq += 1
-            emit_index = self._emit_counter
-            self._emit_counter += 1
             # Run-scope events sort ahead of the next stage to begin.
             stage_ord = (
                 self._stages_begun if scope is self._run_scope else scope.stage_ord
@@ -206,7 +200,7 @@ class Tracer:
                 parent=parent,
                 probe=scope.probe,
                 attrs=attrs or {},
-                key=(stage_ord, lane if lane is not None else scope.lane, seq, emit_index),
+                key=(stage_ord, lane if lane is not None else scope.lane, seq),
             )
             self._events.append(event)
         return event
@@ -214,22 +208,14 @@ class Tracer:
     def _flush_scope(self, scope: _Scope) -> None:
         """Batch a task scope's buffered events into the global list.
 
-        One lock acquisition per task instead of one per event; the
-        deferred emit-index tiebreak is stamped here, in buffer order.
+        One lock acquisition per task instead of one per event.
         """
         buf = scope.buf
         if not buf:
             return
         scope.buf = []
         with self._lock:
-            index = self._emit_counter
-            events = self._events
-            for event in buf:
-                key = event.key
-                object.__setattr__(event, "key", (key[0], key[1], key[2], index))
-                index += 1
-                events.append(event)
-            self._emit_counter = index
+            self._events.extend(buf)
 
     def _flush_local(self) -> None:
         """Flush the calling thread's open task scope, if any (read path)."""
@@ -369,20 +355,16 @@ class Tracer:
     def ingest(self, events: List[TraceEvent]) -> None:
         """Adopt events traced by an earlier process (a checkpoint segment).
 
-        Each event keeps its canonical (stage ordinal, lane, seq) prefix
-        and only the emit-index tiebreak is rewritten from this tracer's
-        counter, so ingested events sort exactly where they did in the
-        run that emitted them.
+        Each event keeps its canonical key, so ingested events sort
+        exactly where they did in the run that emitted them.  Chains
+        from older versions carry 4-element keys (a trailing emit
+        index); their (stage ordinal, lane, seq) prefix is unique, so
+        they sort correctly beside 3-element ones.
         """
         if not self.enabled or not events:
             return
         with self._lock:
-            for event in events:
-                stage_ord, lane, seq, _ = event.key
-                self._events.append(
-                    replace(event, key=(stage_ord, lane, seq, self._emit_counter))
-                )
-                self._emit_counter += 1
+            self._events.extend(events)
 
     def stitch(
         self,
@@ -394,13 +376,11 @@ class Tracer:
 
         A checkpointed run stores the trace as delta segments (the
         events emitted since the previous checkpoint); ingesting them in
-        checkpoint order reproduces the original emission order, and the
-        canonical sort key never falls back to the rewritten emit index
-        (distinct events never share a ``(stage ordinal, lane, seq)``
-        prefix), so the stitched trace exports byte-identical to the
-        uninterrupted one.  ``stages_begun`` then re-seeds stage
-        numbering so the resumed run's stages continue the ordinals
-        where the checkpoint stopped.
+        checkpoint order reproduces the original emission order, and
+        distinct events never share a canonical key, so the stitched
+        trace exports byte-identical to the uninterrupted one.
+        ``stages_begun`` then re-seeds stage numbering so the resumed
+        run's stages continue the ordinals where the checkpoint stopped.
         """
         for segment in segments:
             self.ingest(segment)

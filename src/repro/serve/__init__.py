@@ -28,6 +28,7 @@ in-process::
     server, _ = start_server(service, port=8754)
 """
 
+from ..obs.metrics import exact_percentile
 from .client import ScanClient
 from .httpd import ScanHTTPServer, UnixScanHTTPServer, start_server
 from .loadtest import (
@@ -37,7 +38,7 @@ from .loadtest import (
     loadtest_record,
     run_loadtest,
 )
-from .service import METHODS, PROBE_METHODS, ScanService, exact_percentile
+from .service import METHODS, PROBE_METHODS, ScanService
 
 __all__ = [
     "DEFAULT_MIX",

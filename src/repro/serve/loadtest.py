@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ServeError
+from ..obs.metrics import exact_percentile
 from .client import ScanClient
-from .service import exact_percentile
 
 #: Default request mix: heavily read-biased, like a census/status
 #: dashboard with occasional live probes — weights are fractions of the

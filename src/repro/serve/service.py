@@ -26,8 +26,8 @@ a request-serving engine.  The design splits into three small pieces:
 
 - **Accounting.**  Every request records its wall-clock latency and
   outcome.  Exact percentiles are computed from the retained samples
-  (the same no-approximation policy as :class:`repro.obs.metrics.
-  Histogram`), surfaced through :meth:`stats` / ``run_status``, mirrored
+  (:func:`repro.obs.metrics.exact_percentile`, the definition
+  :class:`~repro.obs.metrics.Histogram` uses too), surfaced through :meth:`stats` / ``run_status``, mirrored
   into the handle's observation metrics registry when one is attached,
   and rolled into performance-ledger records by
   :mod:`repro.serve.loadtest`.
@@ -45,7 +45,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..api import ProbeRequest, RunHandle
 from ..core.ethics import EthicsControls, EthicsViolation
-from ..errors import ReproError, ServeError
+from ..errors import ReproError
+from ..obs.metrics import exact_percentile
 
 #: Methods the service answers; ``run_status`` never queues.
 METHODS = (
@@ -59,15 +60,6 @@ METHODS = (
 #: Methods that contact remote addresses and therefore pass the
 #: per-tenant ethics admission gate (reads are bounded by the queue).
 PROBE_METHODS = ("probe_domain", "check_mta")
-
-
-def exact_percentile(samples: List[float], q: float) -> float:
-    """The exact q-quantile (nearest-rank) of a non-empty sample list."""
-    if not samples:
-        raise ServeError("percentile of an empty sample set")
-    ordered = sorted(samples)
-    rank = max(1, min(len(ordered), int(-(-q * len(ordered) // 1))))
-    return ordered[rank - 1]
 
 
 @dataclass

@@ -20,32 +20,21 @@ consumes the returned artifacts.  A run checkpointed into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as _dc_replace
+import contextlib
+from dataclasses import dataclass
 from typing import Optional
 
 from .api import RunConfig
 from .clock import SimulatedClock
-from .core.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    MeasurementCampaign,
-)
+from .core.campaign import CampaignResult, MeasurementCampaign
 from .core.inference import InferenceEngine
 from .errors import SimulationError
 from .internet.geo import GeoDatabase, assign_geography
 from .internet.mta_fleet import MtaFleet, build_fleet
 from .internet.patching import PatchBehaviorModel
-from .internet.population import (
-    DomainPopulation,
-    PopulationConfig,
-    generate_population,
-)
+from .internet.population import DomainPopulation, generate_population
 from .notification.delivery import NotificationCampaign, NotificationReport
 from .obs import Observation, observing
-
-#: Sentinel distinguishing "not passed" from an explicit ``None`` in
-#: :meth:`Simulation.resume`'s ``perf`` override.
-_UNSET = object()
 
 
 @dataclass
@@ -64,11 +53,9 @@ class Simulation:
     #: the config this simulation was built from (always set by ``build``).
     config: Optional[RunConfig] = None
     #: checkpoint provenance when this simulation was reconstructed by
-    #: :meth:`resume` (a :class:`repro.store.RunProvenance`), else None.
+    #: :meth:`resume` (a :class:`repro.store.RunProvenance`), else None;
+    #: a store writer attached to the run continues its chain.
     provenance: Optional[object] = None
-    #: restored progress installed by :meth:`resume` (a
-    #: :class:`repro.store.ResumeState`); :meth:`run` continues from it.
-    _resume: Optional[object] = field(default=None, repr=False)
 
     @classmethod
     def build(
@@ -143,7 +130,6 @@ class Simulation:
         *,
         config: Optional[RunConfig] = None,
         observation: Optional[Observation] = None,
-        perf: object = _UNSET,
     ) -> "Simulation":
         """Reconstruct a checkpointed campaign mid-timeline.
 
@@ -159,9 +145,7 @@ class Simulation:
         on touch), and the snapshotted mutable state is installed on
         top, so :meth:`run` continues with the
         remaining rounds and finishes byte-identical to an uninterrupted
-        run.  ``perf`` optionally overrides the stored sideband directory
-        — it is outside the content hash precisely because results do
-        not depend on it.
+        run.
         """
         from .store import RunState, RunStore, restore_simulation
 
@@ -177,13 +161,7 @@ class Simulation:
                 "repro.store.RunStore or RunState"
             )
 
-        cfg = state.config
-        if perf is not _UNSET:
-            # Runtime-only: whether this resumed leg is profiled is the
-            # caller's choice, never the checkpoint's.
-            cfg = _dc_replace(cfg, perf=perf)
-
-        sim = cls.build(config=cfg, observation=observation)
+        sim = cls.build(config=state.config, observation=observation)
         restore_simulation(sim, state)
         return sim
 
@@ -201,11 +179,12 @@ class Simulation:
             if store is not None and hasattr(store, "writer"):
                 writer = store.writer(self)
             try:
-                if self.observation is not None:
-                    with observing(self.observation):
-                        self.result = self._run_campaign(writer)
-                else:
-                    self.result = self._run_campaign(writer)
+                with (
+                    observing(self.observation)
+                    if self.observation is not None
+                    else contextlib.nullcontext()
+                ):
+                    self.result = self.campaign.run(store=writer)
             finally:
                 # A store-built writer holds the single-writer lock;
                 # release it even when the run aborted so a later
@@ -214,11 +193,6 @@ class Simulation:
                     writer.close()
         return self.result
 
-    def _run_campaign(self, writer) -> CampaignResult:
-        if self._resume is not None:
-            return self.campaign.resume_run(self._resume, store=writer)
-        return self.campaign.run(store=writer)
-
     def inference(self) -> InferenceEngine:
         """An inference engine over the (run) campaign's rounds."""
         result = self.run()
@@ -226,7 +200,5 @@ class Simulation:
 
     @property
     def notification_report(self) -> Optional[NotificationReport]:
-        if self.result is None:
-            return None
-        report = self.result.notification_report
+        report = self.campaign.notification_report
         return report if isinstance(report, NotificationReport) else None

@@ -20,7 +20,6 @@ from ..errors import CampaignAborted, StoreError
 from .checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
-    ResumeState,
     RunProvenance,
     capture_checkpoint,
     capture_world_state,
@@ -34,7 +33,6 @@ __all__ = [
     "CampaignAborted",
     "Checkpoint",
     "CheckpointWriter",
-    "ResumeState",
     "RunProvenance",
     "RunState",
     "RunStore",

@@ -139,23 +139,33 @@ class Checkpoint:
 
 
 @dataclass
-class ResumeState:
-    """Restored progress handed to :meth:`MeasurementCampaign.resume_run`."""
-
-    rounds: List["MeasurementRound"]
-    notified: bool
-    notification_report: Optional[object]
-
-
-@dataclass
 class RunProvenance:
-    """Where a resumed simulation came from (for reports/debugging)."""
+    """Where a resumed simulation came from.
+
+    Reports print it; a store writer attached to the resumed simulation
+    continues its chain: it keeps the valid manifest prefix
+    (``entries``) and takes its first delta against the folded state
+    (``checkpoint``).
+    """
 
     run_id: str
     config_hash: str
-    checkpoint_kind: str
-    rounds_completed: int
-    clock_now: _dt.datetime
+    #: the chain's valid prefix folded into one full state.
+    checkpoint: Checkpoint
+    #: manifest entries of that prefix.
+    entries: List[dict]
+
+    @property
+    def checkpoint_kind(self) -> str:
+        return self.checkpoint.kind
+
+    @property
+    def rounds_completed(self) -> int:
+        return len(self.checkpoint.rounds)
+
+    @property
+    def clock_now(self) -> _dt.datetime:
+        return self.checkpoint.clock_now
 
 
 # -- capture ------------------------------------------------------------------
@@ -259,8 +269,6 @@ def capture_checkpoint(
     sim: "Simulation",
     *,
     kind: str,
-    rounds: List["MeasurementRound"],
-    notified: bool,
     trace_mark: int,
     qlog_mark: int,
     previous: Optional[Checkpoint] = None,
@@ -278,10 +286,10 @@ def capture_checkpoint(
     return Checkpoint(
         kind=kind,
         clock_now=campaign.clock.now,
-        notified=notified,
+        notified=campaign.notified,
         notified_clock=campaign._notified_clock,
         initial=campaign._require_initial(),
-        rounds=list(rounds),
+        rounds=list(campaign.rounds),
         world=capture_world_state(
             sim, previous.world if previous is not None else None
         ),
@@ -352,11 +360,15 @@ def restore_simulation(sim: "Simulation", state) -> None:
        in chronological order in both runs; patch and move *effects*
        need no replay — they are pure functions of the clock, folded
        into each server on touch.
-    3. **Install the mutable snapshot** over the rebuilt world, and the
-       executor's per-stage metrics.
+    3. **Install the mutable snapshot** over the rebuilt world, the
+       campaign's progress (initial sweep, completed rounds,
+       notification) and the executor's per-stage metrics.
     4. **Stitch the evidence**: merge the cumulative metrics snapshot,
        ingest the trace and query-log delta segments in checkpoint
        order, and re-seed stage numbering.
+
+    The campaign then continues from its own progress; ``sim.provenance``
+    records where it came from.
     """
     checkpoint = state.checkpoint
     campaign = sim.campaign
@@ -364,12 +376,10 @@ def restore_simulation(sim: "Simulation", state) -> None:
 
     if checkpoint.notified:
         clock.advance_to(max(clock.now, checkpoint.notified_clock))
-        notification_report = sim.notification.send_notifications(
+        campaign.notification_report = sim.notification.send_notifications(
             checkpoint.initial.vulnerable_domains(),
             campaign.config.notification_date,
         )
-    else:
-        notification_report = None
 
     clock.advance_to(max(clock.now, checkpoint.clock_now))
     while clock.next_scheduled(until=clock.now) is not None:
@@ -377,6 +387,7 @@ def restore_simulation(sim: "Simulation", state) -> None:
 
     install_world_state(sim, checkpoint.world)
     campaign.initial = checkpoint.initial
+    campaign.rounds = list(checkpoint.rounds)
     campaign._notified_clock = checkpoint.notified_clock
 
     campaign.executor.metrics.stages = list(checkpoint.executor_stage_metrics)
@@ -393,20 +404,9 @@ def restore_simulation(sim: "Simulation", state) -> None:
         entry for segment in state.querylog_segments for entry in segment
     )
 
-    sim._resume = ResumeState(
-        rounds=list(checkpoint.rounds),
-        notified=checkpoint.notified,
-        notification_report=notification_report,
-    )
-    # A store writer attached to this simulation continues the same
-    # chain: it keeps the valid manifest prefix it resumed from and
-    # takes its first delta against the folded state.
-    sim._store_entries = list(state.entries)
-    sim._store_state = checkpoint
     sim.provenance = RunProvenance(
         run_id=state.run_id,
         config_hash=state.config.content_hash(),
-        checkpoint_kind=checkpoint.kind,
-        rounds_completed=len(checkpoint.rounds),
-        clock_now=checkpoint.clock_now,
+        checkpoint=checkpoint,
+        entries=list(state.entries),
     )

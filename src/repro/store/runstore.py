@@ -4,7 +4,7 @@ Layout, under the store root::
 
     <root>/
       run-<hash8>/                 one directory per RunConfig content hash
-        config.json                the full RunConfig (runtime fields too)
+        config.json                the full RunConfig (trace flag too)
         manifest.json              ordered checkpoint index + digests
         checkpoint-0000.pkl        after run_initial: the base, in full
         checkpoint-0001.pkl        after round 1: a delta against 0000
@@ -49,12 +49,13 @@ from ..errors import CampaignAborted, SimulationError, StoreError
 from .checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
+    RunProvenance,
     capture_checkpoint,
 )
 
 if TYPE_CHECKING:
     from ..api import RunConfig
-    from ..core.campaign import MeasurementCampaign, MeasurementRound
+    from ..core.campaign import MeasurementCampaign
     from ..simulation import Simulation
 
 MANIFEST_VERSION = 1
@@ -168,9 +169,12 @@ class CheckpointWriter:
     The campaign calls :meth:`after_initial` / :meth:`after_round`; each
     call captures a :class:`~repro.store.checkpoint.Checkpoint`, pickles
     it — in full for the chain's first file, else as a delta against the
-    previous capture (``state``: the folded chain a resumed writer
-    continues) — renames it into place, then publishes it in the
-    manifest.  ``abort_after_round``
+    previous capture — renames it into place, then publishes it in the
+    manifest.  A fresh writer's first file is the base and carries every
+    piece of evidence emitted so far, even when the store was attached
+    to a campaign already under way; a writer given ``resumed`` (the
+    :class:`~repro.store.checkpoint.RunProvenance` a restore left)
+    continues that chain instead.  ``abort_after_round``
     turns the writer into a fault injector: once that many rounds are
     checkpointed it raises :class:`~repro.errors.CampaignAborted` —
     *after* the checkpoint hit disk — which is how tests and the CI
@@ -182,42 +186,43 @@ class CheckpointWriter:
         run_dir: str,
         sim: "Simulation",
         *,
-        entries: List[dict],
-        state: Optional[Checkpoint] = None,
+        resumed: Optional[RunProvenance] = None,
         abort_after_round: Optional[int] = None,
         lock: Optional[StoreLock] = None,
     ) -> None:
         self.run_dir = run_dir
         self.sim = sim
         self.abort_after_round = abort_after_round
-        self._entries = entries
-        #: the full state the chain on disk folds to (None before the base).
-        self._state = state
         #: the single-writer lock this writer owns (released by
         #: :meth:`close`); ``None`` for writers built directly in tests.
         self.lock = lock
-        obs = sim.observation
-        tracing = obs is not None and obs.tracer.enabled
+        self._entries: List[dict] = []
+        #: the full state the chain on disk folds to (None before the base).
+        self._state: Optional[Checkpoint] = None
         # Evidence below these positions is already persisted by the
-        # checkpoints in ``entries`` (both are 0 for a fresh run).
-        self._trace_mark = obs.tracer.event_count() if tracing else 0
-        self._qlog_mark = len(sim.campaign.responder.log)
+        # chain: nothing for a fresh writer, everything the restore
+        # stitched back for a resumed one.
+        self._trace_mark = 0
+        self._qlog_mark = 0
+        if resumed is not None:
+            self._entries = list(resumed.entries)
+            self._state = resumed.checkpoint
+            obs = sim.observation
+            if obs is not None and obs.tracer.enabled:
+                self._trace_mark = obs.tracer.event_count()
+            self._qlog_mark = len(sim.campaign.responder.log)
 
     # -- campaign hooks -------------------------------------------------------
 
     def after_initial(self, campaign: "MeasurementCampaign") -> None:
-        self._write("initial", rounds=[], notified=False)
+        self._write("initial")
 
-    def after_round(
-        self,
-        campaign: "MeasurementCampaign",
-        rounds: List["MeasurementRound"],
-        notified: bool,
-    ) -> None:
-        self._write("round", rounds=rounds, notified=notified)
-        if self.abort_after_round is not None and len(rounds) >= self.abort_after_round:
+    def after_round(self, campaign: "MeasurementCampaign") -> None:
+        self._write("round")
+        rounds = len(campaign.rounds)
+        if self.abort_after_round is not None and rounds >= self.abort_after_round:
             raise CampaignAborted(
-                f"aborted after round {len(rounds)} as requested; "
+                f"aborted after round {rounds} as requested; "
                 f"checkpoint saved in {self.run_dir}"
             )
 
@@ -233,12 +238,10 @@ class CheckpointWriter:
 
     # -- persistence ----------------------------------------------------------
 
-    def _write(self, kind: str, *, rounds: list, notified: bool) -> None:
+    def _write(self, kind: str) -> None:
         checkpoint = capture_checkpoint(
             self.sim,
             kind=kind,
-            rounds=rounds,
-            notified=notified,
             trace_mark=self._trace_mark,
             qlog_mark=self._qlog_mark,
             previous=self._state,
@@ -260,7 +263,7 @@ class CheckpointWriter:
                 "sha256": _digest(data),
                 "size": len(data),
                 "kind": kind,
-                "rounds_completed": len(rounds),
+                "rounds_completed": len(checkpoint.rounds),
                 "clock_now": checkpoint.clock_now.isoformat(),
             }
         )
@@ -298,11 +301,9 @@ class RunStore:
             )
         run_dir = self._run_dir(sim.config)
         lock = self.acquire_lock(sim.config)
-        resumed = getattr(sim, "_resume", None)
-        if resumed is not None:
+        if sim.provenance is not None:
             return CheckpointWriter(
-                run_dir, sim, entries=list(sim._store_entries),
-                state=sim._store_state,
+                run_dir, sim, resumed=sim.provenance,
                 abort_after_round=self.abort_after_round, lock=lock,
             )
         # A fresh run of this config replaces any previous attempt: the
@@ -331,8 +332,7 @@ class RunStore:
             lock.release()
             raise
         return CheckpointWriter(
-            run_dir, sim, entries=[],
-            abort_after_round=self.abort_after_round, lock=lock,
+            run_dir, sim, abort_after_round=self.abort_after_round, lock=lock
         )
 
     def lock_path(self, config: "RunConfig") -> str:

@@ -63,3 +63,33 @@ class TestMailFrom:
         test_id = allocator.new_id(suite, "10.0.0.1")
         domain = allocator.mail_from_domain(suite, test_id)
         assert domain == f"{test_id}.{suite}.spf-test.dns-lab.org"
+
+
+class TestReservedBlocks:
+    def test_ids_come_from_the_reserved_block(self, allocator):
+        suite = allocator.new_suite()
+        allocator.reserve_block(suite, 4, 2)
+        first = allocator.new_id(suite, "10.0.0.1")
+        second = allocator.new_id(suite, "10.0.0.1")
+        allocator.release_block()
+        # Sequential ids continue above the highest reservation.
+        after = allocator.new_id(suite, "10.0.0.2")
+        allocator.reserve_block(suite, 4, 2)
+        assert allocator.new_id(suite, "10.0.0.1") == first
+        assert len({first, second, after}) == 3
+        assert allocator.ip_for(suite, after) == "10.0.0.2"
+
+    def test_overrunning_a_block_raises(self, allocator):
+        suite = allocator.new_suite()
+        allocator.reserve_block(suite, 0, 2)
+        allocator.new_id(suite, "10.0.0.1")
+        allocator.new_id(suite, "10.0.0.1")
+        with pytest.raises(SimulationError, match="exhausted"):
+            allocator.new_id(suite, "10.0.0.1")
+
+    def test_block_is_bound_to_its_suite(self, allocator):
+        reserved = allocator.new_suite()
+        other = allocator.new_suite()
+        allocator.reserve_block(reserved, 0, 2)
+        with pytest.raises(SimulationError):
+            allocator.new_id(other, "10.0.0.1")

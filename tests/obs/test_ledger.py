@@ -260,9 +260,9 @@ class TestLedgerRunIntegration:
 
         real = ProbeExecutor._detect_with_retry
 
-        def slowed(self, ctx, task, metrics):
+        def slowed(self, task, metrics):
             sleep(0.004)
-            return real(self, ctx, task, metrics)
+            return real(self, task, metrics)
 
         monkeypatch.setattr(ProbeExecutor, "_detect_with_retry", slowed)
         assert main([*self.BASE, "--ledger", str(cand)]) == 0

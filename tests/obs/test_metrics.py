@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.obs import Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import exact_percentile
 
 
 class TestCounter:
@@ -27,13 +30,27 @@ class TestHistogram:
         for value in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]:
             histogram.observe(float(value))
         assert histogram.percentile(0) == 1.0
-        # Nearest-rank: rank = round(0.5 * 9) = 4 (banker's rounding).
+        # Nearest-rank: the value at rank ceil(0.5 * 10) = 5.
         assert histogram.percentile(50) == 5.0
         assert histogram.percentile(100) == 10.0
         d = histogram.to_dict()
         assert d["count"] == 10
         assert d["min"] == 1.0 and d["max"] == 10.0
         assert d["mean"] == 5.5
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 10, 11, 21, 40])
+    @pytest.mark.parametrize("p", [50, 90, 99])
+    def test_percentiles_are_nearest_rank(self, n, p):
+        """Every percentile path picks the value at rank ceil(p/100 * n)
+        (e.g. n=4 at p50 is the 2nd value, not the 3rd)."""
+        values = [float(v) for v in range(1, n + 1)]
+        histogram = Histogram("h")
+        for value in reversed(values):
+            histogram.observe(value)
+        expected = values[max(1, -(-p * n // 100)) - 1]
+        assert histogram.percentile(p) == expected
+        assert histogram.to_dict()[f"p{p}"] == expected
+        assert exact_percentile(values, p / 100) == expected
 
     def test_empty_histogram(self):
         histogram = Histogram("empty")

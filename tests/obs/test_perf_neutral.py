@@ -47,7 +47,7 @@ def _csv_bytes(directory):
 
 def _run(root, *, perf):
     perf_dir = str(root / "perf") if perf else None
-    config = RunConfig(scale=SCALE, seed=SEED, trace=True, perf=perf_dir)
+    config = RunConfig(scale=SCALE, seed=SEED, trace=True)
     obs = Observation(trace=True)
     if perf_dir:
         obs.attach_perf(PerfRecorder(perf_dir, sample_interval=0.05))

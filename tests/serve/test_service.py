@@ -48,9 +48,7 @@ class TestExactPercentile:
         assert exact_percentile([7.0], 0.99) == 7.0
 
     def test_empty_raises(self):
-        from repro.errors import ServeError
-
-        with pytest.raises(ServeError):
+        with pytest.raises(ValueError):
             exact_percentile([], 0.5)
 
 

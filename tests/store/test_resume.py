@@ -5,9 +5,9 @@ killed after round *k* and resumed from its store finishes with the
 same canonical trace and the same exported CSVs, down to the byte, as a
 run that was never interrupted.  This module fault-injects an
 exception raised mid-timeline at scale 0.02, a run interrupted twice
-(so the last leg folds deltas that a resumed writer wrote), and a
-torn-checkpoint crash that must fall back to the previous complete
-checkpoint.
+(so the last leg folds deltas that a resumed writer wrote), a store
+attached to a campaign already under way, and a torn-checkpoint crash
+that must fall back to the previous complete checkpoint.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import api
 from repro.analysis.export import export_all
 from repro.api import RunConfig
 from repro.errors import CampaignAborted
@@ -181,6 +182,30 @@ def test_double_interruption_resumes_byte_identical(reference, tmp_path):
     third.run(store=store)
 
     _assert_matches_reference(third, obs3, reference, tmp_path)
+
+
+def test_store_attached_mid_campaign_resumes_byte_identical(reference, tmp_path):
+    """Attach a store after three rounds ran on a handle, abort after
+    round 5, resume.  A fresh writer's first checkpoint is the base and
+    carries all evidence emitted before the store was attached."""
+    config = RunConfig(scale=SCALE, seed=SEED, trace=True)
+    store = RunStore(str(tmp_path / "store"))
+    store.abort_after_round = 5
+    handle = api.open_run(config, observation=Observation(trace=True))
+    handle.ensure_initial()
+    handle.advance_rounds(3)
+    with pytest.raises(CampaignAborted):
+        handle.run(store=store)
+    state = store.load_latest()
+    assert [entry["rounds_completed"] for entry in state.entries] == [4, 5]
+
+    store.abort_after_round = None
+    obs = Observation(trace=True)
+    resumed = Simulation.resume(store, observation=obs)
+    assert resumed.provenance.rounds_completed == 5
+    resumed.run(store=store)
+
+    _assert_matches_reference(resumed, obs, reference, tmp_path)
 
 
 def test_torn_newest_checkpoint_falls_back_to_previous(tmp_path):

@@ -29,10 +29,14 @@ SEED = 5
 
 class TestRunConfig:
     def test_json_round_trip(self):
-        config = RunConfig(scale=0.004, seed=7, trace=True, perf="perf")
+        config = RunConfig(scale=0.004, seed=7, trace=True)
         clone = RunConfig.from_json(config.to_json())
         assert clone == config
         assert clone.content_hash() == config.content_hash()
+        # Configs written by older versions carry a "perf" key; it is
+        # ignored on load.
+        legacy = dict(config.to_dict(), perf="perf")
+        assert RunConfig.from_dict(legacy) == config
 
     def test_round_trip_with_explicit_subconfigs(self):
         config = RunConfig(
@@ -46,11 +50,8 @@ class TestRunConfig:
 
     def test_runtime_fields_do_not_change_the_hash(self):
         base = RunConfig(scale=0.004, seed=7)
-        for runtime in (
-            RunConfig(scale=0.004, seed=7, perf="perf"),
-            RunConfig(scale=0.004, seed=7, trace=True),
-        ):
-            assert runtime.content_hash() == base.content_hash()
+        traced = RunConfig(scale=0.004, seed=7, trace=True)
+        assert traced.content_hash() == base.content_hash()
 
     def test_semantic_fields_change_the_hash(self):
         base = RunConfig(scale=0.004, seed=7)

@@ -148,6 +148,36 @@ class TestModuleEntryPoints:
         assert len(result.rounds) == len(reference.rounds)
         assert result.snapshot_status == reference.snapshot_status
 
+    def test_stepped_handle_finishes_like_a_fresh_run(self, tmp_path):
+        """Rounds advanced on a handle are the batch run's rounds: run()
+        finishes the campaign instead of starting it again, and crossing
+        the notification date sends the notification."""
+        from repro.analysis.export import export_all
+        from repro.obs import Observation
+
+        config = api.RunConfig(scale=SCALE, seed=SEED, trace=True)
+        outputs = []
+        for name in ("fresh", "stepped"):
+            obs = Observation(trace=True)
+            handle = api.open_run(config, observation=obs)
+            if name == "stepped":
+                handle.ensure_initial()
+                handle.advance_rounds(12)
+                assert handle.simulation.notification_report is not None
+            result = handle.run()
+            trace = tmp_path / f"{name}.jsonl"
+            obs.tracer.write_jsonl(str(trace))
+            export_all(handle.simulation, str(tmp_path / name))
+            csv = {
+                path.name: path.read_bytes()
+                for path in sorted((tmp_path / name).iterdir())
+            }
+            stages = len(handle.campaign.executor.metrics.stages)
+            outputs.append((trace.read_bytes(), csv, stages))
+            assert result.notification_report is not None
+        assert outputs[1] == outputs[0]
+        assert outputs[0][2] == 2 + len(handle.campaign.round_dates())
+
     def test_resume_unknown_hash_is_an_error(self, tmp_path):
         from repro.errors import StoreError
         from repro.store import RunStore
