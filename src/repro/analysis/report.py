@@ -77,8 +77,9 @@ def generate_report(sim: Simulation, *, title: str = "SPFail reproduction report
     write()
     if sim.observation is not None:
         obs = sim.observation
+        trace_events = obs.tracer.event_count()
         write(
-            f"Trace events captured: {len(obs.tracer.events()):,} "
+            f"Trace events captured: {trace_events:,} "
             f"(tracing {'enabled' if obs.tracer.enabled else 'disabled'})."
         )
         write()
@@ -99,7 +100,7 @@ def generate_report(sim: Simulation, *, title: str = "SPFail reproduction report
                     f"| {name} | {summary['count']} | {summary['p50']:.3g} "
                     f"| {summary['p90']:.3g} | {summary['p99']:.3g} |"
                 )
-        if obs.tracer.enabled and obs.tracer.events():
+        if obs.tracer.enabled and trace_events:
             from ..obs.analyze import TraceAnalysis
 
             trace_analysis = TraceAnalysis.from_tracer(obs.tracer)

@@ -561,8 +561,13 @@ class RunHandle:
         than ``count`` when the schedule runs out).  This is the batch
         run's own round loop (:meth:`MeasurementCampaign.advance_rounds`),
         so crossing the notification date sends the private
-        notification exactly as a batch run does.
+        notification exactly as a batch run does.  A negative ``count``
+        raises :class:`SimulationError` before any work is done.
         """
+        if count < 0:
+            raise SimulationError(
+                f"cannot advance {count} rounds: count must be >= 0"
+            )
         self.ensure_initial()
         with self._observed():
             return self._sim.campaign.advance_rounds(count)

@@ -12,6 +12,24 @@ from ..obs.logbridge import LEVELS
 from ..analysis import ARTIFACT_NAMES
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type``: an integer no smaller than ``minimum``.
+
+    Anything else is a usage error (exit status 2) naming the flag.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, not {value}")
+        return value
+
+    return parse
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     """The campaign-run flags: the world, then the outputs."""
     add = parser.add_argument
@@ -91,7 +109,7 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
         "`run --store` against the same run is refused)",
     )
     world.add_argument(
-        "--warm-rounds", type=int, default=0, metavar="N",
+        "--warm-rounds", type=_int_at_least(0), default=0, metavar="N",
         help="advance N remeasurement rounds before accepting requests, so "
         "patch_status_since has history to answer from (default 0; the "
         "initial sweep always runs; as in a batch run, the private "
@@ -110,12 +128,12 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
         help="serve over a unix-domain socket at PATH instead of TCP",
     )
     listen.add_argument(
-        "--queue-depth", type=int, default=64, metavar="N",
+        "--queue-depth", type=_int_at_least(1), default=64, metavar="N",
         help="bounded dispatch queue; a full queue answers 429 instead of "
         "building backlog (default 64)",
     )
     listen.add_argument(
-        "--tenant-connections", type=int, default=250, metavar="N",
+        "--tenant-connections", type=_int_at_least(1), default=250, metavar="N",
         help="per-tenant in-flight probe cap, enforced by the same "
         "EthicsControls the campaign uses (default 250)",
     )
@@ -128,13 +146,13 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
 
     load = parser.add_argument_group("load testing (serve, test, exit)")
     load.add_argument(
-        "--loadtest", type=int, metavar="N", default=None,
+        "--loadtest", type=_int_at_least(1), metavar="N", default=None,
         help="instead of serving forever: drive N requests of the default "
         "read-heavy mix against the live daemon, print the latency "
         "report, and exit non-zero on any 5xx",
     )
     load.add_argument(
-        "--loadtest-threads", type=int, default=8, metavar="N",
+        "--loadtest-threads", type=_int_at_least(1), default=8, metavar="N",
         help="concurrent load-test clients (default 8)",
     )
     load.add_argument(

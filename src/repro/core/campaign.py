@@ -30,7 +30,7 @@ from ..clock import SimulatedClock
 from ..dns.name import Name
 from ..dns.resolver import CachingResolver, StubResolver
 from ..dns.server import SpfTestResponder
-from ..errors import CampaignError, ResolutionError
+from ..errors import CampaignError, ResolutionError, SimulationError
 from ..exec import (
     ClockRouter,
     ExecutionEnvironment,
@@ -411,8 +411,13 @@ class MeasurementCampaign:
         ``store`` is an optional checkpoint writer (duck-typed:
         ``after_round(campaign)``, see
         :class:`repro.store.CheckpointWriter`), invoked after every
-        completed round.  Returns the rounds this call completed.
+        completed round.  Returns the rounds this call completed; a
+        negative ``count`` is a :class:`SimulationError` (0 runs none).
         """
+        if count is not None and count < 0:
+            raise SimulationError(
+                f"cannot advance {count} rounds: count must be >= 0"
+            )
         initial = self._require_initial()
         tracked = self.tracked_ips()
         done = len(self.rounds)

@@ -6,6 +6,12 @@ the operational questions a four-month measurement campaign raises —
 what did probe X do and when, which stage dominates the run, where does
 the virtual time go — without anyone eyeballing raw JSONL.
 
+A live run is analysed straight off its tracer
+(:meth:`TraceAnalysis.from_tracer` reads the tracer's
+:class:`~repro.obs.trace.TraceEvent` tuples, no copy); a trace file is
+analysed from its :class:`~repro.obs.records.ParsedEvent` records.  Both
+carry the same named fields, and the analysis reads only those.
+
 The analysis reconstructs three views from one pass over the events:
 
 - **stages** (:class:`StageSummary`): one row per executed stage, with
@@ -34,11 +40,14 @@ from __future__ import annotations
 import datetime as _dt
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .metrics import Histogram
-from .records import ParsedEvent, from_tracer, load_jsonl, parse_jsonl
-from .trace import Tracer
+from .records import ParsedEvent, load_jsonl, parse_jsonl, split_scope
+from .trace import TraceEvent, Tracer
+
+#: what the analysis reads: a tracer's events or a file's records.
+Event = Union[TraceEvent, ParsedEvent]
 
 
 def _seconds(
@@ -55,8 +64,8 @@ class SpanNode:
 
     sid: str
     name: str
-    begin: ParsedEvent
-    end: Optional[ParsedEvent] = None
+    begin: Event
+    end: Optional[Event] = None
     children: List["SpanNode"] = field(default_factory=list)
 
     @property
@@ -78,9 +87,9 @@ class TaskTimeline:
     stage_ordinal: Optional[int]
     task_index: Optional[int]
     probe: Optional[str]
-    begin: ParsedEvent
-    end: Optional[ParsedEvent] = None
-    events: List[ParsedEvent] = field(default_factory=list)
+    begin: Event
+    end: Optional[Event] = None
+    events: List[Event] = field(default_factory=list)
     spans: List[SpanNode] = field(default_factory=list)
 
     @property
@@ -101,8 +110,8 @@ class StageSummary:
 
     ordinal: int
     name: str
-    begin: ParsedEvent
-    end: Optional[ParsedEvent] = None
+    begin: Event
+    end: Optional[Event] = None
     declared_tasks: int = 0
     task_count: int = 0
     event_count: int = 0
@@ -152,13 +161,19 @@ class CriticalStep:
 class TraceAnalysis:
     """Everything the toolkit derives from one canonical trace."""
 
-    def __init__(self, events: Sequence[ParsedEvent]) -> None:
-        self.events: List[ParsedEvent] = list(events)
+    def __init__(self, events: Sequence[Event]) -> None:
+        #: the events in canonical order; a list argument is kept as is.
+        self.events: List[Event] = (
+            events if isinstance(events, list) else list(events)
+        )
         self.stages: List[StageSummary] = []
         self.tasks: List[TaskTimeline] = []
         self.name_counts: Counter = Counter()
         self._tasks_by_scope: Dict[str, TaskTimeline] = {}
         self._stages_by_ordinal: Dict[int, StageSummary] = {}
+        #: earliest and latest virtual-time stamp (None without stamps).
+        self.virtual_start: Optional[_dt.datetime] = None
+        self.virtual_end: Optional[_dt.datetime] = None
         self._build()
 
     # -- construction ---------------------------------------------------------
@@ -173,13 +188,19 @@ class TraceAnalysis:
 
     @classmethod
     def from_tracer(cls, tracer: Tracer) -> "TraceAnalysis":
-        return cls(from_tracer(tracer))
+        """Analyse a live tracer's canonical events, without copying them."""
+        return cls(tracer.canonical_events())
 
     def _build(self) -> None:
         open_spans: Dict[str, SpanNode] = {}
+        # A run has ~18 events per scope: split each scope id once.
+        scopes: Dict[str, Tuple[Optional[int], Optional[int]]] = {}
         for event in self.events:
             self.name_counts[event.name] += 1
-            stage_ord, task_idx = event.stage_ordinal, event.task_index
+            split = scopes.get(event.scope)
+            if split is None:
+                split = scopes[event.scope] = split_scope(event.scope)
+            stage_ord, task_idx = split
             if stage_ord is not None:
                 stage = self._stages_by_ordinal.get(stage_ord)
                 if stage is not None:
@@ -242,23 +263,17 @@ class TraceAnalysis:
                 if node is not None:
                     node.end = event
 
+        stamps = [e.vt for e in self.events if e.vt is not None]
+        if stamps:
+            self.virtual_start, self.virtual_end = min(stamps), max(stamps)
+
     # -- basic aggregates -----------------------------------------------------
-
-    @property
-    def virtual_start(self) -> Optional[_dt.datetime]:
-        stamps = [e.vt for e in self.events if e.vt is not None]
-        return min(stamps) if stamps else None
-
-    @property
-    def virtual_end(self) -> Optional[_dt.datetime]:
-        stamps = [e.vt for e in self.events if e.vt is not None]
-        return max(stamps) if stamps else None
 
     @property
     def virtual_seconds(self) -> float:
         return _seconds(self.virtual_start, self.virtual_end)
 
-    def timeline(self, probe: str) -> List[ParsedEvent]:
+    def timeline(self, probe: str) -> List[Event]:
         """Every event emitted while ``probe`` (``<suite>/<ip>``) ran."""
         return [e for e in self.events if e.probe == probe]
 

@@ -65,7 +65,7 @@ class Observation:
         """JSON-ready snapshot (the ``--metrics-out`` payload core)."""
         return {
             "metrics": self.metrics.to_dict(),
-            "trace_events": len(self.tracer.events()),
+            "trace_events": self.tracer.event_count(),
         }
 
 

@@ -1,19 +1,22 @@
-"""Parsed trace records: the input side of trace analysis.
+"""Parsed trace records: the input side of trace analysis for files.
 
 The tracer (:mod:`repro.obs.trace`) *produces* canonical JSONL; this
-module turns that JSONL — or a live :class:`~repro.obs.trace.Tracer` —
-back into typed records the analysis toolkit (:mod:`repro.obs.analyze`)
-and the determinism diff (:mod:`repro.obs.diff`) consume.  A
-:class:`ParsedEvent` mirrors the exported payload of
-:class:`~repro.obs.trace.TraceEvent` field for field, plus its position
-in the canonical order, so "event 1234 of the file" and "event 1234 of
-the tracer" always name the same record.
+module turns that JSONL back into typed records the analysis toolkit
+(:mod:`repro.obs.analyze`) and the determinism diff
+(:mod:`repro.obs.diff`) consume.  A :class:`ParsedEvent` mirrors the
+exported payload of :class:`~repro.obs.trace.TraceEvent` field for
+field, plus its position in the canonical order, so "event 1234 of the
+file" and "event 1234 of the tracer" always name the same record.
+Analysing a live tracer needs no records at all:
+:meth:`~repro.obs.analyze.TraceAnalysis.from_tracer` reads the tracer's
+own events; only the diff, which reports positions, numbers them
+(:func:`from_tracer`).
 
 Round-trip fidelity matters more than convenience here: the determinism
 contract is *byte* identity of the export, so :meth:`ParsedEvent.to_json`
-re-serializes exactly the way the tracer does (sorted keys, compact
-separators), and the diff compares those strings rather than parsed
-floats or datetimes.
+re-serializes through the tracer's own renderer
+(:func:`~repro.obs.trace.render_event`), and the diff compares those
+strings rather than parsed floats or datetimes.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .trace import TraceEvent, Tracer
+from .trace import Tracer, render_event
 
 _SCOPE_RE = re.compile(r"^(?:s(?P<stage>\d+))?(?:(?<=\d)\.)?(?:t(?P<task>\d+))?$")
 
@@ -33,13 +36,12 @@ class TraceFormatError(ValueError):
     """A trace file line that is not a valid canonical trace record."""
 
 
-@dataclass(frozen=True)
-class ParsedEvent:
+class ParsedEvent(NamedTuple):
     """One canonical trace record, as loaded from JSONL or a tracer.
 
-    ``index`` is the 0-based position in canonical order; every other
-    field mirrors the exported :class:`~repro.obs.trace.TraceEvent`
-    payload.
+    ``index`` is the 0-based position in canonical order; the fields
+    after it are those of :class:`~repro.obs.trace.TraceEvent`, in the
+    same order (so ``ParsedEvent(i, *event[:8])`` adapts one).
     """
 
     index: int
@@ -47,32 +49,14 @@ class ParsedEvent:
     vt: Optional[_dt.datetime]
     scope: str
     seq: int
-    span: Optional[str] = None
-    parent: Optional[str] = None
-    probe: Optional[str] = None
-    attrs: Dict[str, object] = field(default_factory=dict)
+    span: Optional[str]
+    parent: Optional[str]
+    probe: Optional[str]
+    attrs: Dict[str, object]
 
     def to_json(self) -> str:
         """The canonical serialization (byte-identical to the export)."""
-        payload = {
-            "name": self.name,
-            "vt": self.vt.isoformat() if self.vt is not None else None,
-            "scope": self.scope,
-            "seq": self.seq,
-            "span": self.span,
-            "parent": self.parent,
-            "probe": self.probe,
-            "attrs": self.attrs,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    @property
-    def stage_ordinal(self) -> Optional[int]:
-        return split_scope(self.scope)[0]
-
-    @property
-    def task_index(self) -> Optional[int]:
-        return split_scope(self.scope)[1]
+        return render_event(self, {})
 
 
 def split_scope(scope: str) -> Tuple[Optional[int], Optional[int]]:
@@ -178,24 +162,9 @@ def parse_perf_jsonl(text: str) -> List[PerfRecord]:
 
 
 def from_tracer(tracer: Tracer) -> List[ParsedEvent]:
-    """Adapt a live tracer's canonical events without a serialize round."""
-    return [_from_trace_event(i, e) for i, e in enumerate(tracer.canonical_events())]
+    """Number a live tracer's canonical events without a serialize round.
 
-
-def from_trace_events(events: Iterable[TraceEvent]) -> List[ParsedEvent]:
-    """Adapt already-canonical :class:`TraceEvent` records."""
-    return [_from_trace_event(i, e) for i, e in enumerate(events)]
-
-
-def _from_trace_event(index: int, event: TraceEvent) -> ParsedEvent:
-    return ParsedEvent(
-        index=index,
-        name=event.name,
-        vt=event.vt,
-        scope=event.scope,
-        seq=event.seq,
-        span=event.span,
-        parent=event.parent,
-        probe=event.probe,
-        attrs=dict(event.attrs),
-    )
+    The records share each event's ``attrs`` dict rather than copying
+    it: no consumer (the diff, the analysis) mutates attrs.
+    """
+    return [ParsedEvent(i, *e[:8]) for i, e in enumerate(tracer.canonical_events())]

@@ -32,8 +32,9 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 #: Sort lane for events emitted before a scope's tasks (stage.begin) and
 #: after them (stage.end); task lanes are the task indices in between.
@@ -43,40 +44,108 @@ _LANE_END = 1 << 60
 _LANE_RUN = -2
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One trace record.
+class TraceEvent(NamedTuple):
+    """One trace record: a plain tuple of its fields.
 
     ``vt`` is the virtual-time stamp (``None`` only when no simulation
     clock is bound, e.g. unit tests of the tracer itself).  ``scope`` is
     ``"run"``, ``"s<stage>"``, or ``"s<stage>.t<task>"``; ``probe``
     carries the task's stable probe id (``<suite>/<ip>``) for every event
-    emitted while that probe was in flight.
+    emitted while that probe was in flight.  ``attrs`` is the emitter's
+    own keyword dict, stored as is and never mutated afterwards.
+
+    A tuple rather than a frozen dataclass because a run holds one per
+    event: built positionally it costs a fraction of a dataclass
+    ``__init__`` and less memory.  (It is still one object for the
+    cyclic garbage collector to traverse: CPython untracks only exact
+    tuples, and only those holding no dict.)
     """
 
     name: str
     vt: Optional[_dt.datetime]
     scope: str
     seq: int
-    span: Optional[str] = None
-    parent: Optional[str] = None
-    probe: Optional[str] = None
-    attrs: Dict[str, object] = field(default_factory=dict)
+    span: Optional[str]
+    parent: Optional[str]
+    probe: Optional[str]
+    attrs: Dict[str, object]
     #: Canonical sort key: (stage ordinal, lane, seq), unique per event.
-    key: Tuple[int, ...] = (0, 0, 0)
+    key: Tuple[int, int, int]
 
     def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "vt": self.vt.isoformat() if self.vt is not None else None,
-            "scope": self.scope,
-            "seq": self.seq,
-            "span": self.span,
-            "parent": self.parent,
-            "probe": self.probe,
-            "attrs": self.attrs,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return render_event(self, {})
+
+
+#: the canonical order: by :attr:`TraceEvent.key`.
+_BY_KEY = itemgetter(8)
+#: ``attrs`` are encoded exactly as ``json.dumps(..., sort_keys=True,
+#: separators=(",", ":"))`` would, by one encoder built once.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_UTC = _dt.timezone.utc
+#: events per ``write`` call in :meth:`Tracer.write_jsonl`.
+_WRITE_CHUNK = 4096
+
+
+def _value(value: object) -> str:
+    """One top-level field, spelled as ``json.dumps`` spells it."""
+    if value is None:
+        return "null"
+    if value.__class__ is str:
+        return _quote(value)
+    return _encode(value)
+
+
+def render_event(event, vt_cache: Dict[_dt.datetime, str]) -> str:
+    """The canonical JSON line of one event (no trailing newline).
+
+    Byte-identical to ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`` of the payload ``{"name", "vt" (ISO-8601 or
+    null), "scope", "seq", "span", "parent", "probe", "attrs"}``, but
+    without building the payload: the top-level keys are written in
+    their sorted order, strings go through the escaper ``json.dumps``
+    uses, and only ``attrs`` goes through the JSON encoder.  ``event``
+    is a :class:`TraceEvent` or a
+    :class:`~repro.obs.records.ParsedEvent` (fields read by name).
+
+    ``vt_cache`` memoizes rendered stamps across the events of one
+    write (a run has ~18 events per distinct stamp).  Only naive and
+    UTC stamps are cached: two aware stamps in different zones can be
+    equal instants yet print differently.
+    """
+    vt = event.vt
+    if vt is None:
+        stamp = "null"
+    elif vt.tzinfo is _UTC or vt.tzinfo is None:
+        stamp = vt_cache.get(vt)
+        if stamp is None:
+            stamp = vt_cache[vt] = _quote(vt.isoformat())
+    else:
+        stamp = _quote(vt.isoformat())
+    attrs = event.attrs
+    attrs = "{}" if attrs == {} else _encode(attrs)
+    seq = event.seq
+    if seq.__class__ is not int:
+        seq = _value(seq)
+    return (
+        f'{{"attrs":{attrs},"name":{_value(event.name)}'
+        f',"parent":{_value(event.parent)},"probe":{_value(event.probe)}'
+        f',"scope":{_value(event.scope)},"seq":{seq}'
+        f',"span":{_value(event.span)},"vt":{stamp}}}'
+    )
+
+
+class _ThreadState:
+    """One thread's open task scope and span-id stack.
+
+    Both live in a single thread-local slot, so emitting an event reads
+    thread-local storage once.
+    """
+
+    __slots__ = ("scope", "spans")
+
+    def __init__(self) -> None:
+        self.scope: Optional[_Scope] = None
+        self.spans: List[str] = []
 
 
 class _Scope:
@@ -105,7 +174,7 @@ class _Scope:
         self.seq = 0
         self.spans = 0
         self.shared = shared
-        self.buf: List["TraceEvent"] = []
+        self.buf: List[TraceEvent] = []
 
 
 class Tracer:
@@ -140,70 +209,56 @@ class Tracer:
 
     # -- scope plumbing -----------------------------------------------------
 
-    def _current_scope(self) -> _Scope:
-        scope = getattr(self._local, "scope", None)
-        if scope is not None:
-            return scope
-        stage = self._stage
-        return stage if stage is not None else self._run_scope
-
-    def _span_stack(self) -> List[str]:
-        stack = getattr(self._local, "spans", None)
-        if stack is None:
-            stack = self._local.spans = []
-        return stack
+    def _thread(self) -> _ThreadState:
+        """The calling thread's scope and span stack."""
+        try:
+            return self._local.state
+        except AttributeError:
+            state = self._local.state = _ThreadState()
+            return state
 
     def _emit(
         self,
         name: str,
         scope: _Scope,
-        *,
-        lane: Optional[int] = None,
-        vt: Optional[_dt.datetime] = None,
-        span: Optional[str] = None,
-        parent: Optional[str] = None,
-        attrs: Optional[Dict[str, object]] = None,
-    ) -> TraceEvent:
+        lane: Optional[int],
+        vt: Optional[_dt.datetime],
+        span: Optional[str],
+        parent: Optional[str],
+        attrs: Optional[Dict[str, object]],
+    ) -> None:
+        """Append one event to ``scope`` (positional arguments: per event)."""
         if vt is None and self.clock is not None:
             vt = self.clock()
+        if attrs is None:
+            attrs = {}
+        if lane is None:
+            lane = scope.lane
         if not scope.shared:
             # Task scopes are single-threaded: buffer lock-free and batch
             # into the global list when the task closes.
             seq = scope.seq
-            scope.seq += 1
-            event = TraceEvent(
-                name=name,
-                vt=vt,
-                scope=scope.sid,
-                seq=seq,
-                span=span,
-                parent=parent,
-                probe=scope.probe,
-                attrs=attrs or {},
-                key=(scope.stage_ord, lane if lane is not None else scope.lane, seq),
+            scope.seq = seq + 1
+            scope.buf.append(
+                TraceEvent(
+                    name, vt, scope.sid, seq, span, parent, scope.probe, attrs,
+                    (scope.stage_ord, lane, seq),
+                )
             )
-            scope.buf.append(event)
-            return event
+            return
         with self._lock:
             seq = scope.seq
-            scope.seq += 1
+            scope.seq = seq + 1
             # Run-scope events sort ahead of the next stage to begin.
             stage_ord = (
                 self._stages_begun if scope is self._run_scope else scope.stage_ord
             )
-            event = TraceEvent(
-                name=name,
-                vt=vt,
-                scope=scope.sid,
-                seq=seq,
-                span=span,
-                parent=parent,
-                probe=scope.probe,
-                attrs=attrs or {},
-                key=(stage_ord, lane if lane is not None else scope.lane, seq),
+            self._events.append(
+                TraceEvent(
+                    name, vt, scope.sid, seq, span, parent, scope.probe, attrs,
+                    (stage_ord, lane, seq),
+                )
             )
-            self._events.append(event)
-        return event
 
     def _flush_scope(self, scope: _Scope) -> None:
         """Batch a task scope's buffered events into the global list.
@@ -219,7 +274,7 @@ class Tracer:
 
     def _flush_local(self) -> None:
         """Flush the calling thread's open task scope, if any (read path)."""
-        scope = getattr(self._local, "scope", None)
+        scope = self._thread().scope
         if scope is not None:
             self._flush_scope(scope)
 
@@ -229,13 +284,16 @@ class Tracer:
         """Emit one event in the current scope (no-op when disabled)."""
         if not self.enabled:
             return
-        stack = self._span_stack()
+        state = self._thread()
+        spans = state.spans
         self._emit(
             name,
-            self._current_scope(),
-            vt=vt,
-            span=stack[-1] if stack else None,
-            attrs=attrs,
+            state.scope or self._stage or self._run_scope,
+            None,
+            vt,
+            spans[-1] if spans else None,
+            None,
+            attrs,
         )
 
     def span(self, name: str, **attrs):
@@ -258,7 +316,7 @@ class Tracer:
         scope = _Scope(f"s{ordinal}", ordinal, _LANE_BEGIN)
         self._stage = scope
         self._emit(
-            "stage.begin", scope, attrs=dict(attrs, stage=stage)
+            "stage.begin", scope, None, None, None, None, dict(attrs, stage=stage)
         )
         if self.sink is not None:
             self.sink.enter(scope.sid, "stage", stage, None)
@@ -271,7 +329,7 @@ class Tracer:
             return
         if self.sink is not None:
             self.sink.exit(scope.sid)
-        self._emit("stage.end", scope, lane=_LANE_END, attrs=attrs)
+        self._emit("stage.end", scope, _LANE_END, None, None, None, attrs)
         self._stage = None
 
     def begin_task(
@@ -294,8 +352,8 @@ class Tracer:
         stage_ord = stage.stage_ord if stage is not None else self._stages_begun
         sid = f"s{stage_ord}.t{index}" if stage is not None else f"t{index}"
         scope = _Scope(sid, stage_ord, index, probe, shared=False)
-        self._local.scope = scope
-        self._emit("task.begin", scope, vt=vt, attrs=attrs)
+        self._thread().scope = scope
+        self._emit("task.begin", scope, None, vt, None, None, attrs)
         if self.sink is not None:
             self.sink.enter(sid, "task", "task", probe)
 
@@ -303,13 +361,14 @@ class Tracer:
         """Emit ``task.end`` and fall back to the stage scope."""
         if not self.enabled:
             return
-        scope = getattr(self._local, "scope", None)
+        state = self._thread()
+        scope = state.scope
         if scope is not None:
             if self.sink is not None:
                 self.sink.exit(scope.sid)
-            self._emit("task.end", scope, vt=vt, attrs=attrs)
+            self._emit("task.end", scope, None, vt, None, None, attrs)
             self._flush_scope(scope)
-        self._local.scope = None
+        state.scope = None
 
     def drop_task(self) -> None:
         """Abandon the task scope without an event (exception unwind).
@@ -317,12 +376,13 @@ class Tracer:
         Events the task already emitted are kept (flushed), exactly as
         they were when emission wrote straight to the global list.
         """
-        scope = getattr(self._local, "scope", None)
+        state = self._thread()
+        scope = state.scope
         if scope is not None:
             if self.sink is not None:
                 self.sink.discard(scope.sid)
             self._flush_scope(scope)
-        self._local.scope = None
+        state.scope = None
 
     # -- checkpoint support ---------------------------------------------------
 
@@ -356,10 +416,7 @@ class Tracer:
         """Adopt events traced by an earlier process (a checkpoint segment).
 
         Each event keeps its canonical key, so ingested events sort
-        exactly where they did in the run that emitted them.  Chains
-        from older versions carry 4-element keys (a trailing emit
-        index); their (stage ordinal, lane, seq) prefix is unique, so
-        they sort correctly beside 3-element ones.
+        exactly where they did in the run that emitted them.
         """
         if not self.enabled or not events:
             return
@@ -395,28 +452,41 @@ class Tracer:
             return list(self._events)
 
     def canonical_events(self) -> List[TraceEvent]:
-        """Events in canonical order: stage ordinal, task index, sequence."""
-        return sorted(self.events(), key=lambda e: e.key)
+        """Events in canonical order: stage ordinal, task index, sequence.
+
+        A fresh list of the stored events themselves: consumers read
+        them (:class:`~repro.obs.analyze.TraceAnalysis` analyses this
+        list directly) and must not mutate an event's ``attrs``.
+        """
+        events = self.events()
+        events.sort(key=_BY_KEY)
+        return events
 
     def export_jsonl(self) -> str:
         """The canonical JSONL trace (byte-identical across runs of a seed)."""
-        return "\n".join(e.to_json() for e in self.canonical_events())
+        vt_cache: Dict[_dt.datetime, str] = {}
+        return "\n".join([render_event(e, vt_cache) for e in self.canonical_events()])
 
     def write_jsonl(self, path: str) -> int:
         """Write the canonical trace to ``path``; returns the event count.
 
         The count comes from the canonical snapshot (taken under
         ``_lock`` by :meth:`events`), never from an unlocked read of
-        ``_events``, so it always matches what was written.
+        ``_events``, so it always matches what was written.  Lines are
+        rendered and written :data:`_WRITE_CHUNK` events at a time.
         """
         events = self.canonical_events()
+        vt_cache: Dict[_dt.datetime, str] = {}
         with open(path, "w") as handle:
-            for event in events:
-                handle.write(event.to_json() + "\n")
+            for start in range(0, len(events), _WRITE_CHUNK):
+                chunk = events[start:start + _WRITE_CHUNK]
+                handle.write(
+                    "".join([render_event(e, vt_cache) + "\n" for e in chunk])
+                )
         return len(events)
 
     def clear(self) -> None:
-        scope = getattr(self._local, "scope", None)
+        scope = self._thread().scope
         if scope is not None:
             scope.buf = []
         with self._lock:
@@ -439,7 +509,8 @@ class _SpanContext:
         tracer = self._tracer
         if not tracer.enabled:
             return None
-        scope = tracer._current_scope()
+        state = tracer._thread()
+        scope = state.scope or tracer._stage or tracer._run_scope
         if scope.shared:
             with tracer._lock:
                 self._sid = f"{scope.sid}#{scope.spans}"
@@ -448,14 +519,11 @@ class _SpanContext:
             # Task scopes are single-threaded; no lock needed.
             self._sid = f"{scope.sid}#{scope.spans}"
             scope.spans += 1
-        stack = tracer._span_stack()
+        stack = state.spans
         self._parent = stack[-1] if stack else None
         tracer._emit(
-            f"{self._name}.begin",
-            scope,
-            span=self._sid,
-            parent=self._parent,
-            attrs=self._attrs,
+            f"{self._name}.begin", scope, None, None, self._sid, self._parent,
+            self._attrs,
         )
         stack.append(self._sid)
         if tracer.sink is not None:
@@ -468,12 +536,16 @@ class _SpanContext:
             return
         if tracer.sink is not None:
             tracer.sink.exit(self._sid)
-        stack = tracer._span_stack()
+        state = tracer._thread()
+        stack = state.spans
         if stack and stack[-1] == self._sid:
             stack.pop()
         tracer._emit(
             f"{self._name}.end",
-            tracer._current_scope(),
-            span=self._sid,
-            parent=self._parent,
+            state.scope or tracer._stage or tracer._run_scope,
+            None,
+            None,
+            self._sid,
+            self._parent,
+            None,
         )

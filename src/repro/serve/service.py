@@ -186,6 +186,13 @@ class ScanService:
             self._record(method, started, status)
             return status, body
 
+        if method == "patch_status_since":
+            since = payload.get("since", 0)
+            if since.__class__ is not int or since < 0:
+                return 400, {
+                    "error": f"'since' must be an integer >= 0, not {since!r}"
+                }
+
         release_key: Optional[str] = None
         if method in PROBE_METHODS:
             target = str(payload.get("target", ""))
@@ -254,10 +261,9 @@ class ScanService:
                 return 200, self.handle.probe(request).to_dict()
             if method == "spf_census_row":
                 return 200, self.handle.census_row(str(payload.get("target", "")))
-            # patch_status_since
-            since = int(payload.get("since", 0))
+            # patch_status_since (``since`` was checked at admission)
             return 200, self.handle.patch_status_since(
-                str(payload.get("target", "")), since
+                str(payload.get("target", "")), payload.get("since", 0)
             )
         except ReproError as error:
             # Domain-level refusals (unknown domain, initial sweep not

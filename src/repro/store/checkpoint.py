@@ -46,8 +46,9 @@ if TYPE_CHECKING:
     from ..core.campaign import InitialMeasurement, MeasurementRound
     from ..simulation import Simulation
 
-#: bump when the checkpoint payload shape changes incompatibly.
-CHECKPOINT_VERSION = 3
+#: bump when the checkpoint payload shape changes incompatibly (4: trace
+#: segments hold tuple :class:`~repro.obs.trace.TraceEvent` records).
+CHECKPOINT_VERSION = 4
 
 #: the keyed maps of a world snapshot; a delta stores, per map, the
 #: added or changed entries and the removed keys.  Every other world

@@ -46,17 +46,19 @@ class TestRecords:
         assert "\n".join(e.to_json() for e in events) == text
 
     def test_file_and_tracer_loads_agree(self, traced_sim, tmp_path):
+        """The live path reads tracer events, the file path parsed
+        records: both must give the same documents, byte for byte."""
         _, observation = traced_sim
         path = tmp_path / "trace.jsonl"
         count = observation.tracer.write_jsonl(str(path))
-        from_file = load_jsonl(str(path))
-        assert len(from_file) == count
-        analysis_file = TraceAnalysis(from_file)
+        assert path.read_text() == observation.tracer.export_jsonl() + "\n"
+        assert len(load_jsonl(str(path))) == count
+        analysis_file = TraceAnalysis.from_file(str(path))
         analysis_live = TraceAnalysis.from_tracer(observation.tracer)
-        assert len(analysis_file.events) == len(analysis_live.events)
-        assert [s.name for s in analysis_file.stages] == [
-            s.name for s in analysis_live.stages
-        ]
+        assert len(analysis_file.events) == len(analysis_live.events) == count
+        assert analysis_live.to_dict() == analysis_file.to_dict()
+        assert analysis_live.render_markdown() == analysis_file.render_markdown()
+        assert analysis_live.folded_stacks() == analysis_file.folded_stacks()
 
     def test_malformed_line_raises_with_line_number(self):
         from repro.obs.records import TraceFormatError

@@ -101,6 +101,14 @@ class TestTCPEndpoints:
             assert status["domain"] == domain
             assert isinstance(status["patched"], bool)
 
+    def test_malformed_since_is_400(self, tcp_server, domain):
+        with _client(tcp_server) as client:
+            status, body = client.request(
+                "patch_status_since", {"target": domain, "since": "abc"}
+            )
+            assert status == 400
+            assert "since" in body["error"]
+
     def test_run_status_get_and_post(self, tcp_server, handle):
         with _client(tcp_server) as client:
             body = client.run_status()

@@ -65,6 +65,25 @@ class TestAdmission:
                 status, body = service.submit(method, {})
                 assert status == 400
 
+    @pytest.mark.parametrize("since", ["abc", None, -2, 1.7, True, [1]])
+    def test_malformed_since_is_400_not_500(self, handle, domain, since):
+        with _service(handle) as service:
+            status, body = service.submit(
+                "patch_status_since", {"target": domain, "since": since}
+            )
+            assert status == 400
+            assert "since" in body["error"]
+            assert service.stats()["errors"] == 0
+
+    @pytest.mark.parametrize("payload", [{}, {"since": 0}, {"since": 3}])
+    def test_integer_since_is_accepted(self, handle, domain, payload):
+        with _service(handle) as service:
+            status, body = service.submit(
+                "patch_status_since", dict(payload, target=domain)
+            )
+            assert status == 200
+            assert body["since"] == payload.get("since", 0)
+
     def test_unknown_domain_is_404_not_500(self, handle):
         with _service(handle) as service:
             status, body = service.submit(

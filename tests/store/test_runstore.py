@@ -185,10 +185,10 @@ class TestStoreLayout:
         store, copy = _copy_store(aborted, tmp_path)
         path = copy / store.runs()[0] / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["checkpoint_version"] = 2
+        manifest["checkpoint_version"] = 3
         path.write_text(json.dumps(manifest))
         with pytest.raises(
-            StoreError, match=r"format version 2, .*reads only version 3; re-run"
+            StoreError, match=r"format version 3, .*reads only version 4; re-run"
         ):
             store.load_latest()
 

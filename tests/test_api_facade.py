@@ -128,6 +128,17 @@ class TestCensusAndPatch:
         assert isinstance(status["patched"], bool)
 
 
+    def test_negative_round_count_is_refused(self, handle):
+        handle.ensure_initial()
+        done = handle.status()["rounds_completed"]
+        with pytest.raises(SimulationError, match="must be >= 0"):
+            handle.advance_rounds(-1)
+        with pytest.raises(SimulationError, match="must be >= 0"):
+            handle.simulation.campaign.advance_rounds(-1)
+        assert handle.advance_rounds(0) == []
+        assert handle.status()["rounds_completed"] == done
+
+
 class TestModuleEntryPoints:
     def test_api_run_returns_campaign_result(self):
         result = api.run(api.RunConfig(scale=SCALE, seed=SEED))

@@ -118,6 +118,37 @@ class TestRunResumeCli:
         assert "Debian" not in captured.out
         assert "usage: python -m repro" in captured.err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--warm-rounds", "-1"),
+            ("--queue-depth", "0"),
+            ("--tenant-connections", "0"),
+            ("--loadtest", "0"),
+            ("--loadtest-threads", "0"),
+            ("--queue-depth", "many"),
+        ],
+    )
+    def test_serve_integer_flags_out_of_range_exit_2(self, flag, value, capsys):
+        # Checked at parse time: no world is built and no daemon starts.
+        from repro.cli.parser import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_serve_integer_flags_accept_their_minimum(self):
+        from repro.cli.parser import build_parser
+
+        args = build_parser().parse_args(
+            ["serve", "--warm-rounds", "0", "--queue-depth", "1",
+             "--tenant-connections", "1", "--loadtest", "1",
+             "--loadtest-threads", "1"]
+        )
+        assert (args.warm_rounds, args.queue_depth, args.tenant_connections,
+                args.loadtest, args.loadtest_threads) == (0, 1, 1, 1, 1)
+
     def test_abort_after_round_requires_store(self, capsys):
         assert main(["run", *self.BASE, "--abort-after-round", "1"]) == 2
         assert "requires --store" in capsys.readouterr().err
