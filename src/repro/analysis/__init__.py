@@ -2,7 +2,9 @@
 
 Every experiment in the paper's evaluation has a ``build_*`` function
 returning structured rows and a ``render_*`` function producing the
-paper's layout as text:
+paper's layout as text; :data:`ARTIFACTS` pairs them per artifact name,
+and :class:`BuiltArtifacts` builds each artifact of one run once, for
+the report to render and score:
 
 ========  =====================================================  =============
 artifact  what the paper reports                                 module
@@ -25,8 +27,10 @@ Figure 8  Alexa Top 1000 conclusive results over time            ``figure8``
 ========  =====================================================  =============
 """
 
+from dataclasses import dataclass
 from typing import Callable, Dict
 
+from ..simulation import Simulation
 from .table1 import build_table1, render_table1
 from .table2 import build_table2, render_table2
 from .table3 import build_table3, render_table3
@@ -43,38 +47,70 @@ from .figure7 import build_figure7, render_figure7
 from .figure8 import build_figure8, render_figure8
 from .notification_funnel import build_notification_funnel, render_notification_funnel
 
-#: Every regenerated artifact, in report order: name → renderer over a
-#: completed simulation.  The CLI's ``--artifact`` and the report's
-#: "Regenerated artifacts" section both read this one mapping.
-ARTIFACTS: Dict[str, Callable[[object], str]] = {
-    "table1": lambda sim: render_table1(build_table1(sim.population)),
-    "table2": lambda sim: render_table2(build_table2(sim.population)),
-    "table3": lambda sim: render_table3(
-        build_table3(sim.population, sim.run().initial)
+
+@dataclass(frozen=True)
+class Artifact:
+    """One regenerated artifact: its builder over a completed simulation
+    and the renderer of what the builder returns."""
+
+    build: Callable[[Simulation], object]
+    render: Callable[[object], str]
+
+    def __call__(self, sim: Simulation) -> str:
+        """Build and render in one step (what ``--artifact NAME`` prints)."""
+        return self.render(self.build(sim))
+
+
+#: Every regenerated artifact, in report order.  The CLI's ``--artifact``
+#: and the report's "Regenerated artifacts" section both read this one
+#: mapping; the report also scores the paper targets from what it built.
+ARTIFACTS: Dict[str, Artifact] = {
+    "table1": Artifact(lambda sim: build_table1(sim.population), render_table1),
+    "table2": Artifact(lambda sim: build_table2(sim.population), render_table2),
+    "table3": Artifact(
+        lambda sim: build_table3(sim.population, sim.run().initial), render_table3
     ),
-    "table4": lambda sim: render_table4(
-        build_table4(sim.population, sim.run().initial)
+    "table4": Artifact(
+        lambda sim: build_table4(sim.population, sim.run().initial), render_table4
     ),
-    "table5": lambda sim: render_table5(build_table5(sim)),
-    "table6": lambda sim: render_table6(build_table6()),
-    "table7": lambda sim: render_table7(build_table7(sim.run().initial)),
-    "figure2": lambda sim: render_figure2(build_figure2(sim)),
-    "figure3": lambda sim: render_figure3(build_figure3(sim)),
-    "figure4": lambda sim: render_figure4(build_figure4(sim)),
-    "figure5": lambda sim: render_figure5(build_figure5(sim)),
-    "figure6": lambda sim: render_figure6(build_figure6(sim)),
-    "figure7": lambda sim: render_figure7(build_figure7(sim)),
-    "figure8": lambda sim: render_figure8(build_figure8(sim)),
-    "notification": lambda sim: render_notification_funnel(
-        build_notification_funnel(sim)
+    "table5": Artifact(lambda sim: build_table5(sim), render_table5),
+    "table6": Artifact(lambda sim: build_table6(), render_table6),
+    "table7": Artifact(lambda sim: build_table7(sim.run().initial), render_table7),
+    "figure2": Artifact(lambda sim: build_figure2(sim), render_figure2),
+    "figure3": Artifact(lambda sim: build_figure3(sim), render_figure3),
+    "figure4": Artifact(lambda sim: build_figure4(sim), render_figure4),
+    "figure5": Artifact(lambda sim: build_figure5(sim), render_figure5),
+    "figure6": Artifact(lambda sim: build_figure6(sim), render_figure6),
+    "figure7": Artifact(lambda sim: build_figure7(sim), render_figure7),
+    "figure8": Artifact(lambda sim: build_figure8(sim), render_figure8),
+    "notification": Artifact(
+        lambda sim: build_notification_funnel(sim), render_notification_funnel
     ),
 }
+
+
+class BuiltArtifacts:
+    """The artifacts of one completed run, each built on first use and kept.
+
+    ``built[name]`` is what ``ARTIFACTS[name].build`` returned; ``sim``
+    is the run they were built from.
+    """
+
+    def __init__(self, sim: Simulation) -> None:
+        self.sim = sim
+        self._built: Dict[str, object] = {}
+
+    def __getitem__(self, name: str) -> object:
+        if name not in self._built:
+            self._built[name] = ARTIFACTS[name].build(self.sim)
+        return self._built[name]
+
 
 #: The artifact names, in report order.
 ARTIFACT_NAMES = tuple(ARTIFACTS)
 
 __all__ = [
-    "ARTIFACTS", "ARTIFACT_NAMES",
+    "ARTIFACTS", "ARTIFACT_NAMES", "Artifact", "BuiltArtifacts",
     "build_table1", "render_table1",
     "build_table2", "render_table2",
     "build_table3", "render_table3",

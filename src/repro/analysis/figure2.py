@@ -15,7 +15,7 @@ from ..core.campaign import DomainStatus
 from ..internet.population import DomainSet
 from ..simulation import Simulation
 from .formatting import pct, render_table
-from .status import final_domain_status
+from .status import final_domain_status, vulnerable_in_set
 
 _GROUPS: Tuple[Tuple[str, Optional[DomainSet]], ...] = (
     ("All domains", None),
@@ -43,13 +43,11 @@ def build_figure2(sim: Simulation) -> List[Figure2Row]:
     status = final_domain_status(sim)
     rows: List[Figure2Row] = []
     for group_name, domain_set in _GROUPS:
-        names = [
-            name
-            for name in result.initial.vulnerable_domains()
+        names = (
+            result.initial.vulnerable_domains()
             if domain_set is None
-            or (sim.population.get(name) is not None
-                and sim.population.get(name).in_set(domain_set))
-        ]
+            else vulnerable_in_set(sim, domain_set)
+        )
         patched = sum(1 for n in names if status.get(n) == DomainStatus.PATCHED)
         vulnerable = sum(1 for n in names if status.get(n) == DomainStatus.VULNERABLE)
         rows.append(

@@ -18,6 +18,7 @@ from ..core.inference import InferenceEngine, RoundSummary
 from ..internet.population import DomainSet
 from ..simulation import Simulation
 from .formatting import render_table
+from .status import vulnerable_in_set
 
 _SETS: Tuple[Tuple[str, DomainSet], ...] = (
     ("Alexa Top List", DomainSet.ALEXA_TOP_LIST),
@@ -46,17 +47,9 @@ def _series_for(
     engine: InferenceEngine,
     cutoff: Optional[_dt.datetime],
 ) -> List[VulnerabilitySeries]:
-    result = sim.run()
-    vulnerable = result.initial.vulnerable_domains()
     out: List[VulnerabilitySeries] = []
     for group_name, domain_set in _SETS:
-        names = [
-            name
-            for name in vulnerable
-            if sim.population.get(name) is not None
-            and sim.population.get(name).in_set(domain_set)
-        ]
-        summaries = engine.round_summaries_domains(names)
+        summaries = engine.round_summaries_domains(vulnerable_in_set(sim, domain_set))
         if cutoff is not None:
             summaries = [s for s in summaries if s.date <= cutoff]
         out.append(VulnerabilitySeries(group=group_name, points=summaries))

@@ -17,6 +17,7 @@ from ..core.inference import RoundSummary
 from ..internet.population import DomainSet
 from ..simulation import Simulation
 from .formatting import render_table
+from .status import vulnerable_in_set
 
 
 @dataclass
@@ -31,12 +32,7 @@ class Figure8:
 def build_figure8(sim: Simulation) -> Figure8:
     result = sim.run()
     engine = sim.inference()
-    names = [
-        name
-        for name in result.initial.vulnerable_domains()
-        if sim.population.get(name) is not None
-        and sim.population.get(name).in_set(DomainSet.ALEXA_1000)
-    ]
+    names = vulnerable_in_set(sim, DomainSet.ALEXA_1000)
     series = engine.round_summaries_domains(names)
     snapshot = {name: result.snapshot_status.get(name) for name in names}
     return Figure8(

@@ -11,13 +11,11 @@ whose notification bounced, 37 still patched before public disclosure
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Optional
 
 from ..clock import PUBLIC_DISCLOSURE
-from ..core.campaign import DomainStatus
 from ..simulation import Simulation
 from .formatting import pct, render_table
-from .status import final_domain_status
 
 
 @dataclass
@@ -37,22 +35,27 @@ def build_notification_funnel(sim: Simulation) -> Optional[NotificationFunnel]:
     if report is None:
         return None
 
-    plans = {plan.unit_id: plan for plan in sim.patch_model.plans()}
+    opened_units = report.opened_unit_ids()
+    bounced_units = report.bounced_unit_ids()
+    # Only the notified units' plans are read, never the whole fleet's:
+    # a plan is a pure function of its unit (a unit that is not
+    # vulnerable never patches), and plan_for returns the plan a
+    # notification rewrote.
+    plans = {
+        unit_id: sim.patch_model.plan_for(sim.fleet.unit_at(unit_id))
+        for unit_id in (*opened_units, *bounced_units)
+    }
 
     def patched_eventually(unit_id: int) -> bool:
-        plan = plans.get(unit_id)
-        return plan is not None and plan.patches
+        return plans[unit_id].patches
 
     def patched_before_disclosure(unit_id: int) -> bool:
-        plan = plans.get(unit_id)
+        plan = plans[unit_id]
         return (
-            plan is not None
-            and plan.patch_date is not None
+            plan.patch_date is not None
             and report.sent_at <= plan.patch_date < PUBLIC_DISCLOSURE
         )
 
-    opened_units = report.opened_unit_ids()
-    bounced_units = report.bounced_unit_ids()
     return NotificationFunnel(
         sent=report.sent,
         bounced=report.bounced,

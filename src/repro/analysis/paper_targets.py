@@ -3,8 +3,9 @@
 Each target carries the value the paper reports, the tolerance band a
 simulated reproduction is expected to land in (the substrate is a
 simulator, so *shape* is the contract, not digits), and where in the
-paper it comes from.  The report generator checks a run against every
-target.
+paper it comes from.  A target measures a run through the artifacts
+built from it (:class:`repro.analysis.BuiltArtifacts`), so the report
+scores every claim from the same tables and figures it prints.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..simulation import Simulation
+from . import BuiltArtifacts
 
 
 @dataclass(frozen=True)
@@ -24,11 +26,11 @@ class PaperTarget:
     paper_value: float
     band: Tuple[float, float]  # acceptable simulated range
     source: str  # table/figure/section
-    #: Extracts the measured value from a completed simulation.
-    measure: Callable[[Simulation], Optional[float]]
+    #: Extracts the measured value from a completed run's artifacts.
+    measure: Callable[[BuiltArtifacts], Optional[float]]
 
-    def evaluate(self, sim: Simulation) -> "TargetResult":
-        measured = self.measure(sim)
+    def evaluate(self, built: BuiltArtifacts) -> "TargetResult":
+        measured = self.measure(built)
         if measured is None:
             return TargetResult(self, None, False)
         low, high = self.band
@@ -42,89 +44,67 @@ class TargetResult:
     within_band: bool
 
 
-def _table4(sim: Simulation):
-    from .table4 import build_table4
-
-    result = sim.run()
-    return build_table4(sim.population, result.initial)
-
-
-def _vulnerable_ip_share(sim: Simulation) -> Optional[float]:
-    combined = _table4(sim)[-1]
+def _vulnerable_ip_share(built: BuiltArtifacts) -> Optional[float]:
+    combined = built["table4"][-1]
     if not combined.ips_measured:
         return None
     return combined.ips_vulnerable / combined.ips_measured
 
 
-def _erroneous_ip_share(sim: Simulation) -> Optional[float]:
-    combined = _table4(sim)[-1]
+def _erroneous_ip_share(built: BuiltArtifacts) -> Optional[float]:
+    combined = built["table4"][-1]
     if not combined.ips_measured:
         return None
     return (combined.ips_vulnerable + combined.ips_erroneous) / combined.ips_measured
 
 
-def _vulnerable_domain_share(sim: Simulation) -> Optional[float]:
-    alexa = _table4(sim)[0]
+def _vulnerable_domain_share(built: BuiltArtifacts) -> Optional[float]:
+    alexa = built["table4"][0]
     if not alexa.domains_measured:
         return None
     return alexa.domains_vulnerable / alexa.domains_measured
 
 
-def _measured_ip_share_alexa(sim: Simulation) -> Optional[float]:
-    from .table3 import build_table3
-
-    result = sim.run()
-    alexa = build_table3(sim.population, result.initial)[0]
+def _measured_ip_share_alexa(built: BuiltArtifacts) -> Optional[float]:
+    alexa = built["table3"][0]
     return alexa.addresses.total_measured / alexa.addresses.total
 
 
-def _measured_domain_share_alexa(sim: Simulation) -> Optional[float]:
-    from .table3 import build_table3
-
-    result = sim.run()
-    alexa = build_table3(sim.population, result.initial)[0]
+def _measured_domain_share_alexa(built: BuiltArtifacts) -> Optional[float]:
+    alexa = built["table3"][0]
     return alexa.domains.total_measured / alexa.domains.total
 
 
-def _refused_ip_share_alexa(sim: Simulation) -> Optional[float]:
-    from .table3 import build_table3
-
-    result = sim.run()
-    alexa = build_table3(sim.population, result.initial)[0]
+def _refused_ip_share_alexa(built: BuiltArtifacts) -> Optional[float]:
+    alexa = built["table3"][0]
     return alexa.addresses.refused / alexa.addresses.total
 
 
-def _still_vulnerable(sim: Simulation) -> Optional[float]:
-    from .figure7 import build_figure7
-
-    return build_figure7(sim).final_vulnerable_fraction()
+def _still_vulnerable(built: BuiltArtifacts) -> Optional[float]:
+    return built["figure7"].final_vulnerable_fraction()
 
 
-def _patched_domain_share(sim: Simulation) -> Optional[float]:
-    from .figure2 import build_figure2
-
-    rows = build_figure2(sim)
+def _patched_domain_share(built: BuiltArtifacts) -> Optional[float]:
+    rows = built["figure2"]
     return rows[0].patched_fraction if rows[0].total else None
 
 
-def _bounce_rate(sim: Simulation) -> Optional[float]:
-    report = sim.notification_report
+def _bounce_rate(built: BuiltArtifacts) -> Optional[float]:
+    report = built.sim.notification_report
     if report is None or not report.sent:
         return None
     return report.bounced / report.sent
 
 
-def _open_rate(sim: Simulation) -> Optional[float]:
-    report = sim.notification_report
+def _open_rate(built: BuiltArtifacts) -> Optional[float]:
+    report = built.sim.notification_report
     if report is None or not report.delivered:
         return None
     return report.opened / report.delivered
 
 
-def _multi_pattern_share(sim: Simulation) -> Optional[float]:
-    from .table7 import build_table7
-
-    table = build_table7(sim.run().initial)
+def _multi_pattern_share(built: BuiltArtifacts) -> Optional[float]:
+    table = built["table7"]
     if not table.total_measured:
         return None
     return table.multiple_patterns / table.total_measured
@@ -222,6 +202,11 @@ PAPER_TARGETS: List[PaperTarget] = [
 ]
 
 
+def score_targets(built: BuiltArtifacts) -> List[TargetResult]:
+    """Check every encoded paper claim against one run's built artifacts."""
+    return [target.evaluate(built) for target in PAPER_TARGETS]
+
+
 def evaluate_targets(sim: Simulation) -> List[TargetResult]:
     """Check every encoded paper claim against a completed run."""
-    return [target.evaluate(sim) for target in PAPER_TARGETS]
+    return score_targets(BuiltArtifacts(sim))

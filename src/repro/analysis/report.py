@@ -2,7 +2,9 @@
 
 ``generate_report(sim)`` produces the document that EXPERIMENTS.md is
 built from: a paper-target scorecard followed by every regenerated table
-and figure, plus run provenance (scale, seed, population sizes).
+and figure, plus run provenance (scale, seed, population sizes).  Each
+artifact is built once; the scorecard reads the same objects the
+"Regenerated artifacts" section renders.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ import io
 from typing import List
 
 from ..simulation import Simulation
-from . import ARTIFACTS
-from .paper_targets import TargetResult, evaluate_targets
+from . import ARTIFACTS, BuiltArtifacts
+from .paper_targets import TargetResult, evaluate_targets, score_targets
 
 
 def _scorecard(results: List[TargetResult]) -> str:
@@ -35,6 +37,7 @@ def _scorecard(results: List[TargetResult]) -> str:
 def generate_report(sim: Simulation, *, title: str = "SPFail reproduction report") -> str:
     """The full markdown report for one completed run."""
     result = sim.run()
+    built = BuiltArtifacts(sim)
     out = io.StringIO()
     write = lambda *parts: print(*parts, file=out)
 
@@ -63,8 +66,7 @@ def generate_report(sim: Simulation, *, title: str = "SPFail reproduction report
     write()
     write("## Paper-target scorecard")
     write()
-    results = evaluate_targets(sim)
-    write(_scorecard(results))
+    write(_scorecard(score_targets(built)))
     write()
     write("## Probe-execution metrics")
     write()
@@ -124,7 +126,9 @@ def generate_report(sim: Simulation, *, title: str = "SPFail reproduction report
     write()
     write(
         "Deterministic access counters from the lazy world — a pure "
-        "function of the probe pattern, so they are identical with or "
+        "function of the probe pattern and, for the `population.*` rows, "
+        "of the report's own reads of the population table so far (the "
+        "scorecard's tables scan it once), so they are identical with or "
         "without `--perf` (wall-clock telemetry lives in the perf "
         "sideband, never here)."
     )
@@ -140,9 +144,9 @@ def generate_report(sim: Simulation, *, title: str = "SPFail reproduction report
 
     write("## Regenerated artifacts")
     write()
-    for render in ARTIFACTS.values():
+    for name, artifact in ARTIFACTS.items():
         write("```")
-        write(render(sim))
+        write(artifact.render(built[name]))
         write("```")
         write()
     return out.getvalue()

@@ -7,12 +7,21 @@ re-resolved MX records — settles domains the longitudinal series lost.
 
 from __future__ import annotations
 
-import datetime as _dt
 from typing import Dict, List, Optional
 
 from ..core.campaign import DomainStatus
-from ..core.inference import InferenceEngine, InferredStatus
+from ..core.inference import InferredStatus
+from ..internet.population import DomainSet
 from ..simulation import Simulation
+
+
+def vulnerable_in_set(sim: Simulation, domain_set: DomainSet) -> List[str]:
+    """The initially vulnerable domains that belong to ``domain_set``, in
+    ``InitialMeasurement.vulnerable_domains()`` order."""
+    members = set(sim.population.names_in_set(domain_set))
+    return [
+        name for name in sim.inference().domain_vulnerable_ips if name in members
+    ]
 
 
 def final_domain_status(sim: Simulation) -> Dict[str, DomainStatus]:

@@ -139,7 +139,7 @@ def build_table3(
 ) -> List[Table3Column]:
     columns: List[Table3Column] = []
     for group_name, domain_set in _GROUPS:
-        names = [d.name for d in population.in_set(domain_set)]
+        names = population.names_in_set(domain_set)
         ip_set: List[str] = []
         seen: Set[str] = set()
         for name in names:

@@ -36,15 +36,11 @@ class Table4Row:
     domains_vulnerable: int
 
 
-def _group_ips(
-    population: DomainPopulation,
-    initial: InitialMeasurement,
-    domain_set: DomainSet,
-) -> List[str]:
+def _group_ips(initial: InitialMeasurement, names: Sequence[str]) -> List[str]:
     ips: List[str] = []
     seen: Set[str] = set()
-    for domain in population.in_set(domain_set):
-        for ip in initial.domain_ips.get(domain.name, []):
+    for name in names:
+        for ip in initial.domain_ips.get(name, []):
             if ip not in seen:
                 seen.add(ip)
                 ips.append(ip)
@@ -57,7 +53,8 @@ def build_table4(
     rows: List[Table4Row] = []
     groups = list(_GROUPS) + [("Combined", DomainSet.ALEXA_TOP_LIST | DomainSet.TWO_WEEK_MX)]
     for group_name, domain_set in groups:
-        ips = _group_ips(population, initial, domain_set)
+        names = population.names_in_set(domain_set)
+        ips = _group_ips(initial, names)
         measured = [
             ip for ip in ips if initial.ip_records[ip].outcome.spf_measured
         ]
@@ -71,7 +68,6 @@ def build_table4(
             for ip in measured
             if initial.ip_records[ip].outcome == DetectionOutcome.ERRONEOUS
         ]
-        names = [d.name for d in population.in_set(domain_set)]
         domains_measured = sum(
             1
             for name in names

@@ -12,14 +12,20 @@ assumption that MTAs do not regress after patching:
 Rounds where neither measurement nor inference applies are inconclusive.
 Domain-level status aggregates over the domain's initially vulnerable
 addresses: vulnerable while any is vulnerable, patched when all are.
+
+An engine answers each (address, date) and (domain, date) query once:
+the first query at a date fills that date's row for every tracked
+address or domain, and every later query and round summary reads it.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .campaign import InitialMeasurement, MeasurementRound
 from .detector import DetectionOutcome
@@ -37,6 +43,25 @@ class Provenance(enum.Enum):
     NONE = "none"
 
 
+#: Every (status, provenance) answer a query can give; an engine's rows
+#: hold the index into this tuple.
+_ANSWERS: Tuple[Tuple[InferredStatus, Provenance], ...] = (
+    (InferredStatus.VULNERABLE, Provenance.MEASURED),
+    (InferredStatus.VULNERABLE, Provenance.INFERRED),
+    (InferredStatus.PATCHED, Provenance.MEASURED),
+    (InferredStatus.PATCHED, Provenance.INFERRED),
+    (InferredStatus.INCONCLUSIVE, Provenance.NONE),
+)
+_ANSWER_CODE = {answer: code for code, answer in enumerate(_ANSWERS)}
+(
+    _VULNERABLE_MEASURED,
+    _VULNERABLE_INFERRED,
+    _PATCHED_MEASURED,
+    _PATCHED_INFERRED,
+    _INCONCLUSIVE,
+) = range(len(_ANSWERS))
+
+
 @dataclass
 class IpTimeline:
     """One address's observation history and inference bounds."""
@@ -45,9 +70,18 @@ class IpTimeline:
     observations: List[Tuple[_dt.datetime, DetectionOutcome]] = field(default_factory=list)
     last_vulnerable: Optional[_dt.datetime] = None
     first_patched: Optional[_dt.datetime] = None
+    #: date → the first outcome observed at it (what :meth:`status_at` reads).
+    _measured: Dict[_dt.datetime, DetectionOutcome] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for date, outcome in self.observations:
+            self._measured.setdefault(date, outcome)
 
     def observe(self, date: _dt.datetime, outcome: DetectionOutcome) -> None:
         self.observations.append((date, outcome))
+        self._measured.setdefault(date, outcome)
         if outcome == DetectionOutcome.VULNERABLE:
             if self.last_vulnerable is None or date > self.last_vulnerable:
                 self.last_vulnerable = date
@@ -57,9 +91,7 @@ class IpTimeline:
 
     def status_at(self, date: _dt.datetime) -> Tuple[InferredStatus, Provenance]:
         """Status and how we know it, at one instant."""
-        measured = next(
-            (outcome for d, outcome in self.observations if d == date), None
-        )
+        measured = self._measured.get(date)
         if measured is not None and measured.spf_measured:
             status = (
                 InferredStatus.VULNERABLE
@@ -126,40 +158,52 @@ class InferenceEngine:
             self.domain_vulnerable_ips[name] = [
                 ip for ip in initial.domain_ips.get(name, []) if ip in vulnerable_ip_set
             ]
+        #: date → answer code per tracked address / initially vulnerable domain.
+        self._ip_rows: Dict[_dt.datetime, Dict[str, int]] = {}
+        self._domain_rows: Dict[_dt.datetime, Dict[str, int]] = {}
+
+    # -- status rows ----------------------------------------------------------------
+
+    def _ip_row(self, date: _dt.datetime) -> Dict[str, int]:
+        """Every tracked address's answer code at ``date``."""
+        row = self._ip_rows.get(date)
+        if row is None:
+            row = self._ip_rows[date] = {
+                ip: _ANSWER_CODE[timeline.status_at(date)]
+                for ip, timeline in self.timelines.items()
+            }
+        return row
+
+    def _domain_row(self, date: _dt.datetime) -> Dict[str, int]:
+        """Every initially vulnerable domain's answer code at ``date``."""
+        row = self._domain_rows.get(date)
+        if row is None:
+            ip_row = self._ip_row(date)
+            row = self._domain_rows[date] = {}
+            for name, ips in self.domain_vulnerable_ips.items():
+                codes = [ip_row[ip] for ip in ips]
+                if _VULNERABLE_MEASURED in codes:
+                    code = _VULNERABLE_MEASURED
+                elif _VULNERABLE_INFERRED in codes:
+                    code = _VULNERABLE_INFERRED
+                elif not codes or _INCONCLUSIVE in codes:
+                    code = _INCONCLUSIVE
+                elif _PATCHED_INFERRED in codes:
+                    code = _PATCHED_INFERRED
+                else:
+                    code = _PATCHED_MEASURED
+                row[name] = code
+        return row
 
     # -- status queries ---------------------------------------------------------
 
     def ip_status(self, ip: str, date: _dt.datetime) -> Tuple[InferredStatus, Provenance]:
-        timeline = self.timelines.get(ip)
-        if timeline is None:
-            return InferredStatus.INCONCLUSIVE, Provenance.NONE
-        return timeline.status_at(date)
+        return _ANSWERS[self._ip_row(date).get(ip, _INCONCLUSIVE)]
 
     def domain_status(self, name: str, date: _dt.datetime) -> Tuple[InferredStatus, Provenance]:
         """Vulnerable while any initially vulnerable IP is; patched when
         all are; inconclusive otherwise."""
-        ips = self.domain_vulnerable_ips.get(name, [])
-        if not ips:
-            return InferredStatus.INCONCLUSIVE, Provenance.NONE
-        statuses = [self.ip_status(ip, date) for ip in ips]
-        if any(s == InferredStatus.VULNERABLE for s, _ in statuses):
-            provenance = (
-                Provenance.MEASURED
-                if any(
-                    s == InferredStatus.VULNERABLE and p == Provenance.MEASURED
-                    for s, p in statuses
-                )
-                else Provenance.INFERRED
-            )
-            return InferredStatus.VULNERABLE, provenance
-        if all(s == InferredStatus.PATCHED for s, _ in statuses):
-            provenance = (
-                Provenance.MEASURED
-                if all(p == Provenance.MEASURED for _, p in statuses)
-                else Provenance.INFERRED
-            )
-            return InferredStatus.PATCHED, provenance
-        return InferredStatus.INCONCLUSIVE, Provenance.NONE
+        return _ANSWERS[self._domain_row(date).get(name, _INCONCLUSIVE)]
 
     # -- aggregation ----------------------------------------------------------------
 
@@ -167,7 +211,7 @@ class InferenceEngine:
         return [
             self._summarize(
                 round_.date,
-                (self.ip_status(ip, round_.date) for ip in self.timelines),
+                Counter(self._ip_row(round_.date).values()),
                 len(self.timelines),
             )
             for round_ in self.rounds
@@ -177,39 +221,28 @@ class InferenceEngine:
         self, names: Optional[Iterable[str]] = None
     ) -> List[RoundSummary]:
         domain_names = list(names) if names is not None else list(self.domain_vulnerable_ips)
-        return [
-            self._summarize(
-                round_.date,
-                (self.domain_status(name, round_.date) for name in domain_names),
-                len(domain_names),
-            )
-            for round_ in self.rounds
-        ]
+        summaries = []
+        for round_ in self.rounds:
+            row = self._domain_row(round_.date)
+            codes = Counter(map(row.get, domain_names, repeat(_INCONCLUSIVE)))
+            summaries.append(self._summarize(round_.date, codes, len(domain_names)))
+        return summaries
 
     @staticmethod
     def _summarize(
-        date: _dt.datetime,
-        statuses: Iterable[Tuple[InferredStatus, Provenance]],
-        total: int,
+        date: _dt.datetime, codes: Dict[int, int], total: int
     ) -> RoundSummary:
-        measured = inferred = inconclusive = vulnerable = patched = 0
-        for status, provenance in statuses:
-            if provenance == Provenance.MEASURED:
-                measured += 1
-            elif provenance == Provenance.INFERRED:
-                inferred += 1
-            else:
-                inconclusive += 1
-            if status == InferredStatus.VULNERABLE:
-                vulnerable += 1
-            elif status == InferredStatus.PATCHED:
-                patched += 1
+        """One round's counts from how many items got each answer code."""
+        vulnerable_measured = codes.get(_VULNERABLE_MEASURED, 0)
+        vulnerable_inferred = codes.get(_VULNERABLE_INFERRED, 0)
+        patched_measured = codes.get(_PATCHED_MEASURED, 0)
+        patched_inferred = codes.get(_PATCHED_INFERRED, 0)
         return RoundSummary(
             date=date,
             total=total,
-            measured=measured,
-            inferred=inferred,
-            inconclusive=inconclusive,
-            vulnerable=vulnerable,
-            patched=patched,
+            measured=vulnerable_measured + patched_measured,
+            inferred=vulnerable_inferred + patched_inferred,
+            inconclusive=codes.get(_INCONCLUSIVE, 0),
+            vulnerable=vulnerable_measured + vulnerable_inferred,
+            patched=patched_measured + patched_inferred,
         )

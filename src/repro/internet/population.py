@@ -41,7 +41,7 @@ import weakref
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .rng import SeededRng
 from .tld import ALEXA_TLD_WEIGHTS, ALEXA_TOTAL, TWO_WEEK_TLD_WEIGHTS, TWO_WEEK_TOTAL
@@ -295,8 +295,13 @@ class DomainTable:
         tld_idx = array("H")
         flags = array("B")
         mx = array("L")
+        memo = self._row_memo
         for index in range(lo, hi):
-            name, tld, flag_bits, count = self._generate_row(index)
+            # Rows a scattered read already generated are not drawn again.
+            row = memo.get(index)
+            if row is None:
+                row = self._generate_row(index)
+            name, tld, flag_bits, count = row
             names.append(name)
             tld_idx.append(self._tld_index[tld])
             flags.append(flag_bits)
@@ -350,7 +355,9 @@ class DomainTable:
         functions of ``(seed, index)``, and scattered access (a hosting
         unit's permuted domain list, a snapshot restore) must not pay
         for — or thrash the cache of — 4096 neighbors per lookup.  Whole
-        chunks are generated only by the sequential scans.
+        chunks are generated only by the population's set-statistics
+        scan, which takes rows memoized here instead of drawing them
+        again; iterating ``population.domains`` reads row by row.
         """
         if not 0 <= index < self.total:
             raise IndexError(index)
@@ -415,6 +422,14 @@ class DomainTable:
         }
 
 
+class _Columns(NamedTuple):
+    """The whole table's set bits, TLD indices and names, in row order."""
+
+    flags: array
+    tld_idx: array
+    names: List[str]
+
+
 class _DomainSequence:
     """A list-like lazy view over a population's domains."""
 
@@ -460,8 +475,12 @@ class DomainPopulation:
 
     Set statistics (:meth:`set_size`, :meth:`overlap`,
     :meth:`tld_counts`) are closed-form where the generation scheme pins
-    them and cached otherwise — the Table 1/2 report builders call them
-    repeatedly per report.
+    them and cached otherwise.  Everything that is not closed-form —
+    set members (:meth:`in_set`, :meth:`names_in_set`), TLD histograms,
+    open overlaps — reads one scan of the table, taken on first use and
+    kept with the other statistics as flat columns and row indices
+    (never as :class:`Domain` views), so a report scans the world once
+    however many tables and figures ask for a set.
     """
 
     def __init__(self, config: Optional[PopulationConfig] = None) -> None:
@@ -517,18 +536,48 @@ class DomainPopulation:
 
     # -- set statistics -------------------------------------------------------
 
+    def _columns(self) -> "_Columns":
+        """Every row's set bits, TLD and name, from one scan of the table."""
+        columns = self._stats.get(("columns",))
+        if columns is None:
+            table = self.table
+            flags = array("B")
+            tld_idx = array("H")
+            names: List[str] = []
+            for chunk_index in range(table.chunk_count):
+                chunk = table.chunk(chunk_index)
+                flags.extend(chunk.flags)
+                tld_idx.extend(chunk.tld_idx)
+                names.extend(chunk.names)
+            columns = self._stats[("columns",)] = _Columns(flags, tld_idx, names)
+        return columns  # type: ignore[return-value]
+
+    def _member_rows(self, domain_set: DomainSet) -> array:
+        """Ascending row indices of every member of ``domain_set``."""
+        key = ("rows", domain_set.value)
+        rows = self._stats.get(key)
+        if rows is None:
+            mask = domain_set.value
+            rows = self._stats[key] = array(
+                "I",
+                [
+                    index
+                    for index, flag_bits in enumerate(self._columns().flags)
+                    if flag_bits & mask
+                ],
+            )
+        return rows  # type: ignore[return-value]
+
     def in_set(self, domain_set: DomainSet) -> List[Domain]:
-        """Materialized views for every member of ``domain_set``."""
-        mask = domain_set.value
-        table = self.table
-        out: List[Domain] = []
-        for chunk_index in range(table.chunk_count):
-            chunk = table.chunk(chunk_index)
-            base = chunk_index * CHUNK_ROWS
-            for offset, flag_bits in enumerate(chunk.flags):
-                if flag_bits & mask:
-                    out.append(self.domain_at(base + offset))
-        return out
+        """Materialized views for every member of ``domain_set``, in row
+        order."""
+        return [self.domain_at(index) for index in self._member_rows(domain_set)]
+
+    def names_in_set(self, domain_set: DomainSet) -> List[str]:
+        """The names of every member of ``domain_set``, in row order (no
+        :class:`Domain` views)."""
+        names = self._columns().names
+        return [names[index] for index in self._member_rows(domain_set)]
 
     def set_size(self, domain_set: DomainSet) -> int:
         table = self.table
@@ -540,15 +589,7 @@ class DomainPopulation:
             return table.n_two_week
         if domain_set == DomainSet.TOP_EMAIL_PROVIDERS:
             return table.n_providers
-        key = ("size", domain_set.value)
-        if key not in self._stats:
-            self._stats[key] = sum(
-                1
-                for chunk_index in range(table.chunk_count)
-                for flag_bits in table.chunk(chunk_index).flags
-                if flag_bits & domain_set.value
-            )
-        return self._stats[key]  # type: ignore[return-value]
+        return len(self._member_rows(domain_set))
 
     def overlap(self, first: DomainSet, second: DomainSet) -> int:
         """Number of domains in both sets (Table 1 cells)."""
@@ -559,11 +600,9 @@ class DomainPopulation:
             return closed
         key = ("overlap", frozenset((first.value, second.value)))
         if key not in self._stats:
-            table = self.table
             self._stats[key] = sum(
                 1
-                for chunk_index in range(table.chunk_count)
-                for flag_bits in table.chunk(chunk_index).flags
+                for flag_bits in self._columns().flags
                 if flag_bits & first.value and flag_bits & second.value
             )
         return self._stats[key]  # type: ignore[return-value]
@@ -592,15 +631,12 @@ class DomainPopulation:
         key = ("tld", domain_set.value)
         cached = self._stats.get(key)
         if cached is None:
-            table = self.table
-            mask = domain_set.value
+            tlds = self.table.tlds
+            tld_idx = self._columns().tld_idx
             counts: Dict[str, int] = {}
-            for chunk_index in range(table.chunk_count):
-                chunk = table.chunk(chunk_index)
-                for flag_bits, tld_index in zip(chunk.flags, chunk.tld_idx):
-                    if flag_bits & mask:
-                        tld = table.tlds[tld_index]
-                        counts[tld] = counts.get(tld, 0) + 1
+            for index in self._member_rows(domain_set):
+                tld = tlds[tld_idx[index]]
+                counts[tld] = counts.get(tld, 0) + 1
             self._stats[key] = cached = counts
         return dict(cached)  # callers may mutate their copy
 

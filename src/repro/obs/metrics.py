@@ -25,9 +25,13 @@ def exact_percentile(samples: Sequence[float], q: float) -> float:
     ``q`` is a fraction in [0, 1]: the value at rank ``ceil(q * n)``
     (at least 1) of the sorted samples.
     """
-    if not samples:
+    return sorted_percentile(sorted(samples), q)
+
+
+def sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """:func:`exact_percentile` of samples already in ascending order."""
+    if not ordered:
         raise ValueError("percentile of an empty sample set")
-    ordered = sorted(samples)
     rank = max(1, min(len(ordered), int(-(-q * len(ordered) // 1))))
     return ordered[rank - 1]
 

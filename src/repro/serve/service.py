@@ -25,16 +25,19 @@ a request-serving engine.  The design splits into three small pieces:
   so health checks stay responsive under load.
 
 - **Accounting.**  Every request records its wall-clock latency and
-  outcome.  Exact percentiles are computed from the retained samples
-  (:func:`repro.obs.metrics.exact_percentile`, the definition
-  :class:`~repro.obs.metrics.Histogram` uses too), surfaced through :meth:`stats` / ``run_status``, mirrored
-  into the handle's observation metrics registry when one is attached,
-  and rolled into performance-ledger records by
-  :mod:`repro.serve.loadtest`.
+  outcome.  The retained samples are kept in ascending order, so
+  :meth:`stats` / ``run_status`` read exact percentiles by rank
+  (:func:`repro.obs.metrics.sorted_percentile`, the nearest-rank
+  definition behind :func:`~repro.obs.metrics.exact_percentile` and
+  :class:`~repro.obs.metrics.Histogram` too) instead of sorting every
+  sample per call.  Latencies are also mirrored into the handle's
+  observation metrics registry when one is attached, and rolled into
+  performance-ledger records by :mod:`repro.serve.loadtest`.
 """
 
 from __future__ import annotations
 
+import bisect
 import datetime as _dt
 import queue
 import threading
@@ -46,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..api import ProbeRequest, RunHandle
 from ..core.ethics import EthicsControls, EthicsViolation
 from ..errors import ReproError
-from ..obs.metrics import exact_percentile
+from ..obs.metrics import sorted_percentile
 
 #: Methods the service answers; ``run_status`` never queues.
 METHODS = (
@@ -99,7 +102,8 @@ class ScanService:
         self._limiters: Dict[str, EthicsControls] = {}
         self._guard = threading.Lock()
         # -- accounting (guarded by _guard) --
-        self._latencies: Dict[str, List[float]] = {}
+        #: every recorded latency (ms), all methods, in ascending order.
+        self._latencies: List[float] = []
         self._counts: Dict[str, int] = {}
         self._rejected_queue = 0
         self._rejected_ratelimit = 0
@@ -278,26 +282,22 @@ class ScanService:
             # (5xx outcomes are counted where they arise — the dispatch
             # loop — so a failed request is never double-counted here.)
             self._counts[method] = self._counts.get(method, 0) + 1
-            self._latencies.setdefault(method, []).append(elapsed_ms)
+            bisect.insort(self._latencies, elapsed_ms)
         observation = self.handle.simulation.observation
         if observation is not None:
             observation.metrics.counter("serve.requests").inc(key=method)
             observation.metrics.histogram("serve.request_ms").observe(elapsed_ms)
 
     def latencies_ms(self) -> List[float]:
-        """Every recorded request latency (milliseconds), all methods."""
+        """Every recorded request latency (milliseconds), all methods, in
+        ascending order."""
         with self._guard:
-            out: List[float] = []
-            for samples in self._latencies.values():
-                out.extend(samples)
-            return out
+            return list(self._latencies)
 
     def stats(self) -> dict:
         """Request counters and exact latency percentiles."""
         with self._guard:
-            merged: List[float] = []
-            for samples in self._latencies.values():
-                merged.extend(samples)
+            ordered = self._latencies
             out = {
                 "requests": sum(self._counts.values()),
                 "by_method": dict(sorted(self._counts.items())),
@@ -308,14 +308,14 @@ class ScanService:
                 "queued_now": self._queue.qsize(),
                 "uptime_seconds": round(time.time() - self._started_at, 3),
             }
-        if merged:
-            out["latency_ms"] = {
-                "count": len(merged),
-                "p50": round(exact_percentile(merged, 0.50), 3),
-                "p90": round(exact_percentile(merged, 0.90), 3),
-                "p99": round(exact_percentile(merged, 0.99), 3),
-                "max": round(max(merged), 3),
-            }
+            if ordered:
+                out["latency_ms"] = {
+                    "count": len(ordered),
+                    "p50": round(sorted_percentile(ordered, 0.50), 3),
+                    "p90": round(sorted_percentile(ordered, 0.90), 3),
+                    "p99": round(sorted_percentile(ordered, 0.99), 3),
+                    "max": round(ordered[-1], 3),
+                }
         return out
 
     def run_status(self) -> dict:

@@ -21,8 +21,8 @@ consumes the returned artifacts.  A run checkpointed into a
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 from .api import RunConfig
 from .clock import SimulatedClock
@@ -56,6 +56,10 @@ class Simulation:
     #: :meth:`resume` (a :class:`repro.store.RunProvenance`), else None;
     #: a store writer attached to the run continues its chain.
     provenance: Optional[object] = None
+    #: the engine :meth:`inference` handed out, with the result it reads.
+    _inference: Optional[Tuple[CampaignResult, InferenceEngine]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(
@@ -194,9 +198,15 @@ class Simulation:
         return self.result
 
     def inference(self) -> InferenceEngine:
-        """An inference engine over the (run) campaign's rounds."""
+        """The inference engine over the (run) campaign's rounds.
+
+        One engine per completed run: every caller shares its status
+        rows for as long as :attr:`result` is the same object.
+        """
         result = self.run()
-        return InferenceEngine(result.initial, result.rounds)
+        if self._inference is None or self._inference[0] is not result:
+            self._inference = (result, InferenceEngine(result.initial, result.rounds))
+        return self._inference[1]
 
     @property
     def notification_report(self) -> Optional[NotificationReport]:

@@ -73,6 +73,81 @@ class TestReport:
         assert "Observability disabled for this run" in report
 
 
+class TestSharedBuilds:
+    def test_report_builds_each_artifact_once(self, session_sim, monkeypatch):
+        """The scorecard scores the very objects the report renders."""
+        import repro.analysis as analysis
+        from repro.analysis import figure7, table3, table4
+
+        calls = {}
+        for module, name in (
+            (table3, "build_table3"),
+            (table4, "build_table4"),
+            (figure7, "build_figure7"),
+        ):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            # Both spellings a builder is reached by.
+            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(analysis, name, counted)
+        generate_report(session_sim)
+        assert calls == {"build_table3": 1, "build_table4": 1, "build_figure7": 1}
+
+    def test_scorecard_matches_the_rendered_artifacts(self, session_sim):
+        from repro.analysis import ARTIFACTS, BuiltArtifacts
+
+        built = BuiltArtifacts(session_sim)
+        assert built["table4"] is built["table4"]
+        for name, artifact in ARTIFACTS.items():
+            assert artifact.render(built[name]) == artifact(session_sim), name
+
+
+class TestNotificationFunnel:
+    def test_funnel_reads_only_the_notified_units(self, session_sim, monkeypatch):
+        from repro.analysis.notification_funnel import build_notification_funnel
+        from repro.clock import PUBLIC_DISCLOSURE
+        from repro.internet.mta_fleet import MtaFleet
+
+        def whole_fleet(self):
+            raise AssertionError("the funnel walked every vulnerable unit")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MtaFleet, "vulnerable_units", whole_fleet)
+            funnel = build_notification_funnel(session_sim)
+
+        # The same fields through every plan the model would act on.
+        report = session_sim.notification_report
+        plans = {plan.unit_id: plan for plan in session_sim.patch_model.plans()}
+
+        def before_disclosure(unit_id):
+            plan = plans.get(unit_id)
+            return (
+                plan is not None
+                and plan.patch_date is not None
+                and report.sent_at <= plan.patch_date < PUBLIC_DISCLOSURE
+            )
+
+        opened = report.opened_unit_ids()
+        bounced = report.bounced_unit_ids()
+        assert opened and bounced
+        assert funnel.openers_patched_eventually == sum(
+            1 for u in opened if u in plans and plans[u].patches
+        )
+        assert funnel.openers_patched_before_disclosure == sum(
+            1 for u in opened if before_disclosure(u)
+        )
+        assert funnel.bounced_patched_before_disclosure == sum(
+            1 for u in bounced if before_disclosure(u)
+        )
+        assert (funnel.sent, funnel.bounced, funnel.delivered, funnel.opened) == (
+            report.sent, report.bounced, report.delivered, report.opened
+        )
+
+
 class TestCsvExport:
     def test_every_exporter_produces_parsable_csv(self, session_sim):
         for name, exporter in EXPORTERS.items():

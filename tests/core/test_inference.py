@@ -3,6 +3,8 @@
 import datetime as dt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clock import utc
 from repro.core.campaign import (
@@ -17,6 +19,7 @@ from repro.core.inference import (
     InferredStatus,
     IpTimeline,
     Provenance,
+    RoundSummary,
 )
 
 T0 = utc(2021, 10, 11)
@@ -240,3 +243,155 @@ class TestSummaries:
         engine = TestEngineDomainLevel().setup_engine()
         only_b = engine.round_summaries_domains(["b.com"])
         assert all(s.total == 1 for s in only_b)
+
+
+# -- reference: the rules evaluated by scanning each observation list -------
+
+
+def reference_ip_status(engine, ip, date):
+    timeline = engine.timelines.get(ip)
+    if timeline is None:
+        return InferredStatus.INCONCLUSIVE, Provenance.NONE
+    measured = next(
+        (outcome for d, outcome in timeline.observations if d == date), None
+    )
+    if measured is not None and measured.spf_measured:
+        status = (
+            InferredStatus.VULNERABLE
+            if measured == DetectionOutcome.VULNERABLE
+            else InferredStatus.PATCHED
+        )
+        return status, Provenance.MEASURED
+    vulnerable = [
+        d for d, outcome in timeline.observations
+        if outcome == DetectionOutcome.VULNERABLE
+    ]
+    patched = [
+        d for d, outcome in timeline.observations
+        if outcome.spf_measured and outcome != DetectionOutcome.VULNERABLE
+    ]
+    if vulnerable and date <= max(vulnerable):
+        return InferredStatus.VULNERABLE, Provenance.INFERRED
+    if patched and date >= min(patched):
+        return InferredStatus.PATCHED, Provenance.INFERRED
+    return InferredStatus.INCONCLUSIVE, Provenance.NONE
+
+
+def reference_domain_status(engine, name, date):
+    ips = engine.domain_vulnerable_ips.get(name, [])
+    if not ips:
+        return InferredStatus.INCONCLUSIVE, Provenance.NONE
+    statuses = [reference_ip_status(engine, ip, date) for ip in ips]
+    vulnerable = [p for s, p in statuses if s == InferredStatus.VULNERABLE]
+    if vulnerable:
+        if Provenance.MEASURED in vulnerable:
+            return InferredStatus.VULNERABLE, Provenance.MEASURED
+        return InferredStatus.VULNERABLE, Provenance.INFERRED
+    if all(s == InferredStatus.PATCHED for s, _ in statuses):
+        if all(p == Provenance.MEASURED for _, p in statuses):
+            return InferredStatus.PATCHED, Provenance.MEASURED
+        return InferredStatus.PATCHED, Provenance.INFERRED
+    return InferredStatus.INCONCLUSIVE, Provenance.NONE
+
+
+def reference_summary(date, statuses):
+    return RoundSummary(
+        date=date,
+        total=len(statuses),
+        measured=sum(1 for _, p in statuses if p == Provenance.MEASURED),
+        inferred=sum(1 for _, p in statuses if p == Provenance.INFERRED),
+        inconclusive=sum(1 for _, p in statuses if p == Provenance.NONE),
+        vulnerable=sum(1 for s, _ in statuses if s == InferredStatus.VULNERABLE),
+        patched=sum(1 for s, _ in statuses if s == InferredStatus.PATCHED),
+    )
+
+
+def assert_engine_matches_reference(engine, names):
+    dates = [round_.date for round_ in engine.rounds]
+    ips = list(engine.timelines) + ["192.0.2.254"]  # plus one untracked
+    for date in dates:
+        for ip in ips:
+            assert engine.ip_status(ip, date) == reference_ip_status(engine, ip, date)
+        for name in names:
+            assert engine.domain_status(name, date) == reference_domain_status(
+                engine, name, date
+            )
+    expected = [
+        reference_summary(
+            date, [reference_domain_status(engine, n, date) for n in names]
+        )
+        for date in dates
+    ]
+    assert engine.round_summaries_domains(names) == expected
+    expected_ips = [
+        reference_summary(
+            date, [reference_ip_status(engine, ip, date) for ip in engine.timelines]
+        )
+        for date in dates
+    ]
+    assert engine.round_summaries_ips() == expected_ips
+
+
+class TestAgainstObservationScan:
+    def test_completed_run_matches_the_reference(self, session_sim):
+        engine = session_sim.inference()
+        names = list(engine.domain_vulnerable_ips) + ["not-a-domain.example"]
+        assert engine.rounds
+        assert_engine_matches_reference(engine, names)
+        assert engine.round_summaries_domains() == engine.round_summaries_domains(
+            list(engine.domain_vulnerable_ips)
+        )
+
+    def test_repeated_date_keeps_the_first_observation(self):
+        timeline = IpTimeline("10.0.0.1")
+        timeline.observe(R1, DetectionOutcome.SMTP_FAILED)
+        timeline.observe(R1, DetectionOutcome.COMPLIANT)
+        timeline.observe(R2, DetectionOutcome.VULNERABLE)
+        # R1's first observation is not a measurement, so R1 is inferred
+        # vulnerable from R2 rather than measured patched.
+        assert timeline.status_at(R1) == (
+            InferredStatus.VULNERABLE, Provenance.INFERRED
+        )
+        # A timeline built with its observations reads them the same way.
+        prefilled = IpTimeline(
+            "10.0.0.1",
+            observations=[
+                (R1, DetectionOutcome.COMPLIANT),
+                (R1, DetectionOutcome.VULNERABLE),
+            ],
+        )
+        assert prefilled.status_at(R1) == (
+            InferredStatus.PATCHED, Provenance.MEASURED
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from([R1, R2, R3, R4]), min_size=1, max_size=6),
+        st.data(),
+    )
+    def test_missing_rounds_and_repeated_dates(self, dates, data):
+        ips = ["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"]
+        domain_ips = {
+            "a.com": ips[:1],
+            "b.com": ips[:2],
+            "c.com": ips[1:4],
+            "d.com": ["10.0.0.9"],  # never vulnerable
+        }
+        vulnerable = set(data.draw(st.sets(st.sampled_from(ips), min_size=1)))
+        outcomes = st.sampled_from(
+            [
+                DetectionOutcome.VULNERABLE,
+                DetectionOutcome.COMPLIANT,
+                DetectionOutcome.ERRONEOUS,
+                DetectionOutcome.SMTP_FAILED,
+                DetectionOutcome.REFUSED,
+            ]
+        )
+        specs = [
+            (date, data.draw(st.dictionaries(st.sampled_from(ips), outcomes)))
+            for date in dates
+        ]
+        engine = InferenceEngine(make_initial(vulnerable, domain_ips), rounds(*specs))
+        assert_engine_matches_reference(
+            engine, ["a.com", "b.com", "c.com", "d.com", "zz.com"]
+        )

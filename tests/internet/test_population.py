@@ -137,3 +137,54 @@ class TestDeterminism:
         a = generate_population(PopulationConfig(scale=0.005, seed=3))
         b = generate_population(PopulationConfig(scale=0.005, seed=4))
         assert [d.name for d in a.domains] != [d.name for d in b.domains]
+
+
+class TestSetMembership:
+    """One scan of the table serves every set query, in row order."""
+
+    SETS = (
+        DomainSet.ALEXA_TOP_LIST,
+        DomainSet.ALEXA_1000,
+        DomainSet.TWO_WEEK_MX,
+        DomainSet.TOP_EMAIL_PROVIDERS,
+        # the combined group Table 4 counts
+        DomainSet.ALEXA_TOP_LIST | DomainSet.TWO_WEEK_MX,
+    )
+
+    @pytest.mark.parametrize("scale", [0.002, 0.02])
+    def test_members_equal_a_brute_force_scan(self, scale):
+        population = generate_population(PopulationConfig(scale=scale, seed=11))
+        for domain_set in self.SETS:
+            expected = [d for d in population.domains if d.in_set(domain_set)]
+            assert population.names_in_set(domain_set) == [d.name for d in expected]
+            views = population.in_set(domain_set)
+            assert len(views) == len(expected)
+            assert all(view is domain for view, domain in zip(views, expected))
+            assert population.set_size(domain_set) == len(expected)
+
+    def test_open_overlap_and_tld_counts_match_a_brute_force_scan(self):
+        population = generate_population(PopulationConfig(scale=0.002, seed=11))
+        combined = DomainSet.ALEXA_TOP_LIST | DomainSet.TWO_WEEK_MX
+        domains = list(population.domains)
+        assert population.overlap(combined, DomainSet.ALEXA_1000) == sum(
+            1 for d in domains if d.in_set(combined) and d.in_set(DomainSet.ALEXA_1000)
+        )
+        for domain_set in self.SETS:
+            expected = {}
+            for domain in domains:
+                if domain.in_set(domain_set):
+                    expected[domain.tld] = expected.get(domain.tld, 0) + 1
+            assert population.tld_counts(domain_set) == expected
+
+    def test_scan_reuses_rows_a_run_already_generated(self, monkeypatch):
+        population = generate_population(PopulationConfig(scale=0.002, seed=11))
+        names = [d.name for d in population.domains]  # row by row, as a run does
+        assert population.table.row_regens == len(population)
+
+        def no_regeneration(index):
+            raise AssertionError(f"row {index} generated twice")
+
+        monkeypatch.setattr(population.table, "_generate_row", no_regeneration)
+        combined = DomainSet.ALEXA_TOP_LIST | DomainSet.TWO_WEEK_MX
+        assert population.names_in_set(combined) == names
+        assert population.table.row_regens == len(population)

@@ -250,6 +250,19 @@ class TestAccounting:
             assert stats["latency_ms"]["count"] == 2
             assert stats["latency_ms"]["max"] >= stats["latency_ms"]["p50"]
 
+    def test_stats_percentiles_equal_exact_percentile(self, handle, domain):
+        with _service(handle) as service:
+            for i in range(300):
+                method = "run_status" if i % 3 else "spf_census_row"
+                status, _ = service.submit(method, {"target": domain})
+                assert status == 200
+            samples = service.latencies_ms()
+            latency = service.stats()["latency_ms"]
+        assert latency["count"] == len(samples) == 300
+        for key, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
+            assert latency[key] == round(exact_percentile(samples, q), 3)
+        assert latency["max"] == round(max(samples), 3)
+
     def test_run_status_carries_world_and_service(self, handle, domain):
         with _service(handle) as service:
             status, body = service.submit("run_status", {})

@@ -24,6 +24,10 @@ class TestBuild:
         engine = sim.inference()
         assert len(engine.rounds) == len(sim.run().rounds)
 
+    def test_one_inference_engine_per_result(self, session_sim):
+        session_sim.run()
+        assert session_sim.inference() is session_sim.inference()
+
 
 class TestShutdownOnFailure:
     def test_store_lock_released_when_the_campaign_raises(
