@@ -70,10 +70,7 @@ def generate_report(sim: Simulation, *, title: str = "SPFail reproduction report
     write()
     write("## Probe-execution metrics")
     write()
-    executor = sim.campaign.executor
-    write(f"Executor: {type(executor).__name__}.")
-    write()
-    write(executor.metrics.render_markdown())
+    write(sim.campaign.executor.metrics.render_markdown())
     write()
     write("## Observability")
     write()

@@ -369,8 +369,6 @@ class RunHandle:
             "seed": self.config.seed,
             "domains": len(self._sim.population),
             "addresses": self._sim.fleet.total_ip_count(),
-            "executor": type(campaign.executor).__name__,
-            "world": "lazy",
             "initial_complete": campaign.initial is not None,
             "rounds_completed": len(campaign.rounds),
             "rounds_total": len(campaign.round_dates()),

@@ -25,8 +25,6 @@ def write_metrics(sim: Simulation, path: str) -> None:
     payload = {
         "scale": sim.config.resolved_population().scale,
         "seed": sim.config.seed,
-        "workers": 1,
-        "executor": type(sim.campaign.executor).__name__,
         "metrics": sim.observation.metrics.to_dict(),
         "histogram_percentiles": sim.observation.metrics.percentiles(),
         "executor_stages": sim.campaign.executor.metrics.to_dict(),

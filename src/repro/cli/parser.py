@@ -392,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument(
         "--metrics", metavar="FILE", default=None,
-        help="join executor wall/throughput totals from a --metrics-out "
-        "JSON file of that run",
+        help="join the executor's probe totals (probe wall time, probes, "
+        "throughput) from a --metrics-out JSON file of that run",
     )
     record.add_argument(
         "--trace", metavar="FILE", default=None,

@@ -86,44 +86,27 @@ def append_ledger(
     print(f"ledger: record appended to {', '.join(paths)}")
 
 
-def run_command(args: argparse.Namespace) -> int:
+def finish_run(
+    handle, args: argparse.Namespace, observation, store, *, kind: str
+) -> int:
+    """Run ``handle`` to the end of its timeline and write everything after.
+
+    The tail ``run`` and ``resume`` share: start the perf sampler, attach
+    the ``--progress`` reporter, time ``handle.run``, emit the outputs,
+    finalize the perf streams and append the ledger record.  ``kind``
+    (``"run"`` or ``"resume"``) prefixes an abort or failure message and
+    labels the ledger record.
+    """
+    from time import perf_counter
+
     from ..errors import CampaignAborted
+    from ..store import StoreError
 
-    if args.list:
-        print("\n".join(ARTIFACT_NAMES))
-        return 0
-
-    perf_dir = getattr(args, "perf", None)
-    observation = make_observation(
-        args, trace=bool(args.trace) or bool(perf_dir)
-    )
-
-    from .. import api
-
-    config = api.RunConfig(
-        scale=args.scale,
-        seed=args.seed,
-        trace=bool(args.trace) or bool(perf_dir),
-    )
-    print(f"Building the synthetic Internet (scale={args.scale}, seed={args.seed})...")
-    handle = api.open_run(config, observation=observation)
     sim = handle.simulation
     if observation is not None and observation.perf is not None:
         from ..obs.perf import simulation_counters
 
         observation.perf.start_sampler(lambda: simulation_counters(sim))
-
-    store = None
-    store_dir = getattr(args, "store", None)
-    if store_dir:
-        from ..store import RunStore
-
-        store = RunStore(store_dir)
-        store.abort_after_round = getattr(args, "abort_after_round", None)
-    elif getattr(args, "abort_after_round", None) is not None:
-        print("--abort-after-round requires --store", file=sys.stderr)
-        return 2
-
     if args.progress:
         from ..obs.progress import ProgressReporter
 
@@ -131,25 +114,17 @@ def run_command(args: argparse.Namespace) -> int:
         if observation is not None:
             reporter.perf = observation.perf
         sim.campaign.executor.progress = reporter
-    print(
-        f"  {len(sim.population):,} domains / {sim.fleet.total_ip_count():,} addresses; "
-        "running the four-month campaign..."
-    )
-    from time import perf_counter
-
-    from ..store import StoreError
-
     try:
         started = perf_counter()
         try:
             handle.run(store=store)
         except CampaignAborted as abort:
-            print(f"run aborted: {abort}")
+            print(f"{kind} aborted: {abort}")
             return 0
         except StoreError as error:
             # Most commonly: another writer (a batch run or a serve
             # daemon) holds the run's single-writer lock.
-            print(f"run failed: {error}", file=sys.stderr)
+            print(f"{kind} failed: {error}", file=sys.stderr)
             return 2
         run_wall = perf_counter() - started
         code = emit_outputs(sim, args)
@@ -157,8 +132,43 @@ def run_command(args: argparse.Namespace) -> int:
         finalize_perf(observation)
     # The ledger record is built after the perf streams are finalized so
     # a profiled run's record can embed the per-stage wall attribution.
-    append_ledger(sim, args, store=store, wall_seconds=run_wall, kind="run")
+    append_ledger(sim, args, store=store, wall_seconds=run_wall, kind=kind)
     return code
+
+
+def run_command(args: argparse.Namespace) -> int:
+    if args.list:
+        print("\n".join(ARTIFACT_NAMES))
+        return 0
+
+    store_dir = getattr(args, "store", None)
+    abort_after_round = getattr(args, "abort_after_round", None)
+    # Rejected before anything is built: opening the perf sideband would
+    # already clear a previous run's streams.
+    if abort_after_round is not None and not store_dir:
+        print("--abort-after-round requires --store", file=sys.stderr)
+        return 2
+
+    from .. import api
+
+    trace = bool(args.trace) or bool(getattr(args, "perf", None))
+    observation = make_observation(args, trace=trace)
+    config = api.RunConfig(scale=args.scale, seed=args.seed, trace=trace)
+    print(f"Building the synthetic Internet (scale={args.scale}, seed={args.seed})...")
+    handle = api.open_run(config, observation=observation)
+    sim = handle.simulation
+
+    store = None
+    if store_dir:
+        from ..store import RunStore
+
+        store = RunStore(store_dir)
+        store.abort_after_round = abort_after_round
+    print(
+        f"  {len(sim.population):,} domains / {sim.fleet.total_ip_count():,} addresses; "
+        "running the four-month campaign..."
+    )
+    return finish_run(handle, args, observation, store, kind="run")
 
 
 def resume_command(args: argparse.Namespace) -> int:
@@ -192,37 +202,10 @@ def resume_command(args: argparse.Namespace) -> int:
     # the sideband hangs off the observation, not the stored config.
     observation = make_observation(args, trace=trace)
     handle = api.resume(state, observation=observation)
-    sim = handle.simulation
-    if observation is not None and observation.perf is not None:
-        from ..obs.perf import simulation_counters
-
-        observation.perf.start_sampler(lambda: simulation_counters(sim))
-    provenance = sim.provenance
+    provenance = handle.simulation.provenance
     print(
         f"Resuming {state.run_id} (config {provenance.config_hash[:12]}) from "
         f"checkpoint '{provenance.checkpoint_kind}' with "
         f"{provenance.rounds_completed} rounds completed..."
     )
-
-    if args.progress:
-        from ..obs.progress import ProgressReporter
-
-        reporter = ProgressReporter()
-        if observation is not None:
-            reporter.perf = observation.perf
-        sim.campaign.executor.progress = reporter
-    from time import perf_counter
-
-    try:
-        started = perf_counter()
-        try:
-            handle.run(store=store)
-        except StoreError as error:
-            print(f"resume failed: {error}", file=sys.stderr)
-            return 2
-        run_wall = perf_counter() - started
-        code = emit_outputs(sim, args)
-    finally:
-        finalize_perf(observation)
-    append_ledger(sim, args, store=store, wall_seconds=run_wall, kind="resume")
-    return code
+    return finish_run(handle, args, observation, store, kind="resume")

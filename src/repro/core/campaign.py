@@ -34,9 +34,9 @@ from ..errors import CampaignError, ResolutionError, SimulationError
 from ..exec import (
     ClockRouter,
     ExecutionEnvironment,
+    ProbeExecutor,
     ProbeTask,
     RetryPolicy,
-    SerialExecutor,
 )
 from ..internet.mta_fleet import MtaFleet
 from ..internet.population import Domain, DomainPopulation
@@ -196,7 +196,7 @@ class MeasurementCampaign:
             seconds_per_probe=self.config.seconds_per_probe,
             router=self.clock_router,
         )
-        self.executor = SerialExecutor(self.env, retry=retry)
+        self.executor = ProbeExecutor(self.env, retry=retry)
         #: preferred probe method per address, learned at initial time.
         self._preferred: Dict[str, ProbeMethod] = {}
         #: a representative hosted domain per address (RCPT TO targets).
@@ -258,7 +258,7 @@ class MeasurementCampaign:
 
     # -- probe dispatch ------------------------------------------------------------
 
-    def _probe_ips(
+    def probe_ips(
         self,
         stage: str,
         ips: Sequence[str],
@@ -268,10 +268,12 @@ class MeasurementCampaign:
     ) -> Dict[str, DetectionResult]:
         """Run one stage's work list through the execution engine.
 
-        This is the single home of the bookkeeping the three measurement
-        loops used to copy: suite allocation, preferred-method learning,
-        and per-probe clock advancement (now the executor's clock-advance
-        protocol).
+        This is the single home of the measurement loops' bookkeeping:
+        suite allocation, preferred-method learning, and per-probe clock
+        advancement (the executor's clock-advance protocol).  The batch
+        stages, :class:`repro.api.RunHandle` and the serve daemon all
+        dispatch here, so they produce byte-identical task trace events
+        for the same probes.
         """
         suite = self.labels.new_suite()
         recipients = recipient_domains if recipient_domains is not None else self._ip_domain
@@ -291,30 +293,6 @@ class MeasurementCampaign:
                 self._preferred[task.ip] = result.successful_method
             out[task.ip] = result
         return out
-
-    def probe_ips(
-        self,
-        stage: str,
-        ips: Sequence[str],
-        *,
-        use_preferred: bool = True,
-        recipient_domains: Optional[Dict[str, str]] = None,
-    ) -> Dict[str, DetectionResult]:
-        """Public probe dispatch: one stage's work list through the
-        execution engine.
-
-        This is the exact code path of the batch measurement loops
-        (suite allocation, preferred-method learning, per-probe clock
-        advancement), exposed so :class:`repro.api.RunHandle` and the
-        serve daemon produce byte-identical task trace events to a
-        batch run of the same probes.
-        """
-        return self._probe_ips(
-            stage,
-            ips,
-            use_preferred=use_preferred,
-            recipient_domains=recipient_domains,
-        )
 
     def _require_initial(self) -> InitialMeasurement:
         if self.initial is None:
@@ -340,7 +318,7 @@ class MeasurementCampaign:
                     unique_ips.append(ip)
                     self._ip_domain[ip] = name
 
-        results = self._probe_ips("initial", unique_ips)
+        results = self.probe_ips("initial", unique_ips)
         ip_records = {
             ip: IpInitialRecord(ip=ip, result=result)
             for ip, result in results.items()
@@ -381,7 +359,7 @@ class MeasurementCampaign:
         """One longitudinal measurement round."""
         self.clock.advance_to(max(self.clock.now, date))
         self.ethics.reset_round()
-        probe_results = self._probe_ips(f"round {date.date().isoformat()}", tracked)
+        probe_results = self.probe_ips(f"round {date.date().isoformat()}", tracked)
         results = {ip: r.outcome for ip, r in probe_results.items()}
         methods = {ip: r.successful_method for ip, r in probe_results.items()}
         return MeasurementRound(date=date, results=results, methods=methods)
@@ -493,7 +471,7 @@ class MeasurementCampaign:
                     recipients[ip] = self._ip_domain.get(ip, name)
                     unique_ips.append(ip)
 
-        results = self._probe_ips(
+        results = self.probe_ips(
             "snapshot", unique_ips, recipient_domains=recipients
         )
         return {
@@ -505,8 +483,6 @@ class MeasurementCampaign:
     def _snapshot_status(outcomes: List[DetectionOutcome]) -> DomainStatus:
         if any(o == DetectionOutcome.VULNERABLE for o in outcomes):
             return DomainStatus.VULNERABLE
-        if outcomes and all(o.spf_measured for o in outcomes):
-            return DomainStatus.PATCHED
         if any(o.spf_measured for o in outcomes):
             return DomainStatus.PATCHED  # conclusive and none vulnerable
         return DomainStatus.UNKNOWN

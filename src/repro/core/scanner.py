@@ -25,7 +25,7 @@ from ..clock import SimulatedClock
 from ..dns.resolver import StubResolver
 from ..dns.server import SpfTestResponder
 from ..errors import ResolutionError
-from ..exec import ExecutionEnvironment, ProbeTask, RetryPolicy, SerialExecutor
+from ..exec import ExecutionEnvironment, ProbeExecutor, ProbeTask, RetryPolicy
 from ..smtp.transport import Network
 from .detector import DetectionOutcome, DetectionResult
 from .ethics import EthicsControls
@@ -127,7 +127,7 @@ class SpfVulnerabilityScanner:
             ethics=self.ethics,
             client_ip=client_ip,
         )
-        self.executor = SerialExecutor(self.env, retry=retry)
+        self.executor = ProbeExecutor(self.env, retry=retry)
 
     # -- scanning ---------------------------------------------------------------
 

@@ -2,10 +2,10 @@
 
 The paper's measurement tool probed ~180K MTA addresses per round; this
 package decouples **what to probe** (a work list of :class:`ProbeTask`)
-from **how probes run** (:class:`SerialExecutor`), so the campaign, the
+from **how probes run** (:class:`ProbeExecutor`), so the campaign, the
 scanner, and the serve daemon share one engine.
 
-The serial executor is the faithful one-at-a-time tool: the shared
+The executor is the faithful one-at-a-time tool: the shared
 simulated clock advances after every probe, firing scheduled events
 (patches, MX moves) exactly where the paper's serial tool would have
 observed them.  Task ``k`` of a stage starts at
@@ -18,7 +18,6 @@ from .engine import (
     ExecutionEnvironment,
     ProbeExecutor,
     RetryPolicy,
-    SerialExecutor,
     transient_failure,
 )
 from .metrics import ExecutorMetrics, StageMetrics
@@ -32,7 +31,6 @@ __all__ = [
     "ProbeExecutor",
     "ProbeTask",
     "RetryPolicy",
-    "SerialExecutor",
     "StageMetrics",
     "VirtualClock",
     "transient_failure",

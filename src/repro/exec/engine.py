@@ -1,6 +1,6 @@
 """The probe executor.
 
-:class:`SerialExecutor` runs every :class:`~repro.exec.task.ProbeTask`
+:class:`ProbeExecutor` runs every :class:`~repro.exec.task.ProbeTask`
 of a stage one at a time: task ``k`` starts at
 ``stage_base + k * seconds_per_probe`` of simulated time, and the
 *shared* clock (which fires scheduled events: patches, MX migrations,
@@ -104,9 +104,7 @@ class ExecutionEnvironment:
 
 
 class ProbeExecutor:
-    """Base executor: per-task execution, retry, and metrics plumbing."""
-
-    name = "abstract"
+    """Runs a stage's tasks one at a time, advancing the shared clock after each."""
 
     def __init__(
         self,
@@ -147,12 +145,29 @@ class ProbeExecutor:
         self, stage: str, tasks: Sequence[ProbeTask]
     ) -> List[DetectionResult]:
         """Execute one stage's work list; results align with ``tasks``."""
-        raise NotImplementedError
+        env = self.env
+        metrics = self.metrics.begin_stage(stage)
+        metrics.tasks = len(tasks)
+        obs = self._begin_stage_obs(stage, tasks)
+        started = time.perf_counter()
+        base = env.clock.now
+        slot = _dt.timedelta(seconds=env.seconds_per_probe)
+        results: List[DetectionResult] = []
+        for index, task in enumerate(tasks):
+            results.append(self._execute(task, index, base + index * slot, metrics))
+            # Fire any events due inside this probe's timeslot before the
+            # next probe runs — the serial tool's view of time.
+            end_of_slot = base + (index + 1) * slot
+            if env.router is not None:
+                env.clock.advance_to(max(env.clock.now, end_of_slot))
+            else:
+                env.clock.advance_seconds(env.seconds_per_probe)
+        metrics.wall_seconds = time.perf_counter() - started
+        metrics.sim_seconds = (env.clock.now - base).total_seconds()
+        self._end_stage_obs(obs, metrics)
+        return results
 
-    # -- shared machinery ------------------------------------------------------
-
-    def _slot(self, base: _dt.datetime, index: int, slot: _dt.timedelta) -> _dt.datetime:
-        return base + index * slot
+    # -- per-stage and per-task machinery ---------------------------------------
 
     def _begin_stage_obs(self, stage: str, tasks: Sequence[ProbeTask]):
         """Open a trace stage scope; returns the active observation."""
@@ -164,23 +179,17 @@ class ProbeExecutor:
         return obs
 
     def _end_stage_obs(self, obs, metrics: StageMetrics) -> None:
-        """Close the stage scope and publish stage counters.
+        """Close the stage scope.
 
         Trace attributes are limited to simulation-derived values (task
         and probe counts, simulated seconds): wall time differs between
-        any two runs and is banned from the trace — it goes to the
-        metrics registry instead.
+        any two runs and is banned from the trace — it stays in the
+        stage's :class:`StageMetrics` only.
         """
         if self.progress is not None:
             self.progress.end_stage(metrics)
         if obs is None:
             return
-        m = obs.metrics
-        m.counter("exec.stages").inc(self.name)
-        m.counter("exec.probes").inc(amount=metrics.probes_attempted)
-        m.counter("exec.refused").inc(amount=metrics.refused)
-        m.histogram("exec.stage_wall_seconds").observe(metrics.wall_seconds)
-        m.histogram("exec.stage_probes_per_second").observe(metrics.probes_per_second)
         if obs.tracer.enabled:
             obs.tracer.end_stage(
                 probes=metrics.probes_attempted,
@@ -198,7 +207,7 @@ class ProbeExecutor:
                 metrics.sim_seconds,
             )
         # Sideband only: push buffered wall-timing records to disk at
-        # stage boundaries (after the wall_seconds metric is captured, so
+        # stage boundaries (after the stage's wall_seconds is captured, so
         # the flush itself is not charged to the stage).
         perf = getattr(obs, "perf", None)
         if perf is not None:
@@ -286,7 +295,6 @@ class ProbeExecutor:
             backoff = self.retry.delay(attempt)
             obs = _obs.ACTIVE
             if obs is not None:
-                obs.metrics.counter("exec.retries").inc()
                 obs.metrics.histogram("exec.backoff_seconds").observe(backoff)
                 if obs.tracer.enabled:
                     obs.tracer.event(
@@ -297,36 +305,3 @@ class ProbeExecutor:
                 self._vclock.advance_seconds(backoff)
             else:
                 self.env.clock.advance_seconds(backoff)
-
-
-class SerialExecutor(ProbeExecutor):
-    """One probe at a time, advancing the shared clock after each."""
-
-    name = "serial"
-
-    def run_stage(
-        self, stage: str, tasks: Sequence[ProbeTask]
-    ) -> List[DetectionResult]:
-        env = self.env
-        metrics = self.metrics.begin_stage(stage)
-        metrics.tasks = len(tasks)
-        obs = self._begin_stage_obs(stage, tasks)
-        started = time.perf_counter()
-        base = env.clock.now
-        slot = _dt.timedelta(seconds=env.seconds_per_probe)
-        results: List[DetectionResult] = []
-        for index, task in enumerate(tasks):
-            results.append(
-                self._execute(task, index, self._slot(base, index, slot), metrics)
-            )
-            # Fire any events due inside this probe's timeslot before the
-            # next probe runs — the serial tool's view of time.
-            end_of_slot = self._slot(base, index + 1, slot)
-            if env.router is not None:
-                env.clock.advance_to(max(env.clock.now, end_of_slot))
-            else:
-                env.clock.advance_seconds(env.seconds_per_probe)
-        metrics.wall_seconds = time.perf_counter() - started
-        metrics.sim_seconds = (env.clock.now - base).total_seconds()
-        self._end_stage_obs(obs, metrics)
-        return results

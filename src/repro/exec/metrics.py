@@ -1,16 +1,19 @@
 """Per-stage execution counters.
 
-Every executor keeps one :class:`StageMetrics` per measurement stage
+The executor keeps one :class:`StageMetrics` per measurement stage
 (the initial sweep, each longitudinal round, the final snapshot).  The
 counters answer the operational questions a large-scale scan raises:
 how many probes ran (including retries), how many were refused, how much
 DNS evidence arrived, and how the stage's wall-clock cost compares to
 the simulated time it covered.
 
-When an observation is active (:mod:`repro.obs`), the executors also
-publish these counters — plus per-stage wall-time and backoff
-histograms — into the open :class:`~repro.obs.metrics.MetricsRegistry`,
-which generalizes this fixed schema to every subsystem.
+This is the only record of a stage's counts and wall time: the
+checkpoint persists it, the ``stage.end`` trace event and ``--progress``
+read it, the report's stage table and ``--metrics-out``'s
+``executor_stages`` render it, and the ledger takes its totals from it.
+The open :class:`~repro.obs.metrics.MetricsRegistry` holds only what no
+stage row records (per-probe outcomes, DNS queries per probe, retry
+backoff), so a batch run's registry carries no wall-clock value.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ a metrics source.
   canonically ordered JSONL that is byte-identical across runs (and
   resumes) of the same seed.
 - :mod:`repro.obs.metrics` — named counters/gauges/histograms (SMTP
-  reply codes, DNS queries per probe, macro expansions, retry/backoff,
-  stage wall-time percentiles), generalizing
-  :class:`repro.exec.metrics.StageMetrics`.
+  reply codes, DNS queries per probe, macro expansions, probe outcomes,
+  retry backoff) for what the executor's per-stage
+  :class:`repro.exec.metrics.StageMetrics` does not record; a batch
+  run's registry holds no wall-clock value.
 - :mod:`repro.obs.context` — the ambient :class:`Observation` that
   instrumented hot paths consult with a single global read, so the layer
   costs nothing when disabled (the default).

@@ -17,7 +17,6 @@ Record shape (one JSON object per line, compact, sorted keys)::
      "env": {"cpus": 1, "python": "3.11.7",
              "git_commit": "5a9d62d...", "git_dirty": false},
      "scale": 0.02, "seed": 20211011,
-     "executor": "SerialExecutor", "workers": 1, "world": "lazy",
      "wall_seconds": 6.1, "probe_wall_seconds": 5.2,
      "sim_seconds": 9676800.0, "probes": 38000,
      "probes_per_second": 7300.0, "retried": 0, "refused": 12,
@@ -246,9 +245,6 @@ def build_record(
         "env": environment_info(),
         "scale": sim.config.resolved_population().scale,
         "seed": sim.config.seed,
-        "executor": type(sim.campaign.executor).__name__,
-        "workers": 1,
-        "world": "lazy",
         "wall_seconds": round(
             wall_seconds if wall_seconds is not None else total.wall_seconds, 6
         ),
@@ -345,8 +341,11 @@ def retro_record(
     must hold the run's ``config.json``).  The record always carries the
     config hash and current environment; richer fields are joined from
     the run's own artifacts when the caller points at them — a
-    ``--metrics-out`` JSON supplies executor wall/throughput totals, a
-    trace + perf sideband pair supplies the per-stage wall attribution.
+    ``--metrics-out`` JSON supplies the executor's probe totals
+    (``probe_wall_seconds``, ``probes``, throughput), a trace + perf
+    sideband pair supplies the per-stage wall attribution.  The record
+    has no ``wall_seconds``: none of those artifacts holds the run's
+    end-to-end wall time, and probe wall time is not a stand-in for it.
     Returns ``(record, path_appended_to)``.
     """
     config_path = os.path.join(run_dir, "config.json")
@@ -372,9 +371,6 @@ def retro_record(
         "env": environment_info(),
         "scale": config.resolved_population().scale,
         "seed": config.seed,
-        "executor": "SerialExecutor",
-        "workers": 1,
-        "world": "lazy",
         "noise": noise,
     }
     if metrics_path:
@@ -388,7 +384,6 @@ def retro_record(
             record["probe_wall_seconds"] = round(
                 float(total.get("wall_seconds", 0.0)), 6
             )
-            record["wall_seconds"] = record["probe_wall_seconds"]
             record["sim_seconds"] = round(float(total.get("sim_seconds", 0.0)), 3)
             record["probes"] = int(total.get("probes_attempted", 0))
             record["retried"] = int(total.get("retried", 0))
@@ -396,9 +391,6 @@ def retro_record(
             record["probes_per_second"] = round(
                 float(total.get("probes_per_second", 0.0)), 3
             )
-        executor = metrics.get("executor")
-        if executor:
-            record["executor"] = executor
     if trace_path and perf_dir:
         from .perf import PerfProfile
 
@@ -785,9 +777,7 @@ def history_dict(
                     "kind": record.get("kind"),
                     "label": _record_label(record),
                     "git_commit": commit[:12] if isinstance(commit, str) else None,
-                    "executor": record.get("executor"),
                     "scale": record.get("scale"),
-                    "workers": record.get("workers"),
                     "value": value,
                 }
             )
@@ -815,17 +805,14 @@ def render_history(
             parts.append("(no records carry this metric)")
             continue
         parts.append(
-            "| # | when (UTC) | kind | config/bench | commit | executor "
-            "| scale | workers | value |"
+            "| # | when (UTC) | kind | config/bench | commit | scale | value |"
         )
-        parts.append("|---|---|---|---|---|---|---|---|---|")
+        parts.append("|---|---|---|---|---|---|---|")
         for row in rows:
             parts.append(
                 f"| {row['index']} | {_fmt_ts(row['ts'])} | {row['kind']} "
                 f"| {row['label']} | {row['git_commit'] or '—'} "
-                f"| {row['executor'] or '—'} "
                 f"| {row['scale'] if row['scale'] is not None else '—'} "
-                f"| {row['workers'] if row['workers'] is not None else '—'} "
                 f"| {row['value']:g} |"
             )
         summary = entry["summary"]

@@ -1,16 +1,18 @@
 """A registry of named counters, gauges, and histograms.
 
-This generalizes :class:`repro.exec.metrics.StageMetrics` — which keeps
-a fixed set of per-stage counters — into an open registry any subsystem
-can write to: SMTP reply-code distributions, DNS queries per probe, SPF
-macro expansions, retry/backoff histograms, per-stage wall-time
-percentiles.  Counters support an optional key, so one instrument holds
-a whole distribution (e.g. ``smtp.replies`` keyed by reply code).
+An open registry any subsystem can write to: SMTP reply-code
+distributions, DNS queries per probe, SPF macro expansions, probe
+outcomes, retry backoff.  Counters support an optional key, so one
+instrument holds a whole distribution (e.g. ``smtp.replies`` keyed by
+reply code).  A stage's counts and wall time are not copied here: they
+live once, in the executor's :class:`repro.exec.metrics.StageMetrics`.
 
-Unlike the trace (:mod:`repro.obs.trace`), metrics MAY carry wall-clock
-durations: the registry feeds the ``--metrics-out`` JSON and the report,
-which are performance artifacts, not determinism artifacts.  Exports are
-sorted by name and key so diffs between runs stay readable.
+Every instrument a batch run writes is a function of the simulation, so
+its registry — the ``--metrics-out`` JSON's ``metrics`` and
+``histogram_percentiles`` blocks and the report's Observability tables
+— is identical across runs and resumes of the same seed.  Only the
+serve daemon adds a wall-clock instrument (``serve.request_ms``).
+Exports are sorted by name and key so diffs between runs stay readable.
 """
 
 from __future__ import annotations

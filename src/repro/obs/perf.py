@@ -27,10 +27,9 @@ The streams
 
 The run's one process writes both streams directly: span records are
 buffered in memory and appended at every stage boundary (and whenever
-the buffer fills), samples are appended as they are taken.  Every
-record carries ``"role": "main"``, the name of the process that wrote
-it.  :meth:`PerfRecorder.finalize` stops the sampler, appends what is
-still buffered and writes ``perf_meta.json``.
+the buffer fills), samples are appended as they are taken.
+:meth:`PerfRecorder.finalize` stops the sampler, appends what is still
+buffered and writes ``perf_meta.json``.
 
 Sampler
 -------
@@ -72,9 +71,6 @@ META_FILE = "perf_meta.json"
 
 #: Span records buffered in memory before an ``os.write`` flush.
 _FLUSH_LINES = 50_000
-
-#: The ``role`` every record carries: the process that wrote it.
-_ROLE = "main"
 
 
 def rss_kb() -> int:
@@ -133,7 +129,6 @@ class PerfRecorder:
         self._buf: List[str] = []
         self._lock = threading.Lock()
         self._esc_cache: Dict[Optional[str], str] = {None: "null"}
-        self._role_json = json.dumps(_ROLE)
         self._counters: Optional[Callable[[], Dict[str, int]]] = None
         self._stop: Optional[threading.Event] = None
         self._thread: Optional[threading.Thread] = None
@@ -162,8 +157,7 @@ class PerfRecorder:
         # sid is tracer-generated ([a-z0-9.#] only) and embeds raw.
         line = (
             f'{{"kind":"{kind}","name":{escaped_name},"probe":{escaped_probe},'
-            f'"role":{self._role_json},"sid":"{sid}",'
-            f'"t0":{t0 - self._epoch:.6f},"wall":{ended - t0:.9f}}}\n'
+            f'"sid":"{sid}","t0":{t0 - self._epoch:.6f},"wall":{ended - t0:.9f}}}\n'
         )
         with self._lock:
             self._buf.append(line)
@@ -231,7 +225,6 @@ class PerfRecorder:
     def _write_sample(self) -> None:
         record = {
             "kind": "sample",
-            "role": _ROLE,
             "t": round(time.perf_counter() - self._epoch, 6),
             "rss_kb": rss_kb(),
             "gc": _gc_stats(),
@@ -258,7 +251,6 @@ class PerfRecorder:
             "sample_interval": self.sample_interval,
             "records": self.record_count,
             "samples": self.sample_count,
-            "roles": [_ROLE],
         }
         with open(os.path.join(self.directory, META_FILE), "w") as handle:
             json.dump(meta, handle, indent=2, sort_keys=True)
@@ -433,31 +425,27 @@ class PerfProfile:
 
     # -- samples --------------------------------------------------------------
 
-    def resource_rows(self) -> List[dict]:
-        by_role: Dict[str, dict] = {}
-        for sample in self.samples:
-            role = str(sample.get("role", "?"))
-            row = by_role.setdefault(
-                role,
-                {"role": role, "samples": 0, "rss_peak_kb": 0, "rss_last_kb": 0,
-                 "gc_collections": 0},
-            )
-            row["samples"] += 1
-            rss = int(sample.get("rss_kb", 0))
-            row["rss_peak_kb"] = max(row["rss_peak_kb"], rss)
-            row["rss_last_kb"] = rss
-            gc_info = sample.get("gc") or {}
-            row["gc_collections"] = int(gc_info.get("collections", 0))
-        return sorted(by_role.values(), key=lambda r: r["role"])
+    def resources(self) -> Optional[dict]:
+        """Sample count, peak and final RSS, and GC collections (``None``
+        when no sample was taken)."""
+        if not self.samples:
+            return None
+        rss = [int(sample.get("rss_kb", 0)) for sample in self.samples]
+        gc_info = self.samples[-1].get("gc") or {}
+        return {
+            "samples": len(self.samples),
+            "rss_peak_kb": max(rss),
+            "rss_last_kb": rss[-1],
+            "gc_collections": int(gc_info.get("collections", 0)),
+        }
 
-    def final_counters(self) -> Dict[str, Dict[str, int]]:
-        """Last sampled counter snapshot per role."""
-        out: Dict[str, Dict[str, int]] = {}
-        for sample in self.samples:
+    def final_counters(self) -> Dict[str, int]:
+        """The last sampled counter snapshot (empty when none was taken)."""
+        for sample in reversed(self.samples):
             counters = sample.get("counters")
             if counters:
-                out[str(sample.get("role", "?"))] = counters
-        return out
+                return {key: int(value) for key, value in counters.items()}
+        return {}
 
     # -- folded wall stacks ---------------------------------------------------
 
@@ -526,20 +514,16 @@ class PerfProfile:
         """
         total_wall = sum(self.stage_wall.values())
         total_virtual = sum(s.seconds for s in self.analysis.stages)
-        counters: Dict[str, int] = {}
-        for role_counters in self.final_counters().values():
-            for key, value in role_counters.items():
-                counters[key] = counters.get(key, 0) + int(value)
+        counters = self.final_counters()
         return {
             "records": len(self.records),
             "samples": len(self.samples),
-            "roles": sorted({r.role for r in self.records}),
             "stage_wall_seconds": total_wall,
             "virtual_seconds": total_virtual,
             "stages": self.stage_rows(),
             "spans": self.span_profile()[:top_spans],
             "counters": {key: counters[key] for key in sorted(counters)},
-            "resources": self.resource_rows(),
+            "resources": self.resources(),
         }
 
     # -- rendering ------------------------------------------------------------
@@ -575,13 +559,9 @@ class PerfProfile:
         return "\n".join(lines)
 
     def render_cache_table(self) -> str:
-        per_role = self.final_counters()
-        if not per_role:
+        totals = self.final_counters()
+        if not totals:
             return "(no counter samples recorded)"
-        totals: Dict[str, int] = {}
-        for counters in per_role.values():
-            for key, value in counters.items():
-                totals[key] = totals.get(key, 0) + int(value)
         lines = ["| counter | total |", "|---|---|"]
         for key in sorted(totals):
             lines.append(f"| {key} | {totals[key]:,} |")
@@ -607,32 +587,28 @@ class PerfProfile:
         return "\n".join(lines)
 
     def render_resource_table(self) -> str:
-        rows = self.resource_rows()
-        if not rows:
+        row = self.resources()
+        if row is None:
             return "(no resource samples recorded)"
-        lines = [
-            "| role | samples | peak RSS MB | final RSS MB | gc collections |",
-            "|---|---|---|---|---|",
-        ]
-        for row in rows:
-            lines.append(
-                f"| {row['role']} | {row['samples']} "
-                f"| {row['rss_peak_kb'] / 1024.0:.1f} "
+        return "\n".join(
+            [
+                "| samples | peak RSS MB | final RSS MB | gc collections |",
+                "|---|---|---|---|",
+                f"| {row['samples']} | {row['rss_peak_kb'] / 1024.0:.1f} "
                 f"| {row['rss_last_kb'] / 1024.0:.1f} "
-                f"| {row['gc_collections']} |"
-            )
-        return "\n".join(lines)
+                f"| {row['gc_collections']} |",
+            ]
+        )
 
     def render_markdown(self, *, top_spans: int = 15) -> str:
         """The ``trace profile`` document."""
         total_wall = sum(self.stage_wall.values())
         total_virtual = sum(s.seconds for s in self.analysis.stages)
-        roles = sorted({r.role for r in self.records})
         parts = [
             "# Wall-clock profile",
             "",
             f"- perf records: {len(self.records):,} spans/tasks/stages; "
-            f"samples: {len(self.samples):,}; roles: {', '.join(roles) or '—'}",
+            f"samples: {len(self.samples):,}",
             f"- stage wall time: {total_wall:.2f} s for "
             f"{total_virtual:,.0f} virtual s "
             f"({total_virtual / total_wall:,.0f}x real-time)"
@@ -651,7 +627,7 @@ class PerfProfile:
             "",
             self.render_cache_table(),
             "",
-            "## Resource usage by role",
+            "## Resource usage",
             "",
             self.render_resource_table(),
             "",

@@ -120,7 +120,7 @@ class PerfRecord:
     trace on: a span id (``s<stage>.t<task>#<n>``, matching the trace's
     ``span`` field), a task scope (``s<stage>.t<task>``) or a stage
     scope (``s<stage>``), disambiguated by ``kind``.  ``t0`` is seconds
-    since the emitting role's recorder epoch; ``wall`` is the measured
+    since the recorder's epoch; ``wall`` is the measured
     ``perf_counter`` duration.  Wall values are intentionally absent
     from :class:`ParsedEvent` — they live only here, in the sideband.
     """
@@ -130,7 +130,6 @@ class PerfRecord:
     sid: str
     name: str
     probe: Optional[str]
-    role: str
     t0: float
     wall: float
 
@@ -149,7 +148,6 @@ def parse_perf_jsonl(text: str) -> List[PerfRecord]:
                 sid=payload["sid"],
                 name=payload["name"],
                 probe=payload.get("probe"),
-                role=payload.get("role", "main"),
                 t0=float(payload["t0"]),
                 wall=float(payload["wall"]),
             )

@@ -28,7 +28,6 @@ from .api import RunConfig
 from .clock import SimulatedClock
 from .core.campaign import CampaignResult, MeasurementCampaign
 from .core.inference import InferenceEngine
-from .errors import SimulationError
 from .internet.geo import GeoDatabase, assign_geography
 from .internet.mta_fleet import MtaFleet, build_fleet
 from .internet.patching import PatchBehaviorModel
@@ -129,18 +128,13 @@ class Simulation:
 
     @classmethod
     def resume(
-        cls,
-        source,
-        *,
-        config: Optional[RunConfig] = None,
-        observation: Optional[Observation] = None,
+        cls, state, *, observation: Optional[Observation] = None
     ) -> "Simulation":
         """Reconstruct a checkpointed campaign mid-timeline.
 
-        ``source`` is a :class:`repro.store.RunStore` (the newest usable
-        checkpoint is loaded — of the run matching ``config``'s content
-        hash when given, else the most recently written run) or an
-        already-loaded :class:`repro.store.RunState`.
+        ``state`` is a loaded :class:`repro.store.RunState`
+        (:meth:`repro.store.RunStore.load_latest`; :func:`repro.api.resume`
+        also accepts a store or its directory).
 
         The world is rebuilt from the stored config, the clock is
         fast-forwarded through every scheduled notification event up to
@@ -151,19 +145,7 @@ class Simulation:
         remaining rounds and finishes byte-identical to an uninterrupted
         run.
         """
-        from .store import RunState, RunStore, restore_simulation
-
-        if isinstance(source, RunState):
-            state = source
-        elif isinstance(source, RunStore):
-            state = source.load_latest(
-                config_hash=config.content_hash() if config is not None else None
-            )
-        else:
-            raise SimulationError(
-                f"cannot resume from {type(source).__name__}; pass a "
-                "repro.store.RunStore or RunState"
-            )
+        from .store import restore_simulation
 
         sim = cls.build(config=state.config, observation=observation)
         restore_simulation(sim, state)

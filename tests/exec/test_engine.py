@@ -20,9 +20,9 @@ from repro.errors import CampaignError
 from repro.exec import (
     ClockRouter,
     ExecutionEnvironment,
+    ProbeExecutor,
     ProbeTask,
     RetryPolicy,
-    SerialExecutor,
 )
 from repro.simulation import Simulation
 from repro.smtp import Network, SmtpServer, SpfStack, SpfTiming
@@ -75,7 +75,7 @@ class TestRetryPolicy:
             server.policy.failure_stage = FailureStage.NONE
 
         env.clock.schedule(env.clock.now + _dt.timedelta(seconds=30), heal)
-        executor = SerialExecutor(env, retry=RetryPolicy(max_retries=2, backoff_seconds=60.0))
+        executor = ProbeExecutor(env, retry=RetryPolicy(max_retries=2, backoff_seconds=60.0))
         suite = env.labels.new_suite()
 
         (result,) = executor.run_stage("retry", [ProbeTask(ip=IP, suite=suite)])
@@ -88,7 +88,7 @@ class TestRetryPolicy:
     def test_retry_gives_up_after_bound(self):
         """A server that never heals stays SMTP-Failed after max_retries."""
         env, _server = build_world(ServerPolicy(failure_stage=FailureStage.BANNER))
-        executor = SerialExecutor(env, retry=RetryPolicy(max_retries=2, backoff_seconds=60.0))
+        executor = ProbeExecutor(env, retry=RetryPolicy(max_retries=2, backoff_seconds=60.0))
         suite = env.labels.new_suite()
 
         (result,) = executor.run_stage("retry", [ProbeTask(ip=IP, suite=suite)])
@@ -101,7 +101,7 @@ class TestRetryPolicy:
     def test_no_retry_without_policy(self):
         """The default policy takes the first transient failure as final."""
         env, _server = build_world(ServerPolicy(failure_stage=FailureStage.BANNER))
-        executor = SerialExecutor(env)
+        executor = ProbeExecutor(env)
         suite = env.labels.new_suite()
 
         (result,) = executor.run_stage("retry", [ProbeTask(ip=IP, suite=suite)])
@@ -114,7 +114,7 @@ class TestRetryPolicy:
         env, _server = build_world(
             ServerPolicy(failure_stage=FailureStage.BANNER), use_router=True
         )
-        executor = SerialExecutor(env, retry=RetryPolicy(max_retries=2, backoff_seconds=60.0))
+        executor = ProbeExecutor(env, retry=RetryPolicy(max_retries=2, backoff_seconds=60.0))
         suite = env.labels.new_suite()
         base = env.clock.now
 

@@ -9,7 +9,8 @@ Three layers:
 - the CLI end to end: ``obs history`` / ``obs regress`` exit codes on
   synthetic ledgers, a real ``run --ledger`` appending exactly one
   well-formed record, identical reruns NOT firing the gate on this
-  noisy container, and a sleep-instrumented slowdown firing it.
+  noisy container, and a sleep-instrumented slowdown firing it; and
+  ``obs record`` back-filling a record from a stored run's artifacts.
 """
 
 import json
@@ -226,7 +227,7 @@ class TestLedgerRunIntegration:
         assert record["kind"] == "run"
         assert record["scale"] == 0.002
         assert record["seed"] == 5
-        assert record["executor"] == "SerialExecutor"
+        assert not {"executor", "workers", "world"} & set(record)
         assert record["probes"] > 0
         assert record["probes_per_second"] > 0
         assert record["wall_seconds"] > 0
@@ -330,3 +331,92 @@ class TestLedgerRunIntegration:
         assert record["stages"] == profile["stages"]
         wall_total = sum(row["wall"] for row in record["stages"])
         assert wall_total > 0
+
+
+@pytest.fixture(scope="module")
+def stored_run(tmp_path_factory):
+    """One checkpointed, traced and profiled run with its metrics file."""
+    root = tmp_path_factory.mktemp("stored-run")
+    paths = {
+        "store": root / "store",
+        "metrics": root / "metrics.json",
+        "trace": root / "trace.jsonl",
+        "perf": root / "perf",
+    }
+    assert main([
+        "run", "--scale", "0.002", "--seed", "5", "--artifact", "table6",
+        "--store", str(paths["store"]),
+        "--metrics-out", str(paths["metrics"]),
+        "--trace", str(paths["trace"]),
+        "--perf", str(paths["perf"]),
+    ]) == 0
+    (run_dir,) = [path for path in paths["store"].glob("run-*") if path.is_dir()]
+    [own] = L.read_ledger(str(run_dir / L.LEDGER_FILENAME))
+    return dict(paths, run_dir=run_dir, own=own)
+
+
+class TestObsRecord:
+    def _record(self, stored_run, tmp_path, *extra):
+        ledger = tmp_path / "retro.jsonl"
+        assert main([
+            "obs", "record", str(stored_run["run_dir"]),
+            "--ledger", str(ledger), *extra,
+        ]) == 0
+        [record] = L.read_ledger(str(ledger))
+        return record
+
+    def test_joins_executor_totals_from_metrics(self, stored_run, tmp_path):
+        record = self._record(
+            stored_run, tmp_path, "--metrics", str(stored_run["metrics"])
+        )
+        assert record["kind"] == "record"
+        assert record["config_hash"] == stored_run["own"]["config_hash"]
+        total = json.loads(stored_run["metrics"].read_text())[
+            "executor_stages"
+        ]["total"]
+        assert record["probes"] == total["probes_attempted"]
+        assert record["probe_wall_seconds"] == round(total["wall_seconds"], 6)
+
+    def test_carries_no_end_to_end_wall_time(self, stored_run, tmp_path):
+        # Probe wall time is not the process's wall time: a retroactive
+        # record has no artifact holding the latter, so it omits it.
+        record = self._record(
+            stored_run, tmp_path, "--metrics", str(stored_run["metrics"])
+        )
+        assert "wall_seconds" not in record
+        assert "wall_seconds" in stored_run["own"]
+        assert L.metric_value(record, "wall_seconds") is None
+
+    def test_stage_rows_match_trace_profile(self, stored_run, tmp_path, capsys):
+        record = self._record(
+            stored_run,
+            tmp_path,
+            "--trace", str(stored_run["trace"]),
+            "--perf", str(stored_run["perf"]),
+        )
+        capsys.readouterr()
+        assert main([
+            "trace", "profile", str(stored_run["trace"]),
+            "--perf", str(stored_run["perf"]), "--json", "-",
+        ]) == 0
+        profile = json.loads(capsys.readouterr().out)
+        assert record["stages"] == profile["stages"]
+
+    def test_perf_without_trace_is_usage_error(
+        self, stored_run, tmp_path, capsys
+    ):
+        assert main([
+            "obs", "record", str(stored_run["run_dir"]),
+            "--ledger", str(tmp_path / "unused.jsonl"),
+            "--perf", str(stored_run["perf"]),
+        ]) == 2
+        assert "--perf requires --trace" in capsys.readouterr().err
+        assert not (tmp_path / "unused.jsonl").exists()
+
+    def test_directory_without_config_is_usage_error(self, tmp_path, capsys):
+        assert main([
+            "obs", "record", str(tmp_path),
+            "--ledger", str(tmp_path / "unused.jsonl"),
+        ]) == 2
+        assert "not a run directory" in capsys.readouterr().err
+        assert not (tmp_path / "unused.jsonl").exists()

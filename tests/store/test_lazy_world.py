@@ -93,7 +93,7 @@ def test_interrupted_lazy_run_resumes_to_eager_bytes(eager_reference, tmp_path):
 
     store.abort_after_round = None
     obs = Observation(trace=True)
-    resumed = Simulation.resume(store, observation=obs)
+    resumed = Simulation.resume(store.load_latest(), observation=obs)
     resumed.run(store=store)
     trace, csv = _artifacts(resumed, obs, tmp_path)
     assert trace == eager_reference.trace

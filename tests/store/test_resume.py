@@ -2,12 +2,13 @@
 
 The checkpoint/resume contract (see :mod:`repro.store`) is that a run
 killed after round *k* and resumed from its store finishes with the
-same canonical trace and the same exported CSVs, down to the byte, as a
-run that was never interrupted.  This module fault-injects an
-exception raised mid-timeline at scale 0.02, a run interrupted twice
-(so the last leg folds deltas that a resumed writer wrote), a store
-attached to a campaign already under way, and a torn-checkpoint crash
-that must fall back to the previous complete checkpoint.
+same canonical trace and the same exported CSVs, down to the byte, and
+the same metrics registry, as a run that was never interrupted.  This
+module fault-injects an exception raised mid-timeline at scale 0.02, a
+run interrupted twice (so the last leg folds deltas that a resumed
+writer wrote), a store attached to a campaign already under way, and a
+torn-checkpoint crash that must fall back to the previous complete
+checkpoint.
 """
 
 from __future__ import annotations
@@ -114,6 +115,7 @@ def reference(tmp_path_factory):
         sim=sim,
         trace_bytes=trace.read_bytes(),
         csv=_csv_bytes(csv_dir),
+        metrics=obs.metrics,
     )
 
 
@@ -124,6 +126,11 @@ def _assert_matches_reference(resumed, obs, reference, tmp_path):
     csv_dir = tmp_path / "csv"
     export_all(resumed, str(csv_dir))
     assert _csv_bytes(csv_dir) == reference.csv
+    # A batch run's registry holds no wall-clock value, so the
+    # checkpointed prefix merged with the resumed legs must equal the
+    # uninterrupted run's registry exactly.
+    assert obs.metrics.to_dict() == reference.metrics.to_dict()
+    assert obs.metrics.percentiles() == reference.metrics.percentiles()
 
 
 def test_serial_exception_mid_timeline_resumes_byte_identical(
@@ -142,7 +149,7 @@ def test_serial_exception_mid_timeline_resumes_byte_identical(
 
     store.abort_after_round = None
     obs2 = Observation(trace=True)
-    resumed = Simulation.resume(store, observation=obs2)
+    resumed = Simulation.resume(store.load_latest(), observation=obs2)
     assert resumed.provenance.rounds_completed == ABORT_AFTER
     assert resumed.provenance.checkpoint_kind == "round"
     resumed.run(store=store)
@@ -167,7 +174,9 @@ def test_double_interruption_resumes_byte_identical(reference, tmp_path):
     assert store.load_latest().checkpoint.world == capture_world_state(sim)
 
     store.abort_after_round = 5
-    second = Simulation.resume(store, observation=Observation(trace=True))
+    second = Simulation.resume(
+        store.load_latest(), observation=Observation(trace=True)
+    )
     with pytest.raises(CampaignAborted):
         second.run(store=store)
     state = store.load_latest()
@@ -177,7 +186,7 @@ def test_double_interruption_resumes_byte_identical(reference, tmp_path):
 
     store.abort_after_round = None
     obs3 = Observation(trace=True)
-    third = Simulation.resume(store, observation=obs3)
+    third = Simulation.resume(store.load_latest(), observation=obs3)
     assert third.provenance.rounds_completed == 5
     third.run(store=store)
 
@@ -201,7 +210,7 @@ def test_store_attached_mid_campaign_resumes_byte_identical(reference, tmp_path)
 
     store.abort_after_round = None
     obs = Observation(trace=True)
-    resumed = Simulation.resume(store, observation=obs)
+    resumed = Simulation.resume(store.load_latest(), observation=obs)
     assert resumed.provenance.rounds_completed == 5
     resumed.run(store=store)
 

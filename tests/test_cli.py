@@ -63,7 +63,11 @@ class TestCli:
             assert decoded["vt"] is not None
         payload = json.loads(metrics.read_text())
         assert payload["scale"] == 0.002
-        assert payload["metrics"]["counters"]["exec.probes"]["total"] > 0
+        assert payload["executor_stages"]["total"]["probes_attempted"] > 0
+        # Stage counts live only in executor_stages, and the file carries
+        # no constant executor/worker fields.
+        assert "exec.probes" not in payload["metrics"]["counters"]
+        assert not {"executor", "workers"} & set(payload)
         out = capsys.readouterr().out
         assert "trace:" in out and "metrics written" in out
 
@@ -149,9 +153,26 @@ class TestRunResumeCli:
         assert (args.warm_rounds, args.queue_depth, args.tenant_connections,
                 args.loadtest, args.loadtest_threads) == (0, 1, 1, 1, 1)
 
-    def test_abort_after_round_requires_store(self, capsys):
-        assert main(["run", *self.BASE, "--abort-after-round", "1"]) == 2
-        assert "requires --store" in capsys.readouterr().err
+    def test_abort_after_round_requires_store(self, tmp_path, capsys):
+        # Rejected before the world or the perf sideband is opened: an
+        # earlier profiled run's streams in the --perf directory survive.
+        perf_dir = tmp_path / "perf"
+        assert main([
+            "run", "--scale", "0.002", "--seed", "5", "--artifact", "table6",
+            "--perf", str(perf_dir),
+        ]) == 0
+        before = {path.name: path.read_bytes() for path in perf_dir.iterdir()}
+        assert "perf.jsonl" in before and "perf_samples.jsonl" in before
+        capsys.readouterr()
+        assert main([
+            "run", *self.BASE, "--abort-after-round", "1",
+            "--perf", str(perf_dir),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "requires --store" in captured.err
+        assert "Building" not in captured.out
+        after = {path.name: path.read_bytes() for path in perf_dir.iterdir()}
+        assert after == before
 
     def test_run_abort_resume_trace_identical(self, tmp_path, capsys):
         store = tmp_path / "store"
