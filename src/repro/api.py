@@ -49,6 +49,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .collector import collector_paused
 from .core.campaign import CampaignConfig, DomainStatus
 from .core.detector import DetectionOutcome, DetectionResult
 from .errors import SimulationError
@@ -544,10 +545,16 @@ class RunHandle:
     # -- campaign progression -------------------------------------------------
 
     def ensure_initial(self):
-        """Run the initial sweep if it has not happened yet."""
+        """Run the initial sweep if it has not happened yet.
+
+        Like :meth:`advance_rounds` and :meth:`run`, this is batch work
+        and pauses automatic garbage collection while it runs
+        (:func:`repro.collector.collector_paused`); probe dispatch does
+        not.
+        """
         campaign = self._sim.campaign
         if campaign.initial is None:
-            with self._observed():
+            with collector_paused(), self._observed():
                 campaign.run_initial()
         return campaign.initial
 
@@ -566,9 +573,10 @@ class RunHandle:
             raise SimulationError(
                 f"cannot advance {count} rounds: count must be >= 0"
             )
-        self.ensure_initial()
-        with self._observed():
-            return self._sim.campaign.advance_rounds(count)
+        with collector_paused():
+            self.ensure_initial()
+            with self._observed():
+                return self._sim.campaign.advance_rounds(count)
 
     def run(self, *, store=None):
         """Run the rest of the campaign timeline; returns the result.

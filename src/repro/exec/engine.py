@@ -123,10 +123,12 @@ class ProbeExecutor:
         self._stride = 2 * (1 + self.retry.max_retries)
         #: the running task's clock: with a router, the task's waits
         #: advance it instead of the shared clock.
-        self._vclock = VirtualClock(env.clock.now)
+        self._vclock = vclock = VirtualClock(env.clock.now)
         if env.router is not None:
-            wait = self._vclock.advance_seconds
-            now = lambda: self._vclock.now
+            wait = vclock.advance_seconds
+            # Reads the clock, not ``self``: the detector is held by this
+            # executor, so a closure over ``self`` would be a cycle.
+            now = lambda: vclock.now
         else:
             wait = env.clock.advance_seconds
             now = lambda: env.clock.now

@@ -381,7 +381,8 @@ class FleetDnsBackend(DnsBackend):
     """
 
     def __init__(self, fleet: "MtaFleet") -> None:
-        self._fleet = fleet
+        # Weak: the fleet holds this backend (see MtaFleet.units).
+        self._fleet = weakref.proxy(fleet)
         #: answers served (read-only telemetry; see ``MtaFleet.perf_counters``).
         self.query_count = 0
 
@@ -394,7 +395,7 @@ class FleetDnsBackend(DnsBackend):
         response.authoritative = True
         text = str(qname).lower().rstrip(".")
         if text.startswith("mx."):
-            unit = self._fleet.unit_by_domain.get(text[3:])
+            unit = self._fleet._unit_for_domain(text[3:])
             if unit is not None and unit.mail_hostname == text:
                 if rrtype == RRType.A:
                     addresses = unit.new_ips if _unit_moved(unit, now) else unit.ips
@@ -404,7 +405,7 @@ class FleetDnsBackend(DnsBackend):
                         )
                 return response  # NODATA for other types on a live host
         else:
-            unit = self._fleet.unit_by_domain.get(text)
+            unit = self._fleet._unit_for_domain(text)
             if unit is not None:
                 if rrtype == RRType.MX:
                     response.answers.append(
@@ -571,10 +572,28 @@ class MtaFleet:
         self.unit_view_hits = 0
         self.unit_materializations = 0
 
-        self.units = _UnitSequence(self)
-        self.unit_by_domain = _DomainIndex(self)
-        self.unit_by_ip = _IpIndex(self)
         self.dns_backend = FleetDnsBackend(self)
+
+    # A view or backend stored on the fleet that pointed back at it would
+    # make every world a reference cycle, which only the cyclic garbage
+    # collector frees: the views are made per access, and the one
+    # backend (registered with the resolver, keeping a count) holds the
+    # fleet weakly.
+
+    @property
+    def units(self) -> "_UnitSequence":
+        """Every hosting unit, as a lazy list indexable by ``unit_id``."""
+        return _UnitSequence(self)
+
+    @property
+    def unit_by_domain(self) -> "_DomainIndex":
+        """Domain name → owning unit, computed on access."""
+        return _DomainIndex(self)
+
+    @property
+    def unit_by_ip(self) -> "_IpIndex":
+        """Address → owning unit, computed on access."""
+        return _IpIndex(self)
 
     # -- census ---------------------------------------------------------------
 

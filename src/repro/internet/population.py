@@ -486,13 +486,22 @@ class DomainPopulation:
     def __init__(self, config: Optional[PopulationConfig] = None) -> None:
         self.config = config or PopulationConfig()
         self.table = DomainTable(self.config)
-        self.domains = _DomainSequence(self)
         self._views: "weakref.WeakValueDictionary[int, Domain]" = (
             weakref.WeakValueDictionary()
         )
         self._stats: Dict[tuple, object] = {}
 
     # -- row views ------------------------------------------------------------
+
+    @property
+    def domains(self) -> _DomainSequence:
+        """Every domain, as a lazy list-like sequence of views.
+
+        A new sequence per access: one stored on the population would
+        point back at it, and that reference cycle would leave a dropped
+        world for the cyclic garbage collector to free.
+        """
+        return _DomainSequence(self)
 
     def domain_at(self, index: int) -> Domain:
         """The (cached) :class:`Domain` view for row ``index``."""

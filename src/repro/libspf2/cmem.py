@@ -15,21 +15,37 @@ to do damage.  With the default ``slack=0`` every overrun is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..errors import MemoryCorruptionError, SimulationError
 
 
 class CBuffer:
-    """One heap allocation: ``size`` writable bytes plus a guard zone."""
+    """One heap allocation: ``size`` writable bytes plus a guard zone.
 
-    def __init__(self, heap: "CHeap", block_id: int, size: int) -> None:
-        self._heap = heap
+    A buffer keeps copies of its heap's ``guard_size`` and ``slack`` and
+    shares its ``overflow_events`` list, but holds no reference to the
+    heap itself: the heap's block table already points at every live
+    buffer, so a back-reference would make each allocation a reference
+    cycle that only the cyclic garbage collector could free.
+    """
+
+    def __init__(
+        self,
+        block_id: int,
+        size: int,
+        *,
+        guard_size: int,
+        slack: int,
+        overflow_events: List[tuple],
+    ) -> None:
         self.block_id = block_id
         self.size = size
+        self.guard_size = guard_size
+        self.slack = slack
+        self._overflow_events = overflow_events
         # Guard bytes past the end record what an overflow wrote.
-        self._data = bytearray(size + heap.guard_size)
+        self._data = bytearray(size + guard_size)
         self.high_water = 0
         self.freed = False
         self.overflowed = False
@@ -49,7 +65,7 @@ class CBuffer:
                 block_id=self.block_id,
                 offset=offset,
             )
-        if offset >= self.size + self._heap.guard_size:
+        if offset >= self.size + self.guard_size:
             raise MemoryCorruptionError(
                 f"wild write at offset {offset} (size {self.size}) on block {self.block_id}",
                 block_id=self.block_id,
@@ -59,11 +75,11 @@ class CBuffer:
         self.high_water = max(self.high_water, offset + 1)
         if offset >= self.size:
             self.overflowed = True
-            self._heap.overflow_events.append((self.block_id, offset))
-            if offset >= self.size + self._heap.slack:
+            self._overflow_events.append((self.block_id, offset))
+            if offset >= self.size + self.slack:
                 raise MemoryCorruptionError(
                     f"heap overflow: wrote offset {offset} in {self.size}-byte "
-                    f"block {self.block_id} (slack {self._heap.slack})",
+                    f"block {self.block_id} (slack {self.slack})",
                     block_id=self.block_id,
                     offset=offset,
                 )
@@ -89,7 +105,7 @@ class CBuffer:
 
     def read_byte(self, offset: int) -> int:
         self._check_alive()
-        if not 0 <= offset < self.size + self._heap.guard_size:
+        if not 0 <= offset < self.size + self.guard_size:
             raise MemoryCorruptionError(
                 f"out-of-bounds read at offset {offset} on block {self.block_id}",
                 block_id=self.block_id,
@@ -131,7 +147,13 @@ class CHeap:
     def malloc(self, size: int) -> CBuffer:
         if size < 0:
             raise SimulationError(f"malloc of negative size {size}")
-        buf = CBuffer(self, self._next_id, size)
+        buf = CBuffer(
+            self._next_id,
+            size,
+            guard_size=self.guard_size,
+            slack=self.slack,
+            overflow_events=self.overflow_events,
+        )
         self._blocks[self._next_id] = buf
         self._next_id += 1
         self.total_allocated += size

@@ -286,15 +286,9 @@ class TraceAnalysis:
     def span_duration_histograms(self) -> Dict[str, Histogram]:
         """Per-span-name virtual-duration distributions (exact percentiles)."""
         out: Dict[str, Histogram] = {}
-
-        def visit(node: SpanNode) -> None:
-            out.setdefault(node.name, Histogram(node.name)).observe(node.seconds)
-            for child in node.children:
-                visit(child)
-
         for task in self.tasks:
             for root in task.spans:
-                visit(root)
+                _observe_span_durations(root, out)
         return out
 
     # -- critical path --------------------------------------------------------
@@ -349,18 +343,6 @@ class TraceAnalysis:
         ``flamegraph.pl`` or any compatible renderer.
         """
         weights: Dict[str, int] = {}
-
-        def add(path: str, seconds: float) -> None:
-            micros = int(round(seconds * 1e6))
-            if micros > 0:
-                weights[path] = weights.get(path, 0) + micros
-
-        def visit(prefix: str, node: SpanNode) -> None:
-            path = f"{prefix};{node.name}"
-            add(path, node.self_seconds)
-            for child in node.children:
-                visit(path, child)
-
         for task in self.tasks:
             stage = (
                 self._stages_by_ordinal.get(task.stage_ordinal)
@@ -370,9 +352,9 @@ class TraceAnalysis:
             stage_label = stage.name if stage is not None else "(no stage)"
             base = f"campaign;{stage_label};{task.probe or task.scope}"
             root_seconds = sum(root.seconds for root in task.spans)
-            add(base, max(0.0, task.seconds - root_seconds))
+            add_folded(weights, base, max(0.0, task.seconds - root_seconds))
             for root in task.spans:
-                visit(base, root)
+                _fold_virtual(weights, base, root)
         return "\n".join(f"{path} {weights[path]}" for path in sorted(weights))
 
     # -- machine-readable export ----------------------------------------------
@@ -511,6 +493,32 @@ class TraceAnalysis:
             "",
         ]
         return "\n".join(parts)
+
+
+# The span-tree walks are module-level functions, not nested closures: a
+# nested function that calls itself references itself through a closure
+# cell, a reference cycle that would keep the walk's accumulators alive
+# until the cyclic garbage collector ran.
+
+
+def add_folded(weights: Dict[str, int], path: str, seconds: float) -> None:
+    """Add ``seconds`` to folded-stack ``path`` as whole microseconds."""
+    micros = int(round(seconds * 1e6))
+    if micros > 0:
+        weights[path] = weights.get(path, 0) + micros
+
+
+def _observe_span_durations(node: SpanNode, out: Dict[str, Histogram]) -> None:
+    out.setdefault(node.name, Histogram(node.name)).observe(node.seconds)
+    for child in node.children:
+        _observe_span_durations(child, out)
+
+
+def _fold_virtual(weights: Dict[str, int], prefix: str, node: SpanNode) -> None:
+    path = f"{prefix};{node.name}"
+    add_folded(weights, path, node.self_seconds)
+    for child in node.children:
+        _fold_virtual(weights, path, child)
 
 
 def analyze_file(path: str) -> TraceAnalysis:

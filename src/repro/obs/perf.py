@@ -54,6 +54,8 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .analyze import add_folded
+
 __all__ = [
     "PerfRecorder",
     "PerfProfile",
@@ -221,6 +223,10 @@ class PerfRecorder:
         thread.join(timeout=5.0)
         # One final sample so even sub-interval runs record end state.
         self._write_sample()
+        # The counters callback closes over the simulation, which holds
+        # this recorder through its observation: keeping it would make a
+        # finished run's whole world a reference cycle.
+        self._counters = None
 
     def _write_sample(self) -> None:
         record = {
@@ -252,9 +258,10 @@ class PerfRecorder:
             "records": self.record_count,
             "samples": self.sample_count,
         }
+        # No ``indent``: it selects json's pure-Python encoder, whose
+        # closures leave a reference cycle behind on every call.
         with open(os.path.join(self.directory, META_FILE), "w") as handle:
-            json.dump(meta, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(json.dumps(meta, sort_keys=True) + "\n")
         return dict(meta, directory=self.directory)
 
 
@@ -324,6 +331,47 @@ def _rate(hits: int, total: int) -> str:
     if total <= 0:
         return "—"
     return f"{100.0 * hits / total:.1f}%"
+
+
+# Post-order span-tree walks, kept at module level for the reason given
+# beside ``analyze.add_folded``: a self-calling closure is a reference
+# cycle.  Each returns the node's wall seconds (its children's sum when
+# the node has no wall record).
+
+
+def _aggregate_span_wall(
+    node, span_wall: Dict[str, float], agg: Dict[str, dict]
+) -> float:
+    child_wall = 0.0
+    for child in node.children:
+        child_wall += _aggregate_span_wall(child, span_wall, agg)
+    wall = span_wall.get(node.sid)
+    if wall is None:
+        return child_wall
+    row = agg.setdefault(
+        node.name,
+        {"name": node.name, "count": 0, "wall": 0.0, "self_wall": 0.0,
+         "virtual_self": 0.0},
+    )
+    row["count"] += 1
+    row["wall"] += wall
+    row["self_wall"] += max(0.0, wall - child_wall)
+    row["virtual_self"] += node.self_seconds
+    return wall
+
+
+def _fold_wall(
+    weights: Dict[str, int], span_wall: Dict[str, float], prefix: str, node
+) -> float:
+    path = f"{prefix};{node.name}"
+    child_wall = 0.0
+    for child in node.children:
+        child_wall += _fold_wall(weights, span_wall, path, child)
+    wall = span_wall.get(node.sid)
+    if wall is None:
+        return child_wall
+    add_folded(weights, path, max(0.0, wall - child_wall))
+    return wall
 
 
 class PerfProfile:
@@ -399,28 +447,9 @@ class PerfProfile:
     def span_profile(self) -> List[dict]:
         """Per-span-name wall aggregate (self time excludes child spans)."""
         agg: Dict[str, dict] = {}
-
-        def visit(node) -> float:
-            child_wall = 0.0
-            for child in node.children:
-                child_wall += visit(child)
-            wall = self.span_wall.get(node.sid)
-            if wall is None:
-                return child_wall
-            row = agg.setdefault(
-                node.name,
-                {"name": node.name, "count": 0, "wall": 0.0, "self_wall": 0.0,
-                 "virtual_self": 0.0},
-            )
-            row["count"] += 1
-            row["wall"] += wall
-            row["self_wall"] += max(0.0, wall - child_wall)
-            row["virtual_self"] += node.self_seconds
-            return wall
-
         for task in self.analysis.tasks:
             for root in task.spans:
-                visit(root)
+                _aggregate_span_wall(root, self.span_wall, agg)
         return sorted(agg.values(), key=lambda r: (-r["self_wall"], r["name"]))
 
     # -- samples --------------------------------------------------------------
@@ -457,23 +486,6 @@ class PerfProfile:
         line up frame-for-frame; only the sample weights differ.
         """
         weights: Dict[str, int] = {}
-
-        def add(path: str, seconds: float) -> None:
-            micros = int(round(seconds * 1e6))
-            if micros > 0:
-                weights[path] = weights.get(path, 0) + micros
-
-        def visit(prefix: str, node) -> float:
-            path = f"{prefix};{node.name}"
-            child_wall = 0.0
-            for child in node.children:
-                child_wall += visit(path, child)
-            wall = self.span_wall.get(node.sid)
-            if wall is None:
-                return child_wall
-            add(path, max(0.0, wall - child_wall))
-            return wall
-
         stage_task_wall: Dict[int, float] = {}
         for task in self.analysis.tasks:
             stage = (
@@ -485,10 +497,10 @@ class PerfProfile:
             base = f"campaign;{stage_label};{task.probe or task.scope}"
             span_wall = 0.0
             for root in task.spans:
-                span_wall += visit(base, root)
+                span_wall += _fold_wall(weights, self.span_wall, base, root)
             wall = self.task_wall.get(task.scope)
             if wall is not None:
-                add(base, max(0.0, wall - span_wall))
+                add_folded(weights, base, max(0.0, wall - span_wall))
                 if task.stage_ordinal is not None:
                     stage_task_wall[task.stage_ordinal] = (
                         stage_task_wall.get(task.stage_ordinal, 0.0) + wall
@@ -497,7 +509,8 @@ class PerfProfile:
         for ordinal, wall in self.stage_wall.items():
             stage = self.analysis._stages_by_ordinal.get(ordinal)
             label = stage.name if stage is not None else f"s{ordinal}"
-            add(
+            add_folded(
+                weights,
                 f"campaign;{label}",
                 max(0.0, wall - stage_task_wall.get(ordinal, 0.0)),
             )

@@ -3,10 +3,11 @@
 One endpoint shape: ``POST /v1/<method>`` with a JSON body
 (``{"target": ..., "since": ..., "tenant": ...}``), answered with a JSON
 document and a meaningful status code (200 OK, 400 malformed, 404
-unknown method/domain, 429 admission refusal with ``Retry-After``, 500
-internal).  ``GET /v1/run_status`` and ``GET /healthz`` serve
-monitoring.  The tenant is taken from the body's ``tenant`` field or the
-``X-Tenant`` header (body wins), defaulting to ``"public"``.
+unknown method/domain, 413 body over :data:`MAX_BODY_BYTES`, 429
+admission refusal with ``Retry-After``, 500 internal).
+``GET /v1/run_status`` and ``GET /healthz`` serve monitoring.  The
+tenant is taken from the body's ``tenant`` field or the ``X-Tenant``
+header (body wins), defaulting to ``"public"``.
 
 The listener binds either a TCP loopback address or a unix-domain
 socket — both are fronted by :class:`http.server.ThreadingHTTPServer`,
@@ -29,6 +30,8 @@ from .service import ScanService
 
 #: API prefix every method endpoint lives under.
 API_PREFIX = "/v1/"
+#: the largest request body accepted (real bodies are a few hundred bytes).
+MAX_BODY_BYTES = 1 << 20
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -74,8 +77,20 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
+            length = -1
+        # Refused unread, so the connection closes: ``rfile.read(-1)``
+        # would block until the client hung up, and an unbounded length
+        # would be read into memory whatever its size.
+        if length < 0:
             self.close_connection = True
             self._send(400, {"error": "bad Content-Length"})
+            return
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._send(
+                413,
+                {"error": f"request body over {MAX_BODY_BYTES:,} bytes"},
+            )
             return
         # Drain the body before any rejection: unread bytes would be
         # parsed as the next request line on this keep-alive connection.

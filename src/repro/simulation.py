@@ -26,6 +26,7 @@ from typing import Optional, Tuple
 
 from .api import RunConfig
 from .clock import SimulatedClock
+from .collector import collector_paused
 from .core.campaign import CampaignResult, MeasurementCampaign
 from .core.inference import InferenceEngine
 from .internet.geo import GeoDatabase, assign_geography
@@ -143,12 +144,14 @@ class Simulation:
         on touch), and the snapshotted mutable state is installed on
         top, so :meth:`run` continues with the
         remaining rounds and finishes byte-identical to an uninterrupted
-        run.
+        run.  Like :meth:`run`, the restore pauses automatic garbage
+        collection.
         """
         from .store import restore_simulation
 
-        sim = cls.build(config=state.config, observation=observation)
-        restore_simulation(sim, state)
+        with collector_paused():
+            sim = cls.build(config=state.config, observation=observation)
+            restore_simulation(sim, state)
         return sim
 
     def run(self, *, store=None) -> CampaignResult:
@@ -159,13 +162,19 @@ class Simulation:
         then checkpoints after the initial sweep and after every
         completed round, and a resumed simulation keeps appending to the
         same run directory.
+
+        Automatic cyclic garbage collection is paused for the run and
+        resumed afterwards, even when the run raises
+        (:func:`repro.collector.collector_paused`): a run makes no
+        reference cycles, so collections during it would only re-walk
+        the world.
         """
         if self.result is None:
             writer = store
             if store is not None and hasattr(store, "writer"):
                 writer = store.writer(self)
             try:
-                with (
+                with collector_paused(), (
                     observing(self.observation)
                     if self.observation is not None
                     else contextlib.nullcontext()

@@ -45,6 +45,7 @@ try:
 except ImportError:  # non-unix: locking degrades to a no-op
     fcntl = None  # type: ignore[assignment]
 
+from ..collector import collector_paused
 from ..errors import CampaignAborted, SimulationError, StoreError
 from .checkpoint import (
     CHECKPOINT_VERSION,
@@ -274,9 +275,12 @@ class CheckpointWriter:
             "config": self.sim.config.to_dict(),
             "checkpoints": self._entries,
         }
+        # One line through the C encoder: an ``indent`` would select the
+        # pure-Python encoder, whose closures leave a reference cycle
+        # behind on every call, i.e. after every checkpoint.
         _atomic_write(
             os.path.join(self.run_dir, "manifest.json"),
-            json.dumps(manifest, sort_keys=True, indent=2).encode("utf-8"),
+            json.dumps(manifest, sort_keys=True).encode("utf-8"),
         )
 
 
@@ -326,7 +330,7 @@ class RunStore:
                     handle.write(ledger)
             _atomic_write(
                 os.path.join(run_dir, "config.json"),
-                sim.config.to_json().encode("utf-8"),
+                sim.config.to_json(indent=None).encode("utf-8"),
             )
         except BaseException:
             lock.release()
@@ -389,7 +393,9 @@ class RunStore:
 
         ``config_hash`` pins the run to resume; a mismatch is an error
         listing what the store actually holds, never a silent fallback
-        to a different experiment.
+        to a different experiment.  The chain is unpickled and folded
+        with automatic garbage collection paused
+        (:func:`repro.collector.collector_paused`).
         """
         candidates = []
         for name in self.runs():
@@ -416,7 +422,8 @@ class RunStore:
                 )
             candidates = matching
         name, manifest = candidates[0]
-        return self._load_run(name, manifest)
+        with collector_paused():
+            return self._load_run(name, manifest)
 
     def _read_manifest(self, name: str) -> Optional[dict]:
         path = os.path.join(self.root, name, "manifest.json")

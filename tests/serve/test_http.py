@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime as _dt
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro import api
 from repro.core.ethics import EthicsControls
 from repro.errors import ServeError
 from repro.serve import ScanClient, ScanService, start_server
+from repro.serve.httpd import MAX_BODY_BYTES
 
 SCALE = 0.002
 SEED = 5
@@ -172,6 +174,52 @@ class TestTCPEndpoints:
             assert "JSON object" in body["error"]
         finally:
             conn.close()
+
+
+def _raw_post(tcp_server, content_length: str, body: bytes = b"") -> bytes:
+    """One POST over a fresh socket, read until the server closes it.
+
+    The socket timeout turns a server that waits for a body it will
+    never get into a failed test instead of a hung one.
+    """
+    host, port = tcp_server.server_address[:2]
+    head = (
+        "POST /v1/run_status HTTP/1.1\r\n"
+        f"Host: {host}\r\n"
+        f"Content-Length: {content_length}\r\n"
+        "Connection: close\r\n\r\n"
+    )
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(head.encode("ascii") + body)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _status(response: bytes) -> int:
+    return int(response.split(b"\r\n", 1)[0].split()[1])
+
+
+class TestContentLength:
+    """The declared body length is checked before any body is read."""
+
+    @pytest.mark.parametrize(
+        "content_length, status",
+        [("-1", 400), ("abc", 400), (str(MAX_BODY_BYTES + 1), 413)],
+        ids=["negative", "not_a_number", "over_the_cap"],
+    )
+    def test_refused_before_reading(self, tcp_server, content_length, status):
+        response = _raw_post(tcp_server, content_length)
+        assert _status(response) == status
+        assert b"Content-Length" in response.split(b"\r\n\r\n", 1)[0]
+
+    def test_a_body_at_the_cap_is_read(self, tcp_server):
+        body = b"{}".ljust(MAX_BODY_BYTES)
+        response = _raw_post(tcp_server, str(len(body)), body)
+        assert _status(response) == 200
 
 
 class TestAdmissionOverHTTP:

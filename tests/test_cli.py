@@ -1,6 +1,7 @@
 """Tests for the `python -m repro` command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -102,6 +103,25 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "table1" in proc.stdout
+
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        # ``repro obs history FILE | head``, with the reader already gone
+        # before the command writes its first line.
+        ledger = os.path.join(
+            os.path.dirname(__file__), "..", "benchmarks", "ledger.jsonl"
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "obs", "history", ledger],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestRunResumeCli:
