@@ -79,21 +79,24 @@ def test_ablation_blankmsg_fallback(benchmark, result):
 
 
 def test_ablation_inference_rules(benchmark, sim):
-    """Status coverage in the last round, with and without inference."""
+    """Conclusive domain-rounds over the whole campaign, with and without
+    inference.  The final round measures every domain, so it alone shows
+    no difference; the rules fill the gaps of the rounds before it."""
     engine = sim.inference()
 
     def analyze():
         summaries = engine.round_summaries_domains()
-        last = summaries[-1]
-        with_rules = last.measured + last.inferred
-        without_rules = last.measured
-        return last.total, with_rules, without_rules
+        measured = sum(summary.measured for summary in summaries)
+        inferred = sum(summary.inferred for summary in summaries)
+        best = max(summaries, key=lambda summary: summary.inferred)
+        return len(summaries), measured, inferred, best
 
-    total, with_rules, without_rules = benchmark(analyze)
+    rounds, measured, inferred, best = benchmark(analyze)
     emit(
-        "Ablation 3 — dropping the inference rules (final round, "
-        f"{total} domains):\n"
-        f"  conclusive with rules:    {with_rules}\n"
-        f"  conclusive without rules: {without_rules}"
+        f"Ablation 3 — dropping the inference rules ({rounds} rounds):\n"
+        f"  conclusive domain-rounds with rules:    {measured + inferred}\n"
+        f"  conclusive domain-rounds without rules: {measured}\n"
+        f"  largest one-round gain: {best.inferred} on top of {best.measured} "
+        f"({best.date:%Y-%m-%d})"
     )
-    assert with_rules >= without_rules
+    assert inferred > 0

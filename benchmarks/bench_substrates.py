@@ -1,8 +1,8 @@
 """Micro-benchmarks for the substrate hot paths.
 
 Not tied to a paper artifact — these quantify the cost of the pieces the
-campaign executes hundreds of thousands of times: DNS wire coding, SPF
-evaluation, macro expansion (both engines), and a full probe transaction.
+campaign executes hundreds of thousands of times: SPF evaluation, macro
+expansion (both engines), and a full probe transaction.
 """
 
 import ipaddress
@@ -14,35 +14,16 @@ from repro.dns import (
     A,
     AuthoritativeServer,
     CachingResolver,
-    Message,
     Name,
-    RRType,
     SpfTestResponder,
     StubResolver,
     TXT,
     Zone,
 )
-from repro.dns.wire import from_wire, to_wire
 from repro.libspf2.expand import LibSpf2Expander
 from repro.smtp import Network, SmtpClient, SmtpServer, SpfStack, SpfTiming, TransactionKind
 from repro.spf import SpfEvaluator
 from repro.spf.macro import MacroContext, expand_macros
-
-
-def test_wire_roundtrip(benchmark):
-    from repro.dns.rdata import ResourceRecord
-
-    message = Message.make_query(Name.from_text("mail.example.com"), RRType.TXT)
-    response = message.make_response()
-    response.answers = [
-        ResourceRecord(
-            name=Name.from_text("mail.example.com"),
-            rdata=TXT("v=spf1 a:%{d1r}.x.example a:b.x.example -all"),
-        )
-    ]
-    wire = to_wire(response)
-    decoded = benchmark(lambda: from_wire(to_wire(response)))
-    assert decoded.answers
 
 
 def test_rfc_macro_expansion(benchmark):

@@ -4,8 +4,9 @@
 Demonstrates the downstream-facing :class:`SpfVulnerabilityScanner` API —
 the productized form of the paper's technique.  An operator stands up the
 measurement DNS responder, points the scanner at their domains, and reads
-the per-server verdicts.  Zone data for the scanned infrastructure is
-authored as standard zone-file text.
+the per-server verdicts.  The scanned estate's MX and A records are set
+with ``set_mx``/``set_a`` on a DNS backend, and every clock below reads
+one :class:`ClockRouter`, so each probe runs in its own virtual timeslot.
 
 Run:  python examples/operator_scan.py
 """
@@ -13,25 +14,26 @@ Run:  python examples/operator_scan.py
 from repro.clock import SimulatedClock
 from repro.core import SpfVulnerabilityScanner
 from repro.dns import CachingResolver, Name, SpfTestResponder, StubResolver
+from repro.exec import ClockRouter
 from repro.internet.mta_fleet import PopulationDnsBackend
 from repro.smtp import Network, SmtpServer, SpfStack, SpfTiming
 
 
 def main() -> None:
-    clock = SimulatedClock()
-    now = lambda: clock.now
+    # The network, the resolvers and the scanner all read one router.
+    router = ClockRouter(SimulatedClock())
 
     # The scanner's own infrastructure: the special DNS zone that serves
     # macro-bearing SPF policies and logs what each scanned server asks.
     responder = SpfTestResponder(Name.from_text("spf-test.dns-lab.org"))
-    resolver = CachingResolver(clock=now)
+    resolver = CachingResolver(clock=router)
     resolver.register("spf-test.dns-lab.org", responder)
 
     # The operator's estate: three mail domains on three servers, one of
     # them still running the vulnerable libSPF2.
     estate_dns = PopulationDnsBackend()
     resolver.register(Name.root(), estate_dns)
-    network = Network(clock=now)
+    network = Network(clock=router)
     estate = {
         "corp.example": ("10.1.0.1", "patched-libspf2"),
         "shop.example": ("10.1.0.2", "vulnerable-libspf2"),
@@ -44,15 +46,15 @@ def main() -> None:
             SmtpServer(
                 ip,
                 spf_stacks=[SpfStack.named(behavior, SpfTiming.ON_MAIL_FROM)],
-                resolver=StubResolver(resolver, identity=ip, clock=now),
+                resolver=StubResolver(resolver, identity=ip, clock=router),
             )
         )
 
     scanner = SpfVulnerabilityScanner(
         network,
         responder,
-        clock=clock,
-        resolver=StubResolver(resolver, identity="scanner", clock=now),
+        router=router,
+        resolver=StubResolver(resolver, identity="scanner", clock=router),
     )
     report = scanner.scan_domains(sorted(estate))
     print(report.summary())

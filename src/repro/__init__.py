@@ -3,7 +3,7 @@ Remediating Vulnerabilities in Email Sender Validation" (IMC 2022).
 
 The package layers, bottom-up:
 
-- :mod:`repro.dns` -- DNS substrate (names, records, wire codec, zones,
+- :mod:`repro.dns` -- DNS substrate (names, records, messages, zones,
   authoritative servers, resolvers, the measurement query log);
 - :mod:`repro.spf` -- RFC 7208 engine with pluggable macro-expansion
   behaviors;

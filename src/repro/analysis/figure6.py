@@ -32,9 +32,6 @@ class VulnerabilitySeries:
     group: str
     points: List[RoundSummary]
 
-    def rate_at(self, index: int) -> float:
-        return self.points[index].vulnerable_fraction
-
 
 @dataclass
 class Figure6:

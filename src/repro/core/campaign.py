@@ -187,14 +187,13 @@ class MeasurementCampaign:
             self.resolver, identity="measurement", clock=self.clock_router
         )
         self.env = ExecutionEnvironment(
-            clock=self.clock,
+            router=self.clock_router,
             network=self.network,
             responder=self.responder,
             labels=self.labels,
             ethics=self.ethics,
             client_ip=self.config.probe_client_ip,
             seconds_per_probe=self.config.seconds_per_probe,
-            router=self.clock_router,
         )
         self.executor = ProbeExecutor(self.env, retry=retry)
         #: preferred probe method per address, learned at initial time.

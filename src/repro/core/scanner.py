@@ -9,10 +9,16 @@ the same ethics limits the paper imposed.
 This wraps the lower-level pieces (labels, detector, ethics) behind one
 object, so adopting the technique takes four lines:
 
->>> scanner = SpfVulnerabilityScanner(network, responder, clock=clock)
+>>> scanner = SpfVulnerabilityScanner(network, responder, router=router)
 ... # doctest: +SKIP
 >>> report = scanner.scan_ips(["203.0.113.10", "203.0.113.20"])
 ... # doctest: +SKIP
+
+``router`` is the :class:`~repro.exec.ClockRouter` the network and its
+resolvers were built to read, the same time protocol the campaign runs
+on: each probe gets its own ``seconds_per_probe`` slot of the shared
+clock, and waits inside a probe (greylist retries, ethics pacing)
+advance only that probe's virtual clock.
 """
 
 from __future__ import annotations
@@ -21,11 +27,16 @@ import datetime as _dt
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..clock import SimulatedClock
 from ..dns.resolver import StubResolver
 from ..dns.server import SpfTestResponder
 from ..errors import ResolutionError
-from ..exec import ExecutionEnvironment, ProbeExecutor, ProbeTask, RetryPolicy
+from ..exec import (
+    ClockRouter,
+    ExecutionEnvironment,
+    ProbeExecutor,
+    ProbeTask,
+    RetryPolicy,
+)
 from ..smtp.transport import Network
 from .detector import DetectionOutcome, DetectionResult
 from .ethics import EthicsControls
@@ -105,22 +116,19 @@ class SpfVulnerabilityScanner:
         network: Network,
         responder: SpfTestResponder,
         *,
-        clock: Optional[SimulatedClock] = None,
+        router: ClockRouter,
         resolver: Optional[StubResolver] = None,
         client_ip: str = "198.51.100.7",
         ethics: Optional[EthicsControls] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
-        self.clock = clock or SimulatedClock()
+        self.clock = router.shared
         self.responder = responder
         self.resolver = resolver
         self.labels = LabelAllocator(responder.base)
         self.ethics = ethics or EthicsControls()
-        # The scanner is handed an already-clocked network, so it runs the
-        # engine in direct-clock mode (no router): probes advance the
-        # scanner's clock itself.
         self.env = ExecutionEnvironment(
-            clock=self.clock,
+            router=router,
             network=network,
             responder=responder,
             labels=self.labels,

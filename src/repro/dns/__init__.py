@@ -5,7 +5,6 @@ This package models the pieces of the DNS that SPFail relies on:
 - :mod:`repro.dns.name` — domain names with label semantics (RFC 1035),
 - :mod:`repro.dns.rdata` — record data types (A, AAAA, TXT, MX, NS, ...),
 - :mod:`repro.dns.message` — query/response messages and response codes,
-- :mod:`repro.dns.wire` — the RFC 1035 wire codec with name compression,
 - :mod:`repro.dns.zone` — authoritative zone data,
 - :mod:`repro.dns.server` — an authoritative server with a query log and a
   dynamic SPF responder (the paper's ``spf-test.dns-lab.org`` server),
@@ -14,7 +13,9 @@ This package models the pieces of the DNS that SPFail relies on:
 
 The query log is the observable on which the whole SPFail detection
 technique rests: a vulnerable MTA betrays itself by the domain name it
-queries after expanding an SPF macro.
+queries after expanding an SPF macro.  Only that name matters, so
+messages pass between resolvers and servers as :class:`Message` objects;
+no DNS wire encoding is modelled.
 """
 
 from .name import Name
@@ -37,8 +38,6 @@ from .zone import Zone
 from .server import AuthoritativeServer, SpfTestResponder
 from .resolver import CachingResolver, StubResolver
 from .querylog import QueryLog, QueryLogEntry
-from .wiretransport import WireTransportBackend
-from .zonefile import parse_zone_file
 
 __all__ = [
     "Name",
@@ -65,6 +64,4 @@ __all__ = [
     "StubResolver",
     "QueryLog",
     "QueryLogEntry",
-    "WireTransportBackend",
-    "parse_zone_file",
 ]

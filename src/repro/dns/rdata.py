@@ -4,17 +4,16 @@ Implements the record types the SPFail measurement touches: A and AAAA
 (address lookups triggered by SPF mechanisms), TXT (SPF policies), MX
 (mail-server discovery), plus NS/SOA/CNAME/PTR for zone plumbing.
 
-Each rdata type knows how to render itself in presentation format and how
-to encode/decode its wire form (used by :mod:`repro.dns.wire`).
+Each rdata type renders itself in presentation format and compares and
+hashes by the value of its own fields.
 """
 
 from __future__ import annotations
 
 import enum
 import ipaddress
-import struct
-from dataclasses import dataclass, field
-from typing import List, Tuple, Type, Union
+from dataclasses import dataclass
+from typing import List, Tuple, Union
 
 from .. import ipmemo
 from ..errors import WireFormatError
@@ -50,11 +49,8 @@ class Rdata:
     def to_text(self) -> str:
         raise NotImplementedError
 
-    def to_wire(self) -> bytes:
-        raise NotImplementedError
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "Rdata":
+    def _value(self) -> tuple:
+        """The fields that make two records of one type equal."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -62,11 +58,11 @@ class Rdata:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Rdata):
-            return (self.rrtype, self.to_wire()) == (other.rrtype, other.to_wire())
+            return (self.rrtype, self._value()) == (other.rrtype, other._value())
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.rrtype, self.to_wire()))
+        return hash((self.rrtype, self._value()))
 
 
 class A(Rdata):
@@ -88,14 +84,8 @@ class A(Rdata):
     def to_text(self) -> str:
         return str(self.address)
 
-    def to_wire(self) -> bytes:
-        return self.address.packed
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "A":
-        if len(data) != 4:
-            raise WireFormatError(f"A rdata must be 4 bytes, got {len(data)}")
-        return cls(ipaddress.IPv4Address(data))
+    def _value(self) -> tuple:
+        return (self.address,)
 
 
 class AAAA(Rdata):
@@ -117,14 +107,8 @@ class AAAA(Rdata):
     def to_text(self) -> str:
         return str(self.address)
 
-    def to_wire(self) -> bytes:
-        return self.address.packed
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "AAAA":
-        if len(data) != 16:
-            raise WireFormatError(f"AAAA rdata must be 16 bytes, got {len(data)}")
-        return cls(ipaddress.IPv6Address(data))
+    def _value(self) -> tuple:
+        return (self.address,)
 
 
 class TXT(Rdata):
@@ -161,25 +145,8 @@ class TXT(Rdata):
             for s in self.strings
         )
 
-    def to_wire(self) -> bytes:
-        out = bytearray()
-        for s in self.strings:
-            out.append(len(s))
-            out.extend(s)
-        return bytes(out)
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "TXT":
-        strings: List[bytes] = []
-        i = 0
-        while i < len(data):
-            n = data[i]
-            i += 1
-            if i + n > len(data):
-                raise WireFormatError("TXT character-string overruns rdata")
-            strings.append(data[i : i + n])
-            i += n
-        return cls(list(strings))
+    def _value(self) -> tuple:
+        return self.strings
 
 
 class _NameRdata(Rdata):
@@ -191,31 +158,10 @@ class _NameRdata(Rdata):
     def to_text(self) -> str:
         return str(self.target) + "."
 
-    def to_wire(self) -> bytes:
-        # Uncompressed name encoding (compression handled at message level
-        # only for owner names; rdata names are stored uncompressed here).
-        out = bytearray()
-        for label in self.target.labels:
-            raw = label.encode("ascii", errors="replace")
-            out.append(len(raw))
-            out.extend(raw)
-        out.append(0)
-        return bytes(out)
-
-    @classmethod
-    def from_wire(cls, data: bytes):
-        labels: List[str] = []
-        i = 0
-        while i < len(data):
-            n = data[i]
-            i += 1
-            if n == 0:
-                break
-            if i + n > len(data):
-                raise WireFormatError("name label overruns rdata")
-            labels.append(data[i : i + n].decode("ascii", errors="replace"))
-            i += n
-        return cls(Name(labels))
+    def _value(self) -> tuple:
+        # Spelled labels, not the lowercase key: names in record data
+        # compare case-sensitively, as their stored octets do.
+        return (self.target.labels,)
 
 
 class NS(_NameRdata):
@@ -250,16 +196,8 @@ class MX(Rdata):
     def to_text(self) -> str:
         return f"{self.preference} {self.exchange}."
 
-    def to_wire(self) -> bytes:
-        return struct.pack("!H", self.preference) + _NameRdata(self.exchange).to_wire()
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "MX":
-        if len(data) < 3:
-            raise WireFormatError("MX rdata too short")
-        (pref,) = struct.unpack("!H", data[:2])
-        name_rdata = _NameRdata.from_wire(data[2:])
-        return cls(pref, name_rdata.target)
+    def _value(self) -> tuple:
+        return (self.preference, self.exchange.labels)
 
 
 class SOA(Rdata):
@@ -291,57 +229,16 @@ class SOA(Rdata):
             f"{self.retry} {self.expire} {self.minimum}"
         )
 
-    def to_wire(self) -> bytes:
+    def _value(self) -> tuple:
         return (
-            _NameRdata(self.mname).to_wire()
-            + _NameRdata(self.rname).to_wire()
-            + struct.pack(
-                "!IIIII", self.serial, self.refresh, self.retry, self.expire, self.minimum
-            )
+            self.mname.labels,
+            self.rname.labels,
+            self.serial,
+            self.refresh,
+            self.retry,
+            self.expire,
+            self.minimum,
         )
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "SOA":
-        # Names in our wire encoding are uncompressed; find their ends.
-        def read_name(offset: int) -> Tuple[Name, int]:
-            labels: List[str] = []
-            i = offset
-            while True:
-                if i >= len(data):
-                    raise WireFormatError("SOA name overruns rdata")
-                n = data[i]
-                i += 1
-                if n == 0:
-                    return Name(labels), i
-                labels.append(data[i : i + n].decode("ascii", errors="replace"))
-                i += n
-
-        mname, i = read_name(0)
-        rname, i = read_name(i)
-        if len(data) - i != 20:
-            raise WireFormatError("SOA fixed fields malformed")
-        serial, refresh, retry, expire, minimum = struct.unpack("!IIIII", data[i:])
-        return cls(mname, rname, serial, refresh, retry, expire, minimum)
-
-
-RDATA_CLASSES: dict = {
-    RRType.A: A,
-    RRType.AAAA: AAAA,
-    RRType.TXT: TXT,
-    RRType.MX: MX,
-    RRType.NS: NS,
-    RRType.CNAME: CNAME,
-    RRType.PTR: PTR,
-    RRType.SOA: SOA,
-}
-
-
-def rdata_class_for(rrtype: RRType) -> Type[Rdata]:
-    """Look up the rdata class for a record type."""
-    try:
-        return RDATA_CLASSES[rrtype]
-    except KeyError:
-        raise WireFormatError(f"unsupported rdata type: {rrtype!r}") from None
 
 
 @dataclass(frozen=True)

@@ -148,25 +148,12 @@ class SpfTestResponder(DnsBackend):
         response.authoritative = True
 
         if rrtype == RRType.TXT:
-            relative = qname.relativize(self.base)
-            # DMARC: every probe source domain publishes an outright-reject
-            # policy (paper Section 6.2), so stray probe email is refused
-            # rather than delivered.
-            if relative.labels and relative.labels[0].lower() == "_dmarc":
-                response.answers.append(
-                    ResourceRecord(
-                        name=qname,
-                        rdata=TXT("v=DMARC1; p=reject; sp=reject"),
-                        ttl=self.ttl,
-                    )
-                )
-                return response
             labels = self.log.extract_labels(qname)
             if labels is not None:
                 suite, test_id = labels
                 # Only the exact <id>.<suite> owner carries the policy; any
                 # deeper name would be macro output, which has no TXT.
-                if len(relative) == 2:
+                if len(qname) == len(self.base) + 2:
                     policy = self.policy_template(test_id, suite, self.base)
                     response.answers.append(
                         ResourceRecord(name=qname, rdata=TXT(policy), ttl=self.ttl)

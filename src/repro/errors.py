@@ -21,7 +21,7 @@ class NameError_(DnsError):
 
 
 class WireFormatError(DnsError):
-    """A DNS message could not be encoded to or decoded from wire format."""
+    """A DNS value does not fit its RFC 1035 field (an MX preference > 65535)."""
 
 
 class ResolutionError(DnsError):

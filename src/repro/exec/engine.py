@@ -88,19 +88,24 @@ def transient_failure(result: DetectionResult) -> bool:
 class ExecutionEnvironment:
     """Everything an executor needs from its host (campaign or scanner).
 
-    ``router`` enables the virtual-time protocol; when it is ``None``
-    (e.g. the scanner was handed a network it cannot re-clock), probes
-    read and advance the shared clock directly.
+    ``router`` must be the clock the host's network, resolvers and query
+    log read: while a task runs it answers with the task's
+    :class:`VirtualClock`, between tasks with the shared clock
+    (:attr:`clock`, ``router.shared``).
     """
 
-    clock: SimulatedClock
+    router: ClockRouter
     network: Network
     responder: SpfTestResponder
     labels: LabelAllocator
     ethics: EthicsControls
     client_ip: str = "198.51.100.7"
     seconds_per_probe: float = 0.25
-    router: Optional[ClockRouter] = None
+
+    @property
+    def clock(self) -> SimulatedClock:
+        """The shared clock, which fires scheduled events between tasks."""
+        return self.router.shared
 
 
 class ProbeExecutor:
@@ -121,24 +126,18 @@ class ProbeExecutor:
         #: each detect() drives at most two probe methods; each attempt
         #: (original + retries) therefore needs at most two id labels.
         self._stride = 2 * (1 + self.retry.max_retries)
-        #: the running task's clock: with a router, the task's waits
-        #: advance it instead of the shared clock.
+        #: the running task's clock: the task's waits advance it, never
+        #: the shared clock.
         self._vclock = vclock = VirtualClock(env.clock.now)
-        if env.router is not None:
-            wait = vclock.advance_seconds
-            # Reads the clock, not ``self``: the detector is held by this
-            # executor, so a closure over ``self`` would be a cycle.
-            now = lambda: vclock.now
-        else:
-            wait = env.clock.advance_seconds
-            now = lambda: env.clock.now
         self.detector = VulnerabilityDetector(
             SmtpClient(env.network, client_ip=env.client_ip),
             env.responder,
             env.labels,
             ethics=env.ethics,
-            wait=wait,
-            now=now,
+            wait=vclock.advance_seconds,
+            # Reads the clock, not ``self``: the detector is held by this
+            # executor, so a closure over ``self`` would be a cycle.
+            now=lambda: vclock.now,
         )
 
     # -- public API -----------------------------------------------------------
@@ -147,25 +146,21 @@ class ProbeExecutor:
         self, stage: str, tasks: Sequence[ProbeTask]
     ) -> List[DetectionResult]:
         """Execute one stage's work list; results align with ``tasks``."""
-        env = self.env
+        clock = self.env.clock
         metrics = self.metrics.begin_stage(stage)
         metrics.tasks = len(tasks)
         obs = self._begin_stage_obs(stage, tasks)
         started = time.perf_counter()
-        base = env.clock.now
-        slot = _dt.timedelta(seconds=env.seconds_per_probe)
+        base = clock.now
+        slot = _dt.timedelta(seconds=self.env.seconds_per_probe)
         results: List[DetectionResult] = []
         for index, task in enumerate(tasks):
             results.append(self._execute(task, index, base + index * slot, metrics))
             # Fire any events due inside this probe's timeslot before the
             # next probe runs — the serial tool's view of time.
-            end_of_slot = base + (index + 1) * slot
-            if env.router is not None:
-                env.clock.advance_to(max(env.clock.now, end_of_slot))
-            else:
-                env.clock.advance_seconds(env.seconds_per_probe)
+            clock.advance_to(max(clock.now, base + (index + 1) * slot))
         metrics.wall_seconds = time.perf_counter() - started
-        metrics.sim_seconds = (env.clock.now - base).total_seconds()
+        metrics.sim_seconds = (clock.now - base).total_seconds()
         self._end_stage_obs(obs, metrics)
         return results
 
@@ -237,16 +232,14 @@ class ProbeExecutor:
                     task.preferred_method.value if task.preferred_method else None
                 ),
             )
-        if env.router is not None:
-            self._vclock.reset(virtual_start)
-            env.router.push(self._vclock)
+        self._vclock.reset(virtual_start)
+        env.router.push(self._vclock)
         try:
             result = self._detect_with_retry(task, metrics)
             if obs is not None:
                 # Still inside the task's virtual timeslot: stamp the end
                 # event with the task clock, not the shared one.
-                end_vt = self._vclock.now if env.router is not None else env.clock.now
-                self._observe_task(obs, tracing, result, end_vt)
+                self._observe_task(obs, tracing, result, self._vclock.now)
             if self.progress is not None:
                 self.progress.task_done(metrics)
             return result
@@ -256,8 +249,7 @@ class ProbeExecutor:
             raise
         finally:
             env.labels.release_block()
-            if env.router is not None:
-                env.router.pop()
+            env.router.pop()
 
     def _observe_task(self, obs, tracing: bool, result, end_vt: _dt.datetime) -> None:
         """Per-task metrics and the ``task.end`` trace event."""
@@ -303,7 +295,4 @@ class ProbeExecutor:
                         "task.retry", attempt=attempt, backoff_seconds=backoff
                     )
             attempt += 1
-            if self.env.router is not None:
-                self._vclock.advance_seconds(backoff)
-            else:
-                self.env.clock.advance_seconds(backoff)
+            self._vclock.advance_seconds(backoff)

@@ -83,10 +83,6 @@ class ClockRouter:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    @property
-    def now(self) -> _dt.datetime:
-        return self()
-
     def __call__(self) -> _dt.datetime:
         clock = self.active()
         return clock.now if clock is not None else self.shared.now

@@ -332,9 +332,6 @@ class PopulationDnsBackend(DnsBackend):
     def set_a(self, host: str, addresses: List[str]) -> None:
         self._a[Name.from_text(host).key] = list(addresses)
 
-    def remove_domain(self, domain: str) -> None:
-        self._mx.pop(Name.from_text(domain).key, None)
-
     def query(self, message: Message, *, source: str = "", now=None) -> Message:
         if message.question is None:
             return message.make_response(Rcode.FORMERR)

@@ -57,7 +57,7 @@ or via the CLI: ``python -m repro run --trace t.jsonl --metrics-out m.json``.
 """
 
 from .analyze import TraceAnalysis
-from .context import Observation, activate, active, deactivate, observing
+from .context import Observation, activate, observing
 from .diff import TraceDivergence, assert_traces_identical, diff_events, diff_files
 from .ledger import ComparisonResult, LedgerError
 from .logbridge import TraceLogHandler, attach_trace_handler, configure_logging
@@ -85,11 +85,9 @@ __all__ = [
     "TraceLogHandler",
     "Tracer",
     "activate",
-    "active",
     "assert_traces_identical",
     "attach_trace_handler",
     "configure_logging",
-    "deactivate",
     "diff_events",
     "diff_files",
     "load_jsonl",

@@ -519,8 +519,3 @@ def _fold_virtual(weights: Dict[str, int], prefix: str, node: SpanNode) -> None:
     add_folded(weights, path, node.self_seconds)
     for child in node.children:
         _fold_virtual(weights, path, child)
-
-
-def analyze_file(path: str) -> TraceAnalysis:
-    """Convenience wrapper: :meth:`TraceAnalysis.from_file`."""
-    return TraceAnalysis.from_file(path)

@@ -80,15 +80,6 @@ def activate(observation: Observation) -> Observation:
     return observation
 
 
-def deactivate() -> None:
-    global ACTIVE
-    ACTIVE = None
-
-
-def active() -> Optional[Observation]:
-    return ACTIVE
-
-
 @contextmanager
 def observing(observation: Observation) -> Iterator[Observation]:
     """Activate ``observation`` for the duration of a block."""

@@ -103,10 +103,6 @@ class Histogram:
     def count(self) -> int:
         return len(self._values)
 
-    @property
-    def sum(self) -> float:
-        return sum(self._values)
-
     def percentile(self, p: float) -> float:
         """Exact percentile ``p`` (0–100, nearest-rank); 0 when empty."""
         with self._lock:

@@ -437,10 +437,16 @@ class Tracer:
         distinct events never share a canonical key, so the stitched
         trace exports byte-identical to the uninterrupted one.
         ``stages_begun`` then re-seeds stage numbering so the resumed
-        run's stages continue the ordinals where the checkpoint stopped.
+        run's stages continue the ordinals where the checkpoint stopped,
+        and the run scope's sequence (log records) continues after the
+        run-scope events of the prefix.
         """
+        run_events = 0
         for segment in segments:
             self.ingest(segment)
+            run_events += sum(1 for event in segment if event.scope == "run")
+        with self._lock:
+            self._run_scope.seq += run_events
         if stages_begun is not None:
             self.seed_stage_ordinal(stages_begun)
 

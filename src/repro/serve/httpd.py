@@ -44,6 +44,12 @@ class _Handler(BaseHTTPRequestHandler):
     # ~40ms regardless of the actual service time.  (StreamRequestHandler
     # reads this in setup(); it has no effect on the server class.)
     disable_nagle_algorithm = True
+    # Seconds a connection may go without sending a byte before it is
+    # closed (``setup()`` sets it on the socket).  Without it a client
+    # that stops halfway through a request holds its handler thread
+    # forever; 60 s is far above any pause between a live client's
+    # requests, and ``ScanClient`` retries once on a closed keep-alive.
+    timeout = 60
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         # Request logging is the service's accounting job; stderr noise

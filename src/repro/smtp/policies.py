@@ -90,9 +90,6 @@ class ServerPolicy:
     #: Blacklisting: the server starts refusing the measurement client
     #: mid-campaign (a major cause of inconclusive longitudinal results).
     blacklists_after_probes: Optional[int] = None
-    #: DMARC enforcement: on non-passing SPF, look up the sender domain's
-    #: DMARC policy and honor p=reject/quarantine at end-of-data.
-    enforce_dmarc: bool = False
     #: Transient flakiness: after ``flaky_after_sessions`` sessions, each
     #: further session fails at the banner with this probability (and
     #: succeeds again later) — the measurement-visible noise behind the

@@ -367,9 +367,6 @@ class SmtpSession:
         if self._spf_fail or self._spf_failed(outcomes):
             return self._reply(ReplyCode.TRANSACTION_FAILED, "SPF check failed")
 
-        if self.server.policy.enforce_dmarc and self._dmarc_rejects(outcomes):
-            return self._reply(ReplyCode.TRANSACTION_FAILED, "rejected per DMARC policy")
-
         for recipient in self._recipients:
             self.server.inbox.append(
                 DeliveredMessage(
@@ -382,30 +379,6 @@ class SmtpSession:
         self._sender = None
         self._recipients = []
         return self._reply(ReplyCode.OK, "message accepted")
-
-    def _dmarc_rejects(self, outcomes: List[CheckHostOutcome]) -> bool:
-        """Does the sender domain's DMARC policy demand rejection?
-
-        DMARC passes only on an aligned SPF pass; anything else consults
-        the published policy (DKIM is not modeled — the probe never signs).
-        """
-        from ..spf.dmarc import Disposition, evaluate_dmarc
-        from ..spf.result import SpfResult
-        from .protocol import address_domain
-
-        if self.server.resolver is None or self._sender is None:
-            return False
-        domain = address_domain(self._sender)
-        if not domain:
-            return False
-        spf_passed = any(o.result == SpfResult.PASS for o in outcomes)
-        disposition = evaluate_dmarc(
-            self.server.resolver,
-            header_from_domain=domain,
-            spf_result=SpfResult.PASS if spf_passed else SpfResult.FAIL,
-            spf_domain=domain,
-        )
-        return disposition == Disposition.REJECT
 
     def _on_rset(self, argument: str) -> Reply:
         self._sender = None

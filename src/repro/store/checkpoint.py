@@ -164,10 +164,6 @@ class RunProvenance:
     def rounds_completed(self) -> int:
         return len(self.checkpoint.rounds)
 
-    @property
-    def clock_now(self) -> _dt.datetime:
-        return self.checkpoint.clock_now
-
 
 # -- capture ------------------------------------------------------------------
 

@@ -7,44 +7,63 @@ from repro.core.detector import DetectionOutcome
 from repro.core.scanner import SpfVulnerabilityScanner
 from repro.dns import CachingResolver, Name, SpfTestResponder, StubResolver
 from repro.errors import ResolutionError
+from repro.exec import ClockRouter
 from repro.internet.mta_fleet import PopulationDnsBackend
-from repro.smtp import Network, ServerPolicy, SmtpServer, SpfStack, SpfTiming
+from repro.smtp import (
+    GreylistPolicy,
+    Network,
+    ServerPolicy,
+    SmtpServer,
+    SpfStack,
+    SpfTiming,
+)
 
 BASE = "spf-test.dns-lab.org"
 
 
-@pytest.fixture()
-def setup():
-    clock = SimulatedClock()
+def build_scanner(servers, *, world_reads_router=True):
+    """A scanner over ``servers``, each ``(ip, behavior, timing, policy)``.
+
+    The network and resolvers read the scanner's router, or with
+    ``world_reads_router=False`` its shared clock directly.
+    """
+    router = ClockRouter(SimulatedClock())
+    tick = router if world_reads_router else (lambda: router.shared.now)
     responder = SpfTestResponder(Name.from_text(BASE))
     population_dns = PopulationDnsBackend()
-    resolver = CachingResolver(clock=lambda: clock.now)
+    resolver = CachingResolver(clock=tick)
     resolver.register(BASE, responder)
     resolver.register(Name.root(), population_dns)
-    network = Network(clock=lambda: clock.now)
-
-    def add_server(ip, behavior=None, timing=SpfTiming.ON_MAIL_FROM, **policy):
+    network = Network(clock=tick)
+    for ip, behavior, timing, policy in servers:
         stacks = [] if behavior is None else [SpfStack.named(behavior, timing)]
         network.register(
             SmtpServer(
                 ip,
-                policy=ServerPolicy(**policy) if policy else None,
+                policy=policy,
                 spf_stacks=stacks,
-                resolver=StubResolver(resolver, identity=ip, clock=lambda: clock.now),
+                resolver=StubResolver(resolver, identity=ip, clock=tick),
             )
         )
-
-    add_server("10.0.0.1", "vulnerable-libspf2")
-    add_server("10.0.0.2", "rfc-compliant")
-    add_server("10.0.0.3", "no-expansion")
-    add_server("10.0.0.4", refuse_connections=True)
     scanner = SpfVulnerabilityScanner(
         network,
         responder,
-        clock=clock,
-        resolver=StubResolver(resolver, identity="scanner", clock=lambda: clock.now),
+        router=router,
+        resolver=StubResolver(resolver, identity="scanner", clock=tick),
     )
     return scanner, population_dns
+
+
+@pytest.fixture()
+def setup():
+    return build_scanner(
+        [
+            ("10.0.0.1", "vulnerable-libspf2", SpfTiming.ON_MAIL_FROM, None),
+            ("10.0.0.2", "rfc-compliant", SpfTiming.ON_MAIL_FROM, None),
+            ("10.0.0.3", "no-expansion", SpfTiming.ON_MAIL_FROM, None),
+            ("10.0.0.4", None, None, ServerPolicy(refuse_connections=True)),
+        ]
+    )
 
 
 class TestScanIps:
@@ -117,3 +136,37 @@ class TestEthics:
         scanner.scan_ips(["10.0.0.1", "10.0.0.2"])
         assert scanner.ethics.peak_concurrency <= 250
         assert scanner.ethics.connections_opened >= 2
+
+
+class TestRoutedClock:
+    """The scanner runs on the campaign's time protocol."""
+
+    GREYLISTING = [
+        (
+            "10.0.0.9",
+            "vulnerable-libspf2",
+            SpfTiming.ON_DATA_COMMAND,
+            ServerPolicy(greylist=GreylistPolicy(enabled=True, retry_after_seconds=300)),
+        )
+    ]
+
+    def test_greylist_wait_stays_inside_the_probe(self):
+        """The detector's greylist retry waits on the task's clock: the
+        server sees the wait, and the shared clock moves one slot."""
+        scanner, _ = build_scanner(self.GREYLISTING)
+        started = scanner.clock.now
+
+        report = scanner.scan_ips(["10.0.0.9"])
+
+        assert report.results["10.0.0.9"].outcome == DetectionOutcome.VULNERABLE
+        elapsed = (scanner.clock.now - started).total_seconds()
+        assert elapsed == scanner.env.seconds_per_probe == 0.25
+
+    def test_world_off_the_router_never_sees_the_wait(self):
+        """A world that reads the shared clock instead of the router
+        misses the in-probe wait, so greylisting never lifts."""
+        scanner, _ = build_scanner(self.GREYLISTING, world_reads_router=False)
+
+        report = scanner.scan_ips(["10.0.0.9"])
+
+        assert report.results["10.0.0.9"].outcome == DetectionOutcome.SMTP_FAILED

@@ -32,29 +32,42 @@ BASE = "spf-test.dns-lab.org"
 IP = "10.9.0.1"
 
 
-def build_world(policy=None, *, use_router=False):
-    """One vulnerable server behind a fresh clock/network/responder."""
-    clock = SimulatedClock()
-    router = ClockRouter(clock)
-    tick = router if use_router else (lambda: clock.now)
+class HealingServer(SmtpServer):
+    """A server whose banner failure heals once the time it reads
+    reaches ``heal_at``.
+
+    The network hands ``accept`` the router's reading, which inside a
+    task is the task's own clock: a retry backoff is what moves it.
+    """
+
+    heal_at = None
+
+    def accept(self, client_ip, now):
+        if self.heal_at is not None and now >= self.heal_at:
+            self.policy.failure_stage = FailureStage.NONE
+        return super().accept(client_ip, now)
+
+
+def build_world(policy=None):
+    """One vulnerable server behind a fresh router/network/responder."""
+    router = ClockRouter(SimulatedClock())
     responder = SpfTestResponder(Name.from_text(BASE))
-    resolver = CachingResolver(clock=tick)
+    resolver = CachingResolver(clock=router)
     resolver.register(BASE, responder)
-    network = Network(clock=tick)
-    server = SmtpServer(
+    network = Network(clock=router)
+    server = HealingServer(
         IP,
         policy=policy,
         spf_stacks=[SpfStack.named("vulnerable-libspf2", SpfTiming.ON_MAIL_FROM)],
-        resolver=StubResolver(resolver, identity=IP, clock=tick),
+        resolver=StubResolver(resolver, identity=IP, clock=router),
     )
     network.register(server)
     env = ExecutionEnvironment(
-        clock=clock,
+        router=router,
         network=network,
         responder=responder,
         labels=LabelAllocator(responder.base),
         ethics=EthicsControls(),
-        router=router if use_router else None,
     )
     return env, server
 
@@ -70,11 +83,7 @@ class TestRetryPolicy:
     def test_retry_recovers_from_transient_421(self):
         """A banner-421 server that heals mid-backoff is still classified."""
         env, server = build_world(ServerPolicy(failure_stage=FailureStage.BANNER))
-
-        def heal(_at):
-            server.policy.failure_stage = FailureStage.NONE
-
-        env.clock.schedule(env.clock.now + _dt.timedelta(seconds=30), heal)
+        server.heal_at = env.clock.now + _dt.timedelta(seconds=30)
         executor = ProbeExecutor(env, retry=RetryPolicy(max_retries=2, backoff_seconds=60.0))
         suite = env.labels.new_suite()
 
@@ -110,10 +119,8 @@ class TestRetryPolicy:
         assert executor.metrics.stages[-1].retried == 0
 
     def test_virtual_backoff_leaves_shared_clock_alone(self):
-        """In router mode, backoff burns task-local time, not shared time."""
-        env, _server = build_world(
-            ServerPolicy(failure_stage=FailureStage.BANNER), use_router=True
-        )
+        """Backoff burns task-local time, not shared time."""
+        env, _server = build_world(ServerPolicy(failure_stage=FailureStage.BANNER))
         executor = ProbeExecutor(env, retry=RetryPolicy(max_retries=2, backoff_seconds=60.0))
         suite = env.labels.new_suite()
         base = env.clock.now

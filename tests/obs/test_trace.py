@@ -126,6 +126,32 @@ class TestExceptionPaths:
         assert by_name["leaf"].span == inner_id
 
 
+class TestStitch:
+    def test_run_scope_sequence_continues_after_a_resume(self):
+        """Run-scope events (log records) emitted after a stitch continue
+        the checkpointed prefix's sequence, as one tracer's would."""
+
+        def leg(tracer, stage, messages):
+            tracer.begin_stage(stage, tasks=0)
+            tracer.end_stage()
+            for message in messages:
+                tracer.event("log.info", message=message)
+
+        whole = Tracer(enabled=True, clock=_clock_at(T0))
+        leg(whole, "initial", ["a", "b"])
+        leg(whole, "round", ["c"])
+
+        before = Tracer(enabled=True, clock=_clock_at(T0))
+        leg(before, "initial", ["a", "b"])
+        resumed = Tracer(enabled=True, clock=_clock_at(T0))
+        resumed.stitch(
+            [before.events()], stages_begun=before.open_stage_ordinal()
+        )
+        leg(resumed, "round", ["c"])
+
+        assert resumed.export_jsonl() == whole.export_jsonl()
+
+
 class TestCanonicalExport:
     def test_export_is_sorted_and_valid_jsonl(self):
         tracer = Tracer(enabled=True, clock=_clock_at(T0))

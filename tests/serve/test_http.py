@@ -14,6 +14,7 @@ import datetime as _dt
 import http.client
 import json
 import socket
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro import api
 from repro.core.ethics import EthicsControls
 from repro.errors import ServeError
 from repro.serve import ScanClient, ScanService, start_server
+from repro.serve import httpd
 from repro.serve.httpd import MAX_BODY_BYTES
 
 SCALE = 0.002
@@ -220,6 +222,25 @@ class TestContentLength:
         body = b"{}".ljust(MAX_BODY_BYTES)
         response = _raw_post(tcp_server, str(len(body)), body)
         assert _status(response) == 200
+
+
+class TestSlowClient:
+    def test_stalled_request_is_closed(self, tcp_server, monkeypatch):
+        """A client that sends half a request line and stops is dropped
+        after the handler timeout, and the server keeps answering."""
+        # The shipped timeout is finite, and far above a live client's
+        # pauses; the test shortens it to keep the run fast.
+        assert httpd._Handler.timeout is not None
+        assert httpd._Handler.timeout >= 30
+        monkeypatch.setattr(httpd._Handler, "timeout", 0.5)
+        host, port = tcp_server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b"POST /v1/")
+            started = time.monotonic()
+            assert sock.recv(65536) == b""
+            assert time.monotonic() - started < 5
+        with _client(tcp_server) as client:
+            assert client.healthz()
 
 
 class TestAdmissionOverHTTP:

@@ -54,7 +54,6 @@ class TestServerPolicy:
         assert not policy.greylist.enabled
         assert policy.blacklists_after_probes is None
         assert policy.flaky_rate == 0.0
-        assert not policy.enforce_dmarc
 
     def test_copy_is_independent(self):
         original = ServerPolicy(refuse_connections=True)

@@ -8,15 +8,13 @@ results, never a wrong vulnerable/patched verdict.
 import ipaddress
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.clock import SimulatedClock
 from repro.core.detector import DetectionOutcome, VulnerabilityDetector
 from repro.core.labels import LabelAllocator
 from repro.dns import CachingResolver, Message, Name, Rcode, RRType, SpfTestResponder, StubResolver
 from repro.dns.server import DnsBackend
-from repro.dns.wire import from_wire
-from repro.errors import ReproError, ResolutionError, WireFormatError
+from repro.errors import ReproError, ResolutionError
 from repro.smtp import Network, SmtpClient, SmtpServer, SpfStack, SpfTiming
 from repro.spf import SpfEvaluator, SpfResult
 
@@ -124,27 +122,6 @@ class TestEvaluatorUnderFailure:
             "noreply@ab1.s1.spf-test.dns-lab.org",
         )
         assert outcome.result == SpfResult.TEMPERROR
-
-
-class TestWireFuzz:
-    @given(st.binary(min_size=0, max_size=200))
-    def test_from_wire_never_raises_unexpected(self, data):
-        """Arbitrary bytes either decode or raise WireFormatError —
-        nothing else (no IndexError, no infinite loop)."""
-        try:
-            from_wire(data)
-        except WireFormatError:
-            pass
-        except ValueError:
-            pass  # enum values outside the modeled sets
-
-    @given(st.binary(min_size=12, max_size=64))
-    def test_decoded_messages_are_well_formed(self, data):
-        try:
-            message = from_wire(data)
-        except (WireFormatError, ValueError):
-            return
-        assert isinstance(message.id, int)
 
 
 class TestErrorHierarchy:
