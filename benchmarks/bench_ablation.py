@@ -36,10 +36,9 @@ def test_ablation_unique_labels(benchmark):
         for i in range(probes):
             fetch(f"id{i:04d}.s1.spf-test.dns-lab.org")  # unique labels
         unique_seen = len(responder.log)
-        responder.log.clear()
         for _ in range(probes):
             fetch("fixed.s1.spf-test.dns-lab.org")  # one reused label
-        reused_seen = len(responder.log)
+        reused_seen = len(responder.log) - unique_seen
         return probes, unique_seen, reused_seen
 
     probes, unique_seen, reused_seen = benchmark(run)

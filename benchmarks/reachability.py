@@ -369,7 +369,8 @@ def main(argv: List[str]) -> int:
     print(
         f"{len(functions)} functions in src/repro; "
         f"{len(denied) + len(allowed)} unreached ({unreached_lines} lines): "
-        f"{len(allowed)} allowlisted, {len(denied)} not"
+        f"{len(allowed)} allowlisted, {len(denied)} not; "
+        f"{len(entries)} allowlist entries"
     )
     for failure in failures:
         print(f"COMMAND FAILED  {failure}")

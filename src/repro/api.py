@@ -167,8 +167,8 @@ class RunConfig:
             trace=data.get("trace", False),
         )
 
-    def to_json(self, *, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -343,7 +343,6 @@ class RunHandle:
 
     def __init__(self, sim) -> None:
         self._sim = sim
-        self._domain_index: Optional[Dict[str, object]] = None
 
     # -- introspection --------------------------------------------------------
 
@@ -458,16 +457,9 @@ class RunHandle:
 
     # -- census + longitudinal queries ---------------------------------------
 
-    def _domains(self) -> Dict[str, object]:
-        if self._domain_index is None:
-            self._domain_index = {
-                d.name: d for d in self._sim.population.domains
-            }
-        return self._domain_index
-
     def census_row(self, domain: str) -> dict:
         """The population/census view of one domain (no probing)."""
-        entry = self._domains().get(domain)
+        entry = self._sim.population.get(domain)
         if entry is None:
             raise SimulationError(f"unknown domain {domain!r}")
         campaign = self._sim.campaign

@@ -1,8 +1,9 @@
 """The measurement's self-imposed ethical limits (paper Section 6.1).
 
-The paper's controls, all enforced here so tests can verify them:
+The paper's controls.  The campaign probes each unique address once
+per round, however many domains share it; the rest are enforced here
+so tests can verify them:
 
-- duplicate IP addresses are tested once per round;
 - at most 250 simulated-concurrent outgoing SMTP connections;
 - a minimum 90-second wait between connections to the same address (or
   to addresses sharing an email domain);
@@ -19,7 +20,7 @@ from __future__ import annotations
 import datetime as _dt
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from ..errors import ReproError
 
@@ -85,12 +86,3 @@ class EthicsControls:
     def reset_round(self) -> None:
         """Start a new measurement round (waits persist; counters reset)."""
         self._active = 0
-
-
-def dedupe_ips(ip_lists: Dict[str, list]) -> Dict[str, list]:
-    """domain → ips, inverted to unique ip → domains (tested once each)."""
-    by_ip: Dict[str, list] = {}
-    for domain, ips in ip_lists.items():
-        for ip in ips:
-            by_ip.setdefault(ip, []).append(domain)
-    return by_ip

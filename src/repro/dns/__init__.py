@@ -3,7 +3,7 @@
 This package models the pieces of the DNS that SPFail relies on:
 
 - :mod:`repro.dns.name` — domain names with label semantics (RFC 1035),
-- :mod:`repro.dns.rdata` — record data types (A, AAAA, TXT, MX, NS, ...),
+- :mod:`repro.dns.rdata` — record data types (A, AAAA, TXT, MX, PTR, SOA),
 - :mod:`repro.dns.message` — query/response messages and response codes,
 - :mod:`repro.dns.zone` — authoritative zone data,
 - :mod:`repro.dns.server` — an authoritative server with a query log and a
@@ -21,19 +21,16 @@ no DNS wire encoding is modelled.
 from .name import Name
 from .rdata import (
     RRType,
-    RClass,
     Rdata,
     A,
     AAAA,
     TXT,
     MX,
-    NS,
     SOA,
-    CNAME,
     PTR,
     ResourceRecord,
 )
-from .message import Message, Question, Rcode, Opcode
+from .message import Message, Question, Rcode
 from .zone import Zone
 from .server import AuthoritativeServer, SpfTestResponder
 from .resolver import CachingResolver, StubResolver
@@ -42,21 +39,17 @@ from .querylog import QueryLog, QueryLogEntry
 __all__ = [
     "Name",
     "RRType",
-    "RClass",
     "Rdata",
     "A",
     "AAAA",
     "TXT",
     "MX",
-    "NS",
     "SOA",
-    "CNAME",
     "PTR",
     "ResourceRecord",
     "Message",
     "Question",
     "Rcode",
-    "Opcode",
     "Zone",
     "AuthoritativeServer",
     "SpfTestResponder",

@@ -1,8 +1,7 @@
 """DNS messages: queries and responses.
 
-Models the subset of RFC 1035 message semantics the reproduction needs:
-header flags (QR, AA, RD, RA), response codes, a single question, and
-answer/authority/additional sections.
+Models the part of an RFC 1035 message the measurement reads: a single
+question, a response code, and the answer and authority sections.
 """
 
 from __future__ import annotations
@@ -12,13 +11,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .name import Name
-from .rdata import RClass, RRType, ResourceRecord
-
-
-class Opcode(enum.IntEnum):
-    QUERY = 0
-    NOTIFY = 4
-    UPDATE = 5
+from .rdata import RRType, ResourceRecord
 
 
 class Rcode(enum.IntEnum):
@@ -38,103 +31,34 @@ class Question:
 
     name: Name
     rrtype: RRType
-    rclass: RClass = RClass.IN
-
-    def to_text(self) -> str:
-        return f"{self.name}. {self.rclass.name} {self.rrtype.name}"
 
 
 @dataclass
 class Message:
-    """A DNS message.
+    """A DNS query or response."""
 
-    Only the fields exercised by the simulation are modeled.  ``id`` is
-    assigned by the transport; flags default to a recursive query.
-    """
-
-    id: int = 0
-    opcode: Opcode = Opcode.QUERY
-    rcode: Rcode = Rcode.NOERROR
-    is_response: bool = False
-    authoritative: bool = False
-    recursion_desired: bool = True
-    recursion_available: bool = False
     question: Optional[Question] = None
+    rcode: Rcode = Rcode.NOERROR
     answers: List[ResourceRecord] = field(default_factory=list)
     authority: List[ResourceRecord] = field(default_factory=list)
-    additional: List[ResourceRecord] = field(default_factory=list)
 
     @classmethod
-    def make_query(
-        cls,
-        name: Name,
-        rrtype: RRType,
-        *,
-        id: int = 0,
-        recursion_desired: bool = True,
-    ) -> "Message":
-        """Build a standard query message."""
+    def make_query(cls, name: Name, rrtype: RRType) -> "Message":
+        """Build a query for ``name``/``rrtype``."""
         # Hot path: direct attribute assignment skips the dataclass
         # __init__'s keyword matching and default handling.
         msg = cls.__new__(cls)
-        msg.id = id
-        msg.opcode = Opcode.QUERY
-        msg.rcode = Rcode.NOERROR
-        msg.is_response = False
-        msg.authoritative = False
-        msg.recursion_desired = recursion_desired
-        msg.recursion_available = False
         msg.question = Question(name, rrtype)
+        msg.rcode = Rcode.NOERROR
         msg.answers = []
         msg.authority = []
-        msg.additional = []
         return msg
 
     def make_response(self, rcode: Rcode = Rcode.NOERROR) -> "Message":
-        """Build a response skeleton echoing this query."""
+        """Build a response skeleton echoing this query's question."""
         msg = Message.__new__(Message)
-        msg.id = self.id
-        msg.opcode = self.opcode
-        msg.rcode = rcode
-        msg.is_response = True
-        msg.authoritative = False
-        msg.recursion_desired = self.recursion_desired
-        msg.recursion_available = False
         msg.question = self.question
+        msg.rcode = rcode
         msg.answers = []
         msg.authority = []
-        msg.additional = []
         return msg
-
-    def answer_rrset(self, rrtype: Optional[RRType] = None) -> List[ResourceRecord]:
-        """Answers filtered to ``rrtype`` (or the question's type)."""
-        if rrtype is None:
-            if self.question is None:
-                return list(self.answers)
-            rrtype = self.question.rrtype
-        return [rr for rr in self.answers if rr.rrtype == rrtype]
-
-    def to_text(self) -> str:
-        """A dig-like presentation of the message, for debugging."""
-        lines = []
-        kind = "RESPONSE" if self.is_response else "QUERY"
-        flags = []
-        if self.authoritative:
-            flags.append("aa")
-        if self.recursion_desired:
-            flags.append("rd")
-        if self.recursion_available:
-            flags.append("ra")
-        lines.append(f";; {kind} id={self.id} rcode={self.rcode.name} flags={' '.join(flags)}")
-        if self.question is not None:
-            lines.append(";; QUESTION")
-            lines.append(";" + self.question.to_text())
-        for title, section in (
-            ("ANSWER", self.answers),
-            ("AUTHORITY", self.authority),
-            ("ADDITIONAL", self.additional),
-        ):
-            if section:
-                lines.append(f";; {title}")
-                lines.extend(rr.to_text() for rr in section)
-        return "\n".join(lines)

@@ -4,15 +4,11 @@ A :class:`Name` is an immutable sequence of labels, stored without the
 trailing root label.  Comparisons are case-insensitive, as required by
 RFC 1035 section 2.3.3, but the original spelling is preserved for
 presentation.
-
-The SPFail detection technique manipulates names heavily (label reversal,
-truncation, prepending), so :class:`Name` offers convenience operations for
-those transformations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 from ..errors import NameError_
 
@@ -149,14 +145,6 @@ class Name:
     def __len__(self) -> int:
         return len(self._labels)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._labels)
-
-    def __lt__(self, other: "Name") -> bool:
-        # Canonical DNS ordering: compare label sequences from the rightmost
-        # (most significant) label, case-insensitively.
-        return tuple(reversed(self._key)) < tuple(reversed(other._key))
-
     # -- structure --------------------------------------------------------
 
     def is_root(self) -> bool:
@@ -168,10 +156,6 @@ class Name:
             raise NameError_("the root name has no parent")
         return Name._make(self._labels[1:], self._key[1:])
 
-    def tld(self) -> str:
-        """The rightmost label, lowercase ('' for the root)."""
-        return self._key[-1] if self._key else ""
-
     def is_subdomain_of(self, other: "Name") -> bool:
         """True if ``self`` equals ``other`` or sits beneath it."""
         if len(other._key) > len(self._key):
@@ -179,13 +163,6 @@ class Name:
         if not other._key:
             return True
         return self._key[-len(other._key):] == other._key
-
-    def relativize(self, origin: "Name") -> "Name":
-        """Strip ``origin`` from the right-hand side of this name."""
-        if not self.is_subdomain_of(origin):
-            raise NameError_(f"{self} is not a subdomain of {origin}")
-        n = len(self._labels) - len(origin._labels)
-        return Name._make(self._labels[:n], self._key[:n])
 
     def concatenate(self, suffix: Union["Name", str]) -> "Name":
         """Append ``suffix``'s labels after this name's labels."""
@@ -196,17 +173,3 @@ class Name:
     def prepend(self, label: str) -> "Name":
         """Add one label at the left (hostname side)."""
         return Name((label,) + self._labels)
-
-    # -- SPF-macro-flavored transformations --------------------------------
-
-    def reversed_labels(self) -> "Name":
-        """Labels in reverse order (the SPF ``r`` transformer)."""
-        return Name._make(self._labels[::-1], self._key[::-1])
-
-    def rightmost(self, count: int) -> "Name":
-        """Keep only the rightmost ``count`` labels (SPF digit transformer)."""
-        if count <= 0:
-            raise NameError_("label count must be positive")
-        if count >= len(self._labels):
-            return self
-        return Name._make(self._labels[-count:], self._key[-count:])

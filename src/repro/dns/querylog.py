@@ -28,9 +28,6 @@ class QueryLogEntry:
     rrtype: RRType
     source: str  # the querying resolver/MTA identity, e.g. "198.51.100.7"
 
-    def to_text(self) -> str:
-        return f"{self.timestamp.isoformat()} {self.source} {self.qname} {self.rrtype.name}"
-
 
 class QueryLog:
     """An append-only log of queries, indexed by embedded test labels.
@@ -152,13 +149,3 @@ class QueryLog:
             e.rrtype == RRType.TXT for e in self.entries_for(suite, test_id)
         )
 
-    def between(
-        self, start: _dt.datetime, end: _dt.datetime
-    ) -> List[QueryLogEntry]:
-        """Entries with ``start <= timestamp < end``."""
-        return [e for e in self._entries if start <= e.timestamp < end]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._by_labels.clear()

@@ -2,10 +2,10 @@
 
 Implements the record types the SPFail measurement touches: A and AAAA
 (address lookups triggered by SPF mechanisms), TXT (SPF policies), MX
-(mail-server discovery), plus NS/SOA/CNAME/PTR for zone plumbing.
+(mail-server discovery), PTR (the SPF ``ptr`` mechanism) and SOA
+(negative-caching TTLs).
 
-Each rdata type renders itself in presentation format and compares and
-hashes by the value of its own fields.
+Each rdata type compares and hashes by the value of its own fields.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ class RRType(enum.IntEnum):
     """Resource record types (RFC 1035 / 3596)."""
 
     A = 1
-    NS = 2
-    CNAME = 5
     SOA = 6
     PTR = 12
     MX = 15
@@ -34,27 +32,17 @@ class RRType(enum.IntEnum):
     ANY = 255
 
 
-class RClass(enum.IntEnum):
-    """Resource record classes."""
-
-    IN = 1
-    ANY = 255
-
-
 class Rdata:
     """Base class for record data."""
 
     rrtype: RRType
-
-    def to_text(self) -> str:
-        raise NotImplementedError
 
     def _value(self) -> tuple:
         """The fields that make two records of one type equal."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.to_text()!r})"
+        return f"{type(self).__name__}({', '.join(map(repr, self._value()))})"
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Rdata):
@@ -81,9 +69,6 @@ class A(Rdata):
         else:
             self.address = ipaddress.IPv4Address(address)
 
-    def to_text(self) -> str:
-        return str(self.address)
-
     def _value(self) -> tuple:
         return (self.address,)
 
@@ -103,9 +88,6 @@ class AAAA(Rdata):
             self.address = addr
         else:
             self.address = ipaddress.IPv6Address(address)
-
-    def to_text(self) -> str:
-        return str(self.address)
 
     def _value(self) -> tuple:
         return (self.address,)
@@ -139,47 +121,22 @@ class TXT(Rdata):
         """All character-strings concatenated and decoded."""
         return b"".join(self.strings).decode("ascii", errors="replace")
 
-    def to_text(self) -> str:
-        return " ".join(
-            '"' + s.decode("ascii", errors="replace").replace('"', '\\"') + '"'
-            for s in self.strings
-        )
-
     def _value(self) -> tuple:
         return self.strings
 
 
-class _NameRdata(Rdata):
-    """Shared implementation for rdata that is a single domain name."""
+class PTR(Rdata):
+    """A pointer record (reverse DNS)."""
+
+    rrtype = RRType.PTR
 
     def __init__(self, target: Union[str, Name]) -> None:
         self.target = target if isinstance(target, Name) else Name.from_text(target)
-
-    def to_text(self) -> str:
-        return str(self.target) + "."
 
     def _value(self) -> tuple:
         # Spelled labels, not the lowercase key: names in record data
         # compare case-sensitively, as their stored octets do.
         return (self.target.labels,)
-
-
-class NS(_NameRdata):
-    """A delegation record."""
-
-    rrtype = RRType.NS
-
-
-class CNAME(_NameRdata):
-    """A canonical-name alias record."""
-
-    rrtype = RRType.CNAME
-
-
-class PTR(_NameRdata):
-    """A pointer record (reverse DNS)."""
-
-    rrtype = RRType.PTR
 
 
 class MX(Rdata):
@@ -192,9 +149,6 @@ class MX(Rdata):
             raise WireFormatError(f"MX preference out of range: {preference}")
         self.preference = preference
         self.exchange = exchange if isinstance(exchange, Name) else Name.from_text(exchange)
-
-    def to_text(self) -> str:
-        return f"{self.preference} {self.exchange}."
 
     def _value(self) -> tuple:
         return (self.preference, self.exchange.labels)
@@ -223,12 +177,6 @@ class SOA(Rdata):
         self.expire = expire
         self.minimum = minimum
 
-    def to_text(self) -> str:
-        return (
-            f"{self.mname}. {self.rname}. {self.serial} {self.refresh} "
-            f"{self.retry} {self.expire} {self.minimum}"
-        )
-
     def _value(self) -> tuple:
         return (
             self.mname.labels,
@@ -243,16 +191,12 @@ class SOA(Rdata):
 
 @dataclass(frozen=True)
 class ResourceRecord:
-    """A complete resource record: owner name, TTL, class, and rdata."""
+    """A complete resource record: owner name, TTL, and rdata."""
 
     name: Name
     rdata: Rdata
     ttl: int = 300
-    rclass: RClass = RClass.IN
 
     @property
     def rrtype(self) -> RRType:
         return self.rdata.rrtype
-
-    def to_text(self) -> str:
-        return f"{self.name}. {self.ttl} {self.rclass.name} {self.rrtype.name} {self.rdata.to_text()}"

@@ -115,15 +115,12 @@ class CachingResolver(DnsBackend):
             if cc is not None:
                 cc[2].inc(rrtype.name)
             response = message.make_response(entry.rcode)
-            response.recursion_available = True
             response.answers, response.authority = entry.replay(timestamp)
             return response
 
         backend = self._backend_for(qname)
         if backend is None:
-            response = message.make_response(Rcode.SERVFAIL)
-            response.recursion_available = True
-            return response
+            return message.make_response(Rcode.SERVFAIL)
 
         upstream = backend.query(message, source=source, now=timestamp)
         ttl = self._cache_ttl(upstream)
@@ -136,11 +133,7 @@ class CachingResolver(DnsBackend):
                 authority=list(upstream.authority),
             )
         # The cache keeps its own copies above, and backends build a fresh
-        # response per query, so the upstream message can be returned
-        # directly with its flags adjusted to this resolver's view: a
-        # recursive answer is never authoritative and offers recursion.
-        upstream.authoritative = False
-        upstream.recursion_available = True
+        # response per query, so the upstream message is returned as is.
         return upstream
 
     def _cache_ttl(self, upstream: Message) -> int:
@@ -186,12 +179,10 @@ class StubResolver:
         self.upstream = upstream
         self.identity = identity
         self._clock = clock or _default_clock
-        self._next_id = 1
 
     def _query(self, name: Union[str, Name], rrtype: RRType) -> Message:
         qname = name if isinstance(name, Name) else Name.from_text(name)
-        message = Message.make_query(qname, rrtype, id=self._next_id)
-        self._next_id = (self._next_id + 1) & 0xFFFF or 1
+        message = Message.make_query(qname, rrtype)
         return self.upstream.query(message, source=self.identity, now=self._clock())
 
     def resolve(self, name: Union[str, Name], rrtype: RRType) -> List[ResourceRecord]:

@@ -14,14 +14,13 @@ Two server flavors are modeled:
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from ..errors import DnsError
 from ..obs import context as _obs
 from .message import Message, Rcode
 from .name import Name
 from .querylog import QueryLog
-from .rdata import A, AAAA, RRType, ResourceRecord, TXT
+from .rdata import A, RRType, ResourceRecord, SOA, TXT
 from .zone import LookupStatus, Zone
 
 
@@ -65,37 +64,24 @@ class AuthoritativeServer(DnsBackend):
             return message.make_response(Rcode.REFUSED)
 
         response = message.make_response()
-        response.authoritative = True
-        # Follow CNAME chains within the zone, as authoritative servers do.
-        current = qname
-        for _ in range(8):
-            result = zone.lookup(current, rrtype)
-            if result.status == LookupStatus.SUCCESS:
-                response.answers.extend(result.records)
-                return response
-            if result.status == LookupStatus.CNAME:
-                response.answers.extend(result.records)
-                assert result.cname_target is not None
-                current = result.cname_target
-                if zone.lookup(current, rrtype).status == LookupStatus.OUT_OF_ZONE:
-                    return response
-                continue
-            if result.status == LookupStatus.NODATA:
-                response.authority.append(zone.soa)
-                return response
+        result = zone.lookup(qname, rrtype)
+        if result.status == LookupStatus.SUCCESS:
+            response.answers.extend(result.records)
+        else:
+            # The zone holds the name, so the answer is NODATA or NXDOMAIN.
             if result.status == LookupStatus.NXDOMAIN:
                 response.rcode = Rcode.NXDOMAIN
-                response.authority.append(zone.soa)
-                return response
-            break
-        raise DnsError(f"CNAME chain too long at {qname}")
+            response.authority.append(zone.soa)
+        return response
 
 
-#: Builds the SPF policy text served for a given (id, suite) pair.
-PolicyTemplate = Callable[[str, str, Name], str]
+#: The address every A query under the measurement base resolves to.
+ANSWER_ADDRESS = "192.0.2.53"
+#: The TTL of every record the responder serves.
+RESPONDER_TTL = 1
 
 
-def default_policy_template(test_id: str, suite: str, base: Name) -> str:
+def measurement_policy(test_id: str, suite: str, base: Name) -> str:
     """The paper's macro-bearing measurement policy (Section 5.1)."""
     tail = f"{test_id}.{suite}.{base}"
     return f"v=spf1 a:%{{d1r}}.{tail} a:b.{tail} -all"
@@ -111,23 +97,17 @@ class SpfTestResponder(DnsBackend):
     how the macro was (mis)expanded.  Every query under the base is logged.
     """
 
-    def __init__(
-        self,
-        base: Name,
-        *,
-        policy_template: PolicyTemplate = default_policy_template,
-        answer_address: str = "192.0.2.53",
-        ttl: int = 1,
-    ) -> None:
+    def __init__(self, base: Name) -> None:
         self.base = base
-        self.policy_template = policy_template
-        self.answer_address = answer_address
-        self.ttl = ttl
         self.log = QueryLog(base)
-        # Hot-path caches: the A rdata and the SOA record never vary, and
-        # both are immutable, so one shared instance serves every answer.
-        self._a_rdata = A(answer_address)
-        self._soa_record: Optional[ResourceRecord] = None
+        # The A rdata and the SOA record never vary, and both are
+        # immutable, so one shared instance serves every answer.
+        self._a_rdata = A(ANSWER_ADDRESS)
+        self._soa = ResourceRecord(
+            name=base,
+            rdata=SOA(base.prepend("ns1"), base.prepend("hostmaster")),
+            ttl=RESPONDER_TTL,
+        )
 
     def query(self, message: Message, *, source: str = "", now: Optional[_dt.datetime] = None) -> Message:
         if message.question is None:
@@ -145,7 +125,6 @@ class SpfTestResponder(DnsBackend):
         self.log.record(timestamp, qname, rrtype, source=source)
 
         response = message.make_response()
-        response.authoritative = True
 
         if rrtype == RRType.TXT:
             labels = self.log.extract_labels(qname)
@@ -154,36 +133,21 @@ class SpfTestResponder(DnsBackend):
                 # Only the exact <id>.<suite> owner carries the policy; any
                 # deeper name would be macro output, which has no TXT.
                 if len(qname) == len(self.base) + 2:
-                    policy = self.policy_template(test_id, suite, self.base)
+                    policy = measurement_policy(test_id, suite, self.base)
                     response.answers.append(
-                        ResourceRecord(name=qname, rdata=TXT(policy), ttl=self.ttl)
+                        ResourceRecord(name=qname, rdata=TXT(policy), ttl=RESPONDER_TTL)
                     )
                     return response
-            response.authority.append(self._soa())
+            response.authority.append(self._soa)
             return response
 
         if rrtype == RRType.A:
             response.answers.append(
-                ResourceRecord(name=qname, rdata=self._a_rdata, ttl=self.ttl)
+                ResourceRecord(name=qname, rdata=self._a_rdata, ttl=RESPONDER_TTL)
             )
             return response
-        if rrtype == RRType.AAAA:
-            # NODATA for AAAA: the measurement network is IPv4-only, and a
-            # NODATA answer still proves the query arrived.
-            response.authority.append(self._soa())
-            return response
-
-        response.authority.append(self._soa())
+        # NODATA for every other type, AAAA included: the measurement
+        # network is IPv4-only, and a NODATA answer still proves the
+        # query arrived.
+        response.authority.append(self._soa)
         return response
-
-    def _soa(self) -> ResourceRecord:
-        record = self._soa_record
-        if record is None:
-            from .rdata import SOA
-
-            record = self._soa_record = ResourceRecord(
-                name=self.base,
-                rdata=SOA(self.base.prepend("ns1"), self.base.prepend("hostmaster")),
-                ttl=self.ttl,
-            )
-        return record

@@ -2,8 +2,8 @@
 
 A :class:`Zone` owns an origin name and a set of RRsets indexed by
 (owner name, type).  Lookup implements the cases an authoritative server
-must distinguish: exact match, CNAME redirection, NODATA (name exists but
-not that type), NXDOMAIN, and wildcard synthesis (``*`` leftmost label).
+must distinguish: exact match, NODATA (name exists but not that type),
+NXDOMAIN, and wildcard synthesis (``*`` leftmost label).
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import DnsError
 from .name import Name
-from .rdata import CNAME, RRType, Rdata, ResourceRecord, SOA
+from .rdata import RRType, Rdata, ResourceRecord, SOA
 
 
 class LookupStatus(enum.Enum):
     SUCCESS = "success"
     NODATA = "nodata"
     NXDOMAIN = "nxdomain"
-    CNAME = "cname"
     OUT_OF_ZONE = "out-of-zone"
 
 
@@ -29,7 +28,6 @@ class LookupStatus(enum.Enum):
 class LookupResult:
     status: LookupStatus
     records: List[ResourceRecord] = field(default_factory=list)
-    cname_target: Optional[Name] = None
 
 
 class Zone:
@@ -84,46 +82,18 @@ class Zone:
             walker = walker.parent()
         return rr
 
-    def remove(self, name: Union[str, Name], rrtype: Optional[RRType] = None) -> int:
-        """Remove records at ``name`` (optionally only of ``rrtype``)."""
-        full = self._full_name(name)
-        removed = 0
-        for key in list(self._rrsets):
-            if key[0] == full.key and (rrtype is None or key[1] == rrtype):
-                removed += len(self._rrsets.pop(key))
-        return removed
-
-    def rrset(self, name: Union[str, Name], rrtype: RRType) -> List[ResourceRecord]:
-        full = self._full_name(name)
-        return list(self._rrsets.get((full.key, rrtype), []))
-
     @property
     def soa(self) -> ResourceRecord:
         return self._rrsets[(self.origin.key, RRType.SOA)][0]
 
-    def __contains__(self, name: Union[str, Name]) -> bool:
-        full = self._full_name(name)
-        return full.key in self._names
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._rrsets.values())
-
     def lookup(self, name: Name, rrtype: RRType) -> LookupResult:
-        """Authoritative lookup with CNAME and wildcard handling."""
+        """Authoritative lookup with wildcard handling."""
         if not name.is_subdomain_of(self.origin):
             return LookupResult(LookupStatus.OUT_OF_ZONE)
 
         exact = self._rrsets.get((name.key, rrtype))
         if exact:
             return LookupResult(LookupStatus.SUCCESS, list(exact))
-
-        cname = self._rrsets.get((name.key, RRType.CNAME))
-        if cname and rrtype != RRType.CNAME:
-            target = cname[0].rdata
-            assert isinstance(target, CNAME)
-            return LookupResult(
-                LookupStatus.CNAME, list(cname), cname_target=target.target
-            )
 
         if name.key in self._names:
             return LookupResult(LookupStatus.NODATA)

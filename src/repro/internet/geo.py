@@ -8,16 +8,15 @@ geographic cells.
 
 Like the rest of the world model, geolocation is lazy: a unit's country
 is a function of ``(seed, unit_id)`` and an address's jitter a function
-of ``(seed, ip)``, so :class:`FleetGeoDatabase` answers any lookup on
-first touch and caches it — holding the database costs O(located), not
-O(world).  The dict-backed :class:`GeoDatabase` remains for hand-built
-scenarios.
+of ``(seed, ip)``, so :class:`GeoDatabase` answers any lookup on first
+touch and caches it — holding the database costs O(located), not
+O(world).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .mta_fleet import MtaFleet
 from .rng import SeededRng
@@ -41,45 +40,7 @@ class GeoLocation:
 
 
 class GeoDatabase:
-    """IP address → location, explicitly populated."""
-
-    def __init__(self) -> None:
-        self._by_ip: Dict[str, GeoLocation] = {}
-
-    def locate(self, ip: str) -> Optional[GeoLocation]:
-        return self._by_ip.get(ip)
-
-    def __len__(self) -> int:
-        return len(self._by_ip)
-
-    def add(self, ip: str, location: GeoLocation) -> None:
-        self._by_ip[ip] = location
-
-    def bucket_counts(
-        self, ips: Iterable[str], *, cell_degrees: float = 10.0
-    ) -> Dict[Tuple[int, int], int]:
-        """Frequency of addresses per geographic cell (Figure 3 data)."""
-        counts: Dict[Tuple[int, int], int] = {}
-        for ip in ips:
-            location = self.locate(ip)
-            if location is None:
-                continue
-            key = location.bucket(cell_degrees)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def country_counts(self, ips: Iterable[str]) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for ip in ips:
-            location = self.locate(ip)
-            if location is None:
-                continue
-            counts[location.country] = counts.get(location.country, 0) + 1
-        return counts
-
-
-class FleetGeoDatabase(GeoDatabase):
-    """Locations derived lazily from the fleet's hosting units.
+    """IP address → location, derived lazily from the fleet's hosting units.
 
     The country comes from the owning unit (pinned at materialization by
     :meth:`MtaFleet.bind_geography`); coordinates are the country's
@@ -89,7 +50,7 @@ class FleetGeoDatabase(GeoDatabase):
     """
 
     def __init__(self, fleet: MtaFleet, seed: int) -> None:
-        super().__init__()
+        self._by_ip: Dict[str, GeoLocation] = {}
         self._fleet = fleet
         self._root = SeededRng(seed).fork("geo")
 
@@ -97,7 +58,7 @@ class FleetGeoDatabase(GeoDatabase):
         cached = self._by_ip.get(ip)
         if cached is not None:
             return cached
-        unit = self._fleet.unit_by_ip.get(ip)
+        unit = self._fleet.unit_for_ip(ip)
         if unit is None:
             return None
         base_lat, base_lon = TldModel.coords_for_country(unit.country)
@@ -110,13 +71,8 @@ class FleetGeoDatabase(GeoDatabase):
         self._by_ip[ip] = location
         return location
 
-    def __len__(self) -> int:
-        # The addressable universe, not the touched subset: reserved
-        # slots bound every address the fleet can ever answer for.
-        return self._fleet.total_slot_count()
 
-
-def assign_geography(fleet: MtaFleet, *, seed: int = 0) -> FleetGeoDatabase:
+def assign_geography(fleet: MtaFleet, *, seed: int = 0) -> GeoDatabase:
     """Place every hosting unit (and its IPs) on the map — lazily.
 
     Binds the seed into the fleet so each unit's ``country`` is set at
@@ -124,4 +80,4 @@ def assign_geography(fleet: MtaFleet, *, seed: int = 0) -> FleetGeoDatabase:
     database that resolves addresses on first touch.
     """
     fleet.bind_geography(seed)
-    return FleetGeoDatabase(fleet, seed)
+    return GeoDatabase(fleet, seed)

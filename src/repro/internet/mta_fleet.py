@@ -337,7 +337,6 @@ class PopulationDnsBackend(DnsBackend):
             return message.make_response(Rcode.FORMERR)
         qname, rrtype = message.question.name, message.question.rrtype
         response = message.make_response()
-        response.authoritative = True
         key = qname.key
         if rrtype == RRType.MX and key in self._mx:
             for pref, host in self._mx[key]:
@@ -389,10 +388,9 @@ class FleetDnsBackend(DnsBackend):
             return message.make_response(Rcode.FORMERR)
         qname, rrtype = message.question.name, message.question.rrtype
         response = message.make_response()
-        response.authoritative = True
         text = str(qname).lower().rstrip(".")
         if text.startswith("mx."):
-            unit = self._fleet._unit_for_domain(text[3:])
+            unit = self._fleet.unit_for_domain(text[3:])
             if unit is not None and unit.mail_hostname == text:
                 if rrtype == RRType.A:
                     addresses = unit.new_ips if _unit_moved(unit, now) else unit.ips
@@ -402,7 +400,7 @@ class FleetDnsBackend(DnsBackend):
                         )
                 return response  # NODATA for other types on a live host
         else:
-            unit = self._fleet._unit_for_domain(text)
+            unit = self._fleet.unit_for_domain(text)
             if unit is not None:
                 if rrtype == RRType.MX:
                     response.answers.append(
@@ -488,10 +486,9 @@ class _PoolState:
 class MtaFleet:
     """The hosting fleet as lazily regenerable state.
 
-    Public surface matches the old eager fleet — ``units`` (list-like,
-    indexable by ``unit_id``), ``unit_by_domain``/``unit_by_ip`` lookups,
-    ``dns_backend``, ``build_network`` — but every access path
-    materializes only what it touches:
+    Its surface — ``units`` (list-like, indexable by ``unit_id``),
+    :meth:`unit_for_domain`/:meth:`unit_for_ip`, ``dns_backend``,
+    ``build_network`` — materializes only what each access touches:
 
     - unit boundaries regenerate per layout chunk from a chunk RNG fork;
     - a unit's full configuration regenerates from ``fork("unit-{id}")``;
@@ -514,8 +511,6 @@ class MtaFleet:
         *,
         seed: Optional[int] = None,
         campaign_start: Optional[_dt.datetime] = None,
-        alexa_profile: FleetProfile = ALEXA_PROFILE,
-        two_week_profile: FleetProfile = TWO_WEEK_PROFILE,
     ) -> None:
         from ..clock import INITIAL_MEASUREMENT
 
@@ -531,11 +526,11 @@ class MtaFleet:
         self._pools = [
             _PoolState(
                 "alexa", table.n_providers, table.n_alexa - table.n_providers,
-                alexa_profile, self._root.fork("alexa-pool"),
+                ALEXA_PROFILE, self._root.fork("alexa-pool"),
             ),
             _PoolState(
                 "two-week", table.n_alexa, table.n_two_week_only,
-                two_week_profile, self._root.fork("two-week-pool"),
+                TWO_WEEK_PROFILE, self._root.fork("two-week-pool"),
             ),
         ]
 
@@ -581,16 +576,6 @@ class MtaFleet:
     def units(self) -> "_UnitSequence":
         """Every hosting unit, as a lazy list indexable by ``unit_id``."""
         return _UnitSequence(self)
-
-    @property
-    def unit_by_domain(self) -> "_DomainIndex":
-        """Domain name → owning unit, computed on access."""
-        return _DomainIndex(self)
-
-    @property
-    def unit_by_ip(self) -> "_IpIndex":
-        """Address → owning unit, computed on access."""
-        return _IpIndex(self)
 
     # -- census ---------------------------------------------------------------
 
@@ -789,7 +774,8 @@ class MtaFleet:
         local = bisect.bisect_right(layout.starts, position) - 1
         return pool.unit_base + pool.units_before[chunk_index] + local
 
-    def _unit_for_domain(self, name: str) -> Optional[HostingUnit]:
+    def unit_for_domain(self, name: str) -> Optional[HostingUnit]:
+        """The unit hosting domain ``name``, or ``None``."""
         index = self.population.index_of(name)
         if index is None:
             return None
@@ -813,7 +799,8 @@ class MtaFleet:
                 return unit_id, offset, layout.ip_counts[local]
         return None
 
-    def _unit_for_ip(self, ip: str) -> Optional[HostingUnit]:
+    def unit_for_ip(self, ip: str) -> Optional[HostingUnit]:
+        """The unit answering at address ``ip``, or ``None``."""
         slot = _decode_slot(ip)
         if slot is None:
             return None
@@ -879,7 +866,7 @@ class MtaFleet:
         Both transitions are monotone, so touch order cannot diverge
         between runs or across a snapshot restore.
         """
-        unit = self._unit_for_ip(server.ip)
+        unit = self.unit_for_ip(server.ip)
         if unit is None:
             return
         moved = _unit_moved(unit, now)
@@ -966,50 +953,6 @@ class _UnitSequence:
             yield self._fleet.unit_at(unit_id)
 
 
-class _DomainIndex:
-    """``unit_by_domain``: domain name → owning unit, computed on access."""
-
-    __slots__ = ("_fleet",)
-
-    def __init__(self, fleet: MtaFleet) -> None:
-        self._fleet = fleet
-
-    def get(self, name: str, default=None):
-        unit = self._fleet._unit_for_domain(name)
-        return default if unit is None else unit
-
-    def __getitem__(self, name: str) -> HostingUnit:
-        unit = self._fleet._unit_for_domain(name)
-        if unit is None:
-            raise KeyError(name)
-        return unit
-
-    def __contains__(self, name: str) -> bool:
-        return self._fleet._unit_for_domain(name) is not None
-
-
-class _IpIndex:
-    """``unit_by_ip``: address → owning unit, computed on access."""
-
-    __slots__ = ("_fleet",)
-
-    def __init__(self, fleet: MtaFleet) -> None:
-        self._fleet = fleet
-
-    def get(self, ip: str, default=None):
-        unit = self._fleet._unit_for_ip(ip)
-        return default if unit is None else unit
-
-    def __getitem__(self, ip: str) -> HostingUnit:
-        unit = self._fleet._unit_for_ip(ip)
-        if unit is None:
-            raise KeyError(ip)
-        return unit
-
-    def __contains__(self, ip: str) -> bool:
-        return self._fleet._unit_for_ip(ip) is not None
-
-
 class _FleetServerProvider:
     """The network's hook into the lazy fleet.
 
@@ -1031,7 +974,7 @@ class _FleetServerProvider:
         self._resolver_backend = resolver_backend
 
     def create(self, ip: str) -> Optional[SmtpServer]:
-        unit = self._fleet._unit_for_ip(ip)
+        unit = self._fleet.unit_for_ip(ip)
         if unit is None:
             return None
         return self._fleet._build_server(
@@ -1042,7 +985,7 @@ class _FleetServerProvider:
         self._fleet.sync_server(server, now, patch_model)
 
     def has(self, ip: str) -> bool:
-        return self._fleet._unit_for_ip(ip) is not None
+        return self._fleet.unit_for_ip(ip) is not None
 
     def addressable_ips(self) -> Iterator[str]:
         for unit in self._fleet.units:
@@ -1249,21 +1192,13 @@ def build_fleet(
     *,
     seed: Optional[int] = None,
     campaign_start: Optional[_dt.datetime] = None,
-    alexa_profile: FleetProfile = ALEXA_PROFILE,
-    two_week_profile: FleetProfile = TWO_WEEK_PROFILE,
 ) -> MtaFleet:
     """The (lazy) hosting fleet for a population.
 
     Returns in O(1): units, addresses, servers, and DNS answers all
     regenerate deterministically on first touch.
     """
-    return MtaFleet(
-        population,
-        seed=seed,
-        campaign_start=campaign_start,
-        alexa_profile=alexa_profile,
-        two_week_profile=two_week_profile,
-    )
+    return MtaFleet(population, seed=seed, campaign_start=campaign_start)
 
 
 def _configure_provider_unit(unit: HostingUnit, domain: Domain, rng: SeededRng) -> None:

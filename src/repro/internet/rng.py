@@ -9,14 +9,11 @@ bit-for-bit from a single seed.
 from __future__ import annotations
 
 import random
-import string
 import zlib
 from bisect import bisect_right
-from typing import Dict, List, Sequence, Tuple, TypeVar
+from typing import Dict, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
-
-_ALNUM = string.ascii_lowercase + string.digits
 
 # Cumulative-weight tables memoized per weights dict.  Keyed by id() with
 # a strong reference to the dict held in the value: the reference keeps
@@ -54,15 +51,6 @@ class SeededRng:
 
     def randint(self, low: int, high: int) -> int:
         return self._random.randint(low, high)
-
-    def choice(self, items: Sequence[T]) -> T:
-        return self._random.choice(items)
-
-    def shuffle(self, items: List[T]) -> None:
-        self._random.shuffle(items)
-
-    def sample(self, items: Sequence[T], count: int) -> List[T]:
-        return self._random.sample(items, count)
 
     def weighted_choice(self, weights: Dict[T, float]) -> T:
         """Choose a key with probability proportional to its weight.
@@ -107,10 +95,6 @@ class SeededRng:
     def exponential_days(self, mean_days: float) -> float:
         """An exponentially distributed delay, in days."""
         return self._random.expovariate(1.0 / mean_days) if mean_days > 0 else 0.0
-
-    def label(self, length: int) -> str:
-        """A random lowercase alphanumeric DNS label."""
-        return "".join(self._random.choice(_ALNUM) for _ in range(length))
 
     def domain_word(self, min_len: int = 4, max_len: int = 12) -> str:
         """A pronounceable-ish random second-level-domain word."""

@@ -13,7 +13,7 @@ the paper's Table 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: Paper Table 2 — most common TLDs in the Alexa Top List set (counts out
 #: of 418,842 domains).
@@ -199,10 +199,6 @@ class TldModel:
     @staticmethod
     def coords_for_country(country: str) -> Tuple[float, float]:
         return _COUNTRY_COORDS.get(country, (38.9, -77.0))
-
-    @staticmethod
-    def is_country_code(tld: str) -> bool:
-        return tld.lower() in _CC
 
 
 #: Paper Table 5 — per-TLD probability that an initially vulnerable domain

@@ -118,7 +118,7 @@ class NotificationCampaign:
         by_unit: Dict[int, List[str]] = {}
         units: Dict[int, HostingUnit] = {}
         for name in vulnerable_domains:
-            unit = self.fleet.unit_by_domain.get(name)
+            unit = self.fleet.unit_for_domain(name)
             if unit is None:
                 continue
             by_unit.setdefault(unit.unit_id, []).append(name)

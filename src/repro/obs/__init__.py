@@ -10,7 +10,7 @@ a metrics source.
   from the simulation clock, carrying stable probe/task ids, exported as
   canonically ordered JSONL that is byte-identical across runs (and
   resumes) of the same seed.
-- :mod:`repro.obs.metrics` — named counters/gauges/histograms (SMTP
+- :mod:`repro.obs.metrics` — named counters and histograms (SMTP
   reply codes, DNS queries per probe, macro expansions, probe outcomes,
   retry backoff) for what the executor's per-stage
   :class:`repro.exec.metrics.StageMetrics` does not record; a batch
@@ -61,7 +61,7 @@ from .context import Observation, activate, observing
 from .diff import TraceDivergence, assert_traces_identical, diff_events, diff_files
 from .ledger import ComparisonResult, LedgerError
 from .logbridge import TraceLogHandler, attach_trace_handler, configure_logging
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry
 from .perf import PerfProfile, PerfRecorder
 from .progress import ProgressReporter
 from .records import ParsedEvent, load_jsonl, parse_jsonl
@@ -70,7 +70,6 @@ from .trace import TraceEvent, Tracer
 __all__ = [
     "ComparisonResult",
     "Counter",
-    "Gauge",
     "Histogram",
     "LedgerError",
     "MetricsRegistry",

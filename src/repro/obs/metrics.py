@@ -1,4 +1,4 @@
-"""A registry of named counters, gauges, and histograms.
+"""A registry of named counters and histograms.
 
 An open registry any subsystem can write to: SMTP reply-code
 distributions, DNS queries per probe, SPF macro expansions, probe
@@ -68,20 +68,6 @@ class Counter:
         return out
 
 
-class Gauge:
-    """A value that can move both ways (last write wins)."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def to_dict(self) -> dict:
-        return {"value": self.value}
-
-
 class Histogram:
     """A distribution of observed values with on-demand percentiles.
 
@@ -132,7 +118,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._lock = threading.Lock()
 
@@ -141,13 +126,6 @@ class MetricsRegistry:
         if instrument is None:
             with self._lock:
                 instrument = self._counters.setdefault(name, Counter(name))
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            with self._lock:
-                instrument = self._gauges.setdefault(name, Gauge(name))
         return instrument
 
     def histogram(self, name: str) -> Histogram:
@@ -160,7 +138,6 @@ class MetricsRegistry:
     def to_dict(self) -> dict:
         return {
             "counters": {n: self._counters[n].to_dict() for n in sorted(self._counters)},
-            "gauges": {n: self._gauges[n].to_dict() for n in sorted(self._gauges)},
             "histograms": {
                 n: self._histograms[n].to_dict() for n in sorted(self._histograms)
             },
@@ -178,15 +155,13 @@ class MetricsRegistry:
                 n: {"total": c._total, "by_key": dict(c._by_key)}
                 for n, c in self._counters.items()
             }
-            gauges = {n: g.value for n, g in self._gauges.items()}
             histograms = {n: list(h._values) for n, h in self._histograms.items()}
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+        return {"counters": counters, "histograms": histograms}
 
     def merge(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` from another registry into this one.
 
-        Counter totals add, gauges take the snapshot's value (last write
-        wins, matching :meth:`Gauge.set`), histogram observations extend.
+        Counter totals add and histogram observations extend.
         Every derived artifact stays deterministic: sums are exact and
         histogram summaries sort their values before rendering.
         """
@@ -196,8 +171,6 @@ class MetricsRegistry:
                 counter._total += state["total"]
                 for key, amount in state["by_key"].items():
                     counter._by_key[key] = counter._by_key.get(key, 0.0) + amount
-        for name, value in snapshot["gauges"].items():
-            self.gauge(name).set(value)
         for name, values in snapshot["histograms"].items():
             histogram = self.histogram(name)
             with histogram._lock:

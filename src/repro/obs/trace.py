@@ -491,13 +491,6 @@ class Tracer:
                 )
         return len(events)
 
-    def clear(self) -> None:
-        scope = self._thread().scope
-        if scope is not None:
-            scope.buf = []
-        with self._lock:
-            self._events.clear()
-
 
 class _SpanContext:
     """The context manager behind :meth:`Tracer.span`."""

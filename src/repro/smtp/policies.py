@@ -96,13 +96,3 @@ class ServerPolicy:
     #: paper's fluctuating per-round conclusiveness (Figure 5).
     flaky_rate: float = 0.0
     flaky_after_sessions: int = 2
-
-    def copy(self) -> "ServerPolicy":
-        return ServerPolicy(
-            refuse_connections=self.refuse_connections,
-            failure_stage=self.failure_stage,
-            spf_timing=self.spf_timing,
-            greylist=self.greylist,
-            recipients=self.recipients,
-            blacklists_after_probes=self.blacklists_after_probes,
-        )

@@ -47,8 +47,10 @@ if TYPE_CHECKING:
     from ..simulation import Simulation
 
 #: bump when the checkpoint payload shape changes incompatibly (4: trace
-#: segments hold tuple :class:`~repro.obs.trace.TraceEvent` records).
-CHECKPOINT_VERSION = 4
+#: segments hold tuple :class:`~repro.obs.trace.TraceEvent` records; 5:
+#: records carry no class, servers and the campaign no stub query id,
+#: and the metrics snapshot no gauges).
+CHECKPOINT_VERSION = 5
 
 #: the keyed maps of a world snapshot; a delta stores, per map, the
 #: added or changed entries and the removed keys.  Every other world
@@ -174,9 +176,9 @@ def capture_world_state(sim: "Simulation", previous: Optional[dict] = None) -> d
     The snapshot is flat: the keyed maps named in :data:`WORLD_MAPS`,
     plus scalars.  Servers are included only when they accepted at
     least one session: every server-side mutation (inbox, greylist,
-    blacklist, crash count, banner-noise draws, stub query ids) happens
-    inside a session, so an untouched server is already in its rebuilt
-    state.  For the same reason a server whose session count has not
+    blacklist, crash count, banner-noise draws) happens inside a
+    session, so an untouched server is already in its rebuilt state.
+    For the same reason a server whose session count has not
     moved since ``previous`` (the snapshot the previous checkpoint
     took) keeps that snapshot's entry, the same object, which is how
     :func:`diff_world_state` leaves it out of the next delta.
@@ -196,11 +198,6 @@ def capture_world_state(sim: "Simulation", previous: Optional[dict] = None) -> d
                 "greylist": dict(server._greylist_first_seen),
                 "inbox": list(server.inbox),
                 "noise_state": server._noise.getstate(),
-                "stub_next_id": (
-                    server.resolver._next_id
-                    if server.resolver is not None
-                    else None
-                ),
             }
         servers[ip] = snap
     resolver = campaign.resolver
@@ -223,7 +220,6 @@ def capture_world_state(sim: "Simulation", previous: Optional[dict] = None) -> d
         "next_suite": labels._next_suite,
         "resolver_query_count": resolver.query_count,
         "resolver_cache_hits": resolver.cache_hits,
-        "stub_next_id": campaign._stub._next_id,
     }
 
 
@@ -316,8 +312,6 @@ def install_world_state(sim: "Simulation", state: dict) -> None:
         server._greylist_first_seen = dict(snap["greylist"])
         server.inbox = list(snap["inbox"])
         server._noise.setstate(snap["noise_state"])
-        if snap["stub_next_id"] is not None and server.resolver is not None:
-            server.resolver._next_id = snap["stub_next_id"]
     network = campaign.network
     network.connection_attempts = state["connection_attempts"]
     network.connections_established = state["connections_established"]
@@ -334,7 +328,6 @@ def install_world_state(sim: "Simulation", state: dict) -> None:
     resolver._cache = dict(state["resolver_cache"])
     resolver.query_count = state["resolver_query_count"]
     resolver.cache_hits = state["resolver_cache_hits"]
-    campaign._stub._next_id = state["stub_next_id"]
     campaign._preferred = dict(state["preferred"])
     campaign._ip_domain = dict(state["ip_domain"])
 

@@ -330,7 +330,7 @@ class RunStore:
                     handle.write(ledger)
             _atomic_write(
                 os.path.join(run_dir, "config.json"),
-                sim.config.to_json(indent=None).encode("utf-8"),
+                sim.config.to_json().encode("utf-8"),
             )
         except BaseException:
             lock.release()

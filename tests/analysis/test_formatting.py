@@ -98,7 +98,7 @@ class TestStatusHelpers:
         fleet = session_sim.fleet
         for ip, patched in final_ip_status(session_sim).items():
             if patched is True:
-                assert model.plan_for(fleet.unit_by_ip[ip]).patches
+                assert model.plan_for(fleet.unit_for_ip(ip)).patches
             elif patched is False:
-                plan = model.plan_for(fleet.unit_by_ip[ip])
+                plan = model.plan_for(fleet.unit_for_ip(ip))
                 assert not plan.patched_by(session_result.rounds[-1].date)

@@ -50,7 +50,7 @@ class TestResolution:
     def test_resolution_matches_fleet_ground_truth(self, session_sim, session_result):
         fleet = session_sim.fleet
         for name, ips in list(session_result.initial.domain_ips.items())[:300]:
-            unit = fleet.unit_by_domain[name]
+            unit = fleet.unit_for_domain(name)
             assert set(ips) == set(unit.ips)
 
     def test_unique_ips_probed_once(self, session_result):
@@ -75,7 +75,7 @@ class TestInitialClassification:
         conclusively measured address."""
         fleet = session_sim.fleet
         for ip, record in session_result.initial.ip_records.items():
-            unit = fleet.unit_by_ip[ip]
+            unit = fleet.unit_for_ip(ip)
             if record.outcome == DetectionOutcome.VULNERABLE:
                 assert unit.is_vulnerable
             elif record.outcome in (
@@ -88,7 +88,7 @@ class TestInitialClassification:
 
         fleet = session_sim.fleet
         for ip, record in session_result.initial.ip_records.items():
-            if fleet.unit_by_ip[ip].category == UnitCategory.REFUSE:
+            if fleet.unit_for_ip(ip).category == UnitCategory.REFUSE:
                 assert record.outcome == DetectionOutcome.REFUSED
 
     def test_remeasurable_excludes_measured(self, session_result):
@@ -143,7 +143,7 @@ class TestSnapshot:
         fleet = session_sim.fleet
         model = session_sim.patch_model
         for name, status in session_result.snapshot_status.items():
-            unit = fleet.unit_by_domain[name]
+            unit = fleet.unit_for_domain(name)
             plan = model.plan_for(unit)
             if status == DomainStatus.PATCHED:
                 assert plan.patches

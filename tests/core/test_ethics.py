@@ -4,7 +4,7 @@ import datetime as dt
 
 import pytest
 
-from repro.core.ethics import EthicsControls, EthicsViolation, dedupe_ips
+from repro.core.ethics import EthicsControls, EthicsViolation
 
 T0 = dt.datetime(2021, 10, 11, tzinfo=dt.timezone.utc)
 
@@ -76,12 +76,3 @@ class TestReconnectWaits:
         ethics.reset_round()
         with pytest.raises(EthicsViolation):
             ethics.connection_opened("10.0.0.1", T0 + dt.timedelta(seconds=10))
-
-
-class TestDedupe:
-    def test_shared_ip_tested_once(self):
-        by_ip = dedupe_ips(
-            {"a.com": ["10.0.0.1"], "b.com": ["10.0.0.1"], "c.com": ["10.0.0.2"]}
-        )
-        assert sorted(by_ip) == ["10.0.0.1", "10.0.0.2"]
-        assert sorted(by_ip["10.0.0.1"]) == ["a.com", "b.com"]

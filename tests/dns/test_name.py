@@ -59,9 +59,6 @@ class TestEquality:
     def test_not_equal_to_string(self):
         assert Name.from_text("a.com") != "a.com"
 
-    def test_canonical_ordering_by_rightmost_label(self):
-        assert Name.from_text("z.aaa") < Name.from_text("a.bbb")
-
 
 class TestStructure:
     def test_parent_strips_leftmost(self):
@@ -70,12 +67,6 @@ class TestStructure:
     def test_root_has_no_parent(self):
         with pytest.raises(NameError_):
             Name.root().parent()
-
-    def test_tld(self):
-        assert Name.from_text("a.b.ORG").tld() == "org"
-
-    def test_root_tld_empty(self):
-        assert Name.root().tld() == ""
 
     def test_subdomain_of_self(self):
         name = Name.from_text("example.com")
@@ -105,16 +96,6 @@ class TestStructure:
             Name.from_text("example.com")
         )
 
-    def test_relativize(self):
-        relative = Name.from_text("x.y.example.com").relativize(
-            Name.from_text("example.com")
-        )
-        assert relative == Name.from_text("x.y")
-
-    def test_relativize_rejects_outsider(self):
-        with pytest.raises(NameError_):
-            Name.from_text("x.other.org").relativize(Name.from_text("example.com"))
-
     def test_concatenate(self):
         joined = Name.from_text("www").concatenate("example.com")
         assert joined == Name.from_text("www.example.com")
@@ -125,36 +106,10 @@ class TestStructure:
         )
 
 
-class TestSpfTransforms:
-    def test_reversed_labels(self):
-        assert Name.from_text("a.b.c").reversed_labels() == Name.from_text("c.b.a")
-
-    def test_rightmost(self):
-        assert Name.from_text("a.b.c").rightmost(2) == Name.from_text("b.c")
-
-    def test_rightmost_more_than_length_is_identity(self):
-        name = Name.from_text("a.b")
-        assert name.rightmost(5) == name
-
-    def test_rightmost_zero_rejected(self):
-        with pytest.raises(NameError_):
-            Name.from_text("a.b").rightmost(0)
-
-
 class TestProperties:
     @given(name_st)
     def test_text_roundtrip(self, name):
         assert Name.from_text(str(name)) == name
-
-    @given(name_st)
-    def test_double_reverse_is_identity(self, name):
-        assert name.reversed_labels().reversed_labels() == name
-
-    @given(name_st)
-    def test_relativize_concatenate_roundtrip(self, name):
-        if len(name) >= 1:
-            origin = Name(name.labels[1:])
-            assert name.relativize(origin).concatenate(origin) == name
 
     @given(name_st, label_st)
     def test_prepend_then_parent(self, name, label):

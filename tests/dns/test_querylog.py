@@ -91,22 +91,3 @@ class TestPolicyFetch:
         record(log, "ab1.s9.spf-test.dns-lab.org", RRType.TXT)
         assert log.saw_policy_fetch("s9", "ab1")
 
-
-class TestTimeSlicing:
-    def test_between_is_half_open(self, log):
-        record(log, "a.ab1.s9.spf-test.dns-lab.org", minutes=0)
-        record(log, "b.ab1.s9.spf-test.dns-lab.org", minutes=5)
-        record(log, "c.ab1.s9.spf-test.dns-lab.org", minutes=10)
-        window = log.between(T0, T0 + dt.timedelta(minutes=10))
-        assert len(window) == 2
-
-    def test_clear(self, log):
-        record(log, "a.ab1.s9.spf-test.dns-lab.org")
-        log.clear()
-        assert len(log) == 0
-        assert log.entries_for("s9", "ab1") == []
-
-    def test_entry_to_text(self, log):
-        entry = record(log, "a.ab1.s9.spf-test.dns-lab.org", source="10.1.1.1")
-        text = entry.to_text()
-        assert "10.1.1.1" in text and "a.ab1.s9" in text

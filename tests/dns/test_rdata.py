@@ -8,9 +8,7 @@ from repro.dns.name import Name
 from repro.dns.rdata import (
     A,
     AAAA,
-    CNAME,
     MX,
-    NS,
     PTR,
     RRType,
     ResourceRecord,
@@ -22,18 +20,19 @@ from repro.errors import WireFormatError
 
 class TestA:
     def test_text(self):
-        assert A("192.0.2.1").to_text() == "192.0.2.1"
+        assert A("192.0.2.1").address == ipaddress.IPv4Address("192.0.2.1")
 
     def test_accepts_ipaddress_object(self):
-        assert A(ipaddress.IPv4Address("10.0.0.1")).to_text() == "10.0.0.1"
+        address = ipaddress.IPv4Address("10.0.0.1")
+        assert A(address).address is address
+
+    def test_repr_shows_value(self):
+        assert repr(A("192.0.2.1")) == "A(IPv4Address('192.0.2.1'))"
 
 
 class TestTXT:
     def test_single_string(self):
         assert TXT("v=spf1 -all").text == "v=spf1 -all"
-
-    def test_presentation_quotes(self):
-        assert TXT("hello").to_text() == '"hello"'
 
     def test_long_string_split_at_255(self):
         rdata = TXT("x" * 600)
@@ -54,14 +53,6 @@ class TestMX:
         with pytest.raises(WireFormatError):
             MX(70000, "mail.example.com")
 
-    def test_text(self):
-        assert MX(5, "m.example.com").to_text() == "5 m.example.com."
-
-
-class TestNameRdatas:
-    def test_cname_text(self):
-        assert CNAME("www.example.com").to_text() == "www.example.com."
-
 
 class TestSOA:
     def test_defaults(self):
@@ -79,8 +70,8 @@ class TestValueEquality:
             lambda: AAAA("2001:db8::1"),
             lambda: TXT(["v=spf1 ", "-all"]),
             lambda: MX(10, "mail.example.com"),
-            lambda: NS("ns1.example.net"),
-            lambda: CNAME("www.example.com"),
+            lambda: TXT("x" * 600),
+            lambda: MX(20, Name.from_text("Mail.Example.com")),
             lambda: PTR("host.example.org"),
             lambda: SOA("ns1.example.com", "hostmaster.example.com", serial=42),
         ],
@@ -99,7 +90,7 @@ class TestValueEquality:
             (TXT(["ab", "c"]), TXT(["a", "bc"])),
             (MX(10, "mx.example.com"), MX(20, "mx.example.com")),
             (MX(10, "mx.example.com"), MX(10, "mx2.example.com")),
-            (NS("t.example.net"), CNAME("t.example.net")),
+            (A("192.0.2.1"), AAAA("::ffff:192.0.2.1")),
             (SOA("ns1.x", "root.x", serial=1), SOA("ns1.x", "root.x", serial=2)),
         ],
     )
@@ -114,10 +105,6 @@ class TestResourceRecord:
     def test_rrtype_delegates_to_rdata(self):
         rr = ResourceRecord(name=Name.from_text("a.com"), rdata=A("192.0.2.1"))
         assert rr.rrtype == RRType.A
-
-    def test_to_text(self):
-        rr = ResourceRecord(name=Name.from_text("a.com"), rdata=A("192.0.2.1"), ttl=60)
-        assert rr.to_text() == "a.com. 60 IN A 192.0.2.1"
 
     def test_equality_by_value(self):
         a = ResourceRecord(name=Name.from_text("a.com"), rdata=A("192.0.2.1"))

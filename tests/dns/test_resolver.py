@@ -63,13 +63,6 @@ class TestRouting:
         assert len(narrow.log) == 1
         assert len(broad.log) == 0
 
-    def test_recursion_available_flag(self, setup):
-        resolver, _ = setup
-        response = resolver.query(
-            Message.make_query(Name.from_text("mx1.example.com"), RRType.A)
-        )
-        assert response.recursion_available
-
 
 class TestCaching:
     def test_positive_cache_hit(self, setup):
@@ -238,7 +231,7 @@ class TestCacheCorrectness:
             assert cached.rcode == first.rcode
             assert cached.answers == first.answers
             assert cached.authority == first.authority
-            assert cached.recursion_available == first.recursion_available
+            assert cached.question == first.question
 
     def test_metrics_published_when_observing(self, setup):
         resolver, _ = setup

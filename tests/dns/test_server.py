@@ -1,13 +1,19 @@
 """Tests for authoritative servers and the measurement responder."""
 
 import datetime as dt
+import ipaddress
 
 import pytest
 
 from repro.dns.message import Message, Rcode
 from repro.dns.name import Name
-from repro.dns.rdata import A, CNAME, RRType, TXT
-from repro.dns.server import AuthoritativeServer, SpfTestResponder, default_policy_template
+from repro.dns.rdata import A, RRType
+from repro.dns.server import (
+    ANSWER_ADDRESS,
+    AuthoritativeServer,
+    SpfTestResponder,
+    measurement_policy,
+)
 from repro.dns.zone import Zone
 
 NOW = dt.datetime(2021, 10, 11, tzinfo=dt.timezone.utc)
@@ -23,8 +29,6 @@ def _ask(server, name, rrtype=RRType.A, source="tester"):
 def auth():
     zone = Zone("example.com")
     zone.add("mail", A("192.0.2.25"))
-    zone.add("www", CNAME("mail.example.com"))
-    zone.add("alias", CNAME("external.other.org"))
     return AuthoritativeServer([zone])
 
 
@@ -32,8 +36,7 @@ class TestAuthoritativeServer:
     def test_positive_answer(self, auth):
         response = _ask(auth, "mail.example.com")
         assert response.rcode == Rcode.NOERROR
-        assert response.authoritative
-        assert response.answers[0].rdata.to_text() == "192.0.2.25"
+        assert response.answers[0].rdata.address == ipaddress.IPv4Address("192.0.2.25")
 
     def test_nxdomain_with_soa(self, auth):
         response = _ask(auth, "none.example.com")
@@ -48,16 +51,6 @@ class TestAuthoritativeServer:
 
     def test_refused_out_of_zone(self, auth):
         assert _ask(auth, "other.org").rcode == Rcode.REFUSED
-
-    def test_cname_chased_in_zone(self, auth):
-        response = _ask(auth, "www.example.com")
-        rdata_types = [rr.rrtype for rr in response.answers]
-        assert RRType.CNAME in rdata_types
-        assert RRType.A in rdata_types
-
-    def test_cname_to_external_returns_cname_only(self, auth):
-        response = _ask(auth, "alias.example.com")
-        assert [rr.rrtype for rr in response.answers] == [RRType.CNAME]
 
     def test_multiple_zones_longest_match(self):
         outer = Zone("example.com")
@@ -80,13 +73,13 @@ class TestSpfTestResponder:
     def test_policy_synthesized_with_labels(self, responder):
         response = _ask(responder, "ab12.suite1.spf-test.dns-lab.org", RRType.TXT)
         policy = response.answers[0].rdata.text
-        assert policy == default_policy_template("ab12", "suite1", BASE)
+        assert policy == measurement_policy("ab12", "suite1", BASE)
         assert "%{d1r}.ab12.suite1.spf-test.dns-lab.org" in policy
         assert policy.endswith("-all")
 
     def test_a_answered_for_any_subname(self, responder):
         response = _ask(responder, "x.y.z.ab12.suite1.spf-test.dns-lab.org", RRType.A)
-        assert response.answers[0].rdata.to_text() == responder.answer_address
+        assert response.answers[0].rdata.address == ipaddress.IPv4Address(ANSWER_ADDRESS)
 
     def test_aaaa_is_nodata_but_logged(self, responder):
         response = _ask(responder, "q.ab12.suite1.spf-test.dns-lab.org", RRType.AAAA)
@@ -113,10 +106,3 @@ class TestSpfTestResponder:
         entry = list(responder.log)[-1]
         assert entry.source == "198.51.100.9"
         assert entry.timestamp == NOW
-
-    def test_custom_policy_template(self):
-        responder = SpfTestResponder(
-            BASE, policy_template=lambda i, s, b: f"v=spf1 a:%{{l}}.{i}.{s}.{b} -all"
-        )
-        response = _ask(responder, "zz.s1.spf-test.dns-lab.org", RRType.TXT)
-        assert "%{l}" in response.answers[0].rdata.text

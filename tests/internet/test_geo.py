@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.internet.geo import GeoDatabase, GeoLocation, assign_geography
+from repro.internet.geo import GeoLocation, assign_geography
 from repro.internet.mta_fleet import build_fleet
 from repro.internet.population import PopulationConfig, generate_population
 from repro.internet.tld import TldModel
@@ -68,16 +68,5 @@ class TestBuckets:
         location = GeoLocation(latitude=-26.2, longitude=28.0, country="South Africa")
         assert location.bucket(10.0) == (-3, 2)
 
-    def test_bucket_counts(self, fleet, geo):
-        ips = [unit.ips[0] for unit in fleet.units[:500]]
-        counts = geo.bucket_counts(ips)
-        assert sum(counts.values()) == len(ips)
-
-    def test_country_counts(self, fleet, geo):
-        ips = [unit.ips[0] for unit in fleet.units]
-        counts = geo.country_counts(ips)
-        assert sum(counts.values()) == len(ips)
-        assert "United States" in counts
-
     def test_unknown_ips_skipped(self, geo):
-        assert geo.bucket_counts(["203.0.113.254"]) == {}
+        assert geo.locate("203.0.113.254") is None

@@ -49,9 +49,11 @@ class TestCoverage:
     def test_lookup_structures_consistent(self, fleet):
         for unit in fleet.units[:100]:
             for domain in unit.domains:
-                assert fleet.unit_by_domain[domain.name] is unit
+                assert fleet.unit_for_domain(domain.name) is unit
             for ip in unit.all_ips:
-                assert fleet.unit_by_ip[ip] is unit
+                assert fleet.unit_for_ip(ip) is unit
+        assert fleet.unit_for_domain("not-generated.example") is None
+        assert fleet.unit_for_ip("203.0.113.254") is None
 
     def test_every_unit_has_an_ip(self, fleet):
         assert all(unit.ips for unit in fleet.units)
@@ -68,7 +70,7 @@ class TestDnsBackend:
         assert mx.answers
         exchange = mx.answers[0].rdata.exchange
         a = backend.query(Message.make_query(exchange, RRType.A))
-        assert {rr.rdata.to_text() for rr in a.answers} == set(unit.ips)
+        assert {str(rr.rdata.address) for rr in a.answers} == set(unit.ips)
 
     def test_unknown_domain_nxdomain(self, fleet):
         from repro.dns import Rcode
@@ -169,7 +171,7 @@ class TestSolver:
 class TestProviders:
     def test_vulnerable_providers_configured(self, fleet):
         for name in VULNERABLE_PROVIDER_DOMAINS:
-            unit = fleet.unit_by_domain[name]
+            unit = fleet.unit_for_domain(name)
             assert unit.is_vulnerable
             assert unit.category == UnitCategory.SPF_BLANKMSG
 
@@ -224,7 +226,7 @@ class TestNetworkMaterialization:
             Message.make_query(Name.from_text(mover.mail_hostname), RRType.A),
             now=clock.now,
         )
-        assert {rr.rdata.to_text() for rr in response.answers} == set(mover.new_ips)
+        assert {str(rr.rdata.address) for rr in response.answers} == set(mover.new_ips)
 
 
 class TestDeterminism:

@@ -83,23 +83,9 @@ class TestSampling:
 
 
 class TestTextHelpers:
-    def test_label_alphanumeric(self):
-        rng = SeededRng(1)
-        label = rng.label(8)
-        assert len(label) == 8
-        assert label.isalnum() and label == label.lower()
-
     def test_domain_word_shape(self):
         rng = SeededRng(1)
         for _ in range(20):
             word = rng.domain_word()
             assert 4 <= len(word) <= 12
             assert word.isalpha()
-
-    def test_shuffle_and_sample(self):
-        rng = SeededRng(1)
-        items = list(range(10))
-        sample = rng.sample(items, 3)
-        assert len(set(sample)) == 3
-        rng.shuffle(items)
-        assert sorted(items) == list(range(10))

@@ -46,10 +46,6 @@ class TestGeography:
         assert TldModel.country_for("com") is None
         assert TldModel.country_for("org") is None
 
-    def test_is_country_code(self):
-        assert TldModel.is_country_code("de")
-        assert not TldModel.is_country_code("net")
-
     def test_coords_exist_for_all_mapped_countries(self):
         for tld in ("za", "ru", "tw", "de", "gr"):
             country = TldModel.country_for(tld)

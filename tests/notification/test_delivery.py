@@ -30,7 +30,7 @@ class TestDeduplication:
     def test_one_email_per_hosting_unit(self, setup):
         fleet, clock, model, campaign, domains = setup
         report = campaign.send_notifications(domains, PRIVATE_NOTIFICATION)
-        units_covered = {fleet.unit_by_domain[d].unit_id for d in domains}
+        units_covered = {fleet.unit_for_domain(d).unit_id for d in domains}
         assert report.sent == len(units_covered)
 
     def test_covered_domains_recorded(self, setup):

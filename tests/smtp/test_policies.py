@@ -55,12 +55,6 @@ class TestServerPolicy:
         assert policy.blacklists_after_probes is None
         assert policy.flaky_rate == 0.0
 
-    def test_copy_is_independent(self):
-        original = ServerPolicy(refuse_connections=True)
-        duplicate = original.copy()
-        duplicate.refuse_connections = False
-        assert original.refuse_connections
-
     def test_greylist_policy_window(self):
         greylist = GreylistPolicy(enabled=True, retry_after_seconds=300)
         assert greylist.retry_after_seconds == 300

@@ -110,6 +110,18 @@ class TestProbes:
     def test_unknown_domain_raises(self, handle):
         with pytest.raises(SimulationError, match="unknown domain"):
             handle.census_row("no-such-domain.invalid")
+        # A real name whose base36 suffix is upper-cased names no domain.
+        table = handle.simulation.population.table
+        name = next(
+            name
+            for name in map(table.name_at, range(table.n_providers, len(table)))
+            if any(c.isalpha() for c in name.rpartition(".")[0].rpartition("-")[2])
+        )
+        assert handle.census_row(name)["domain"] == name
+        label, _, tld = name.rpartition(".")
+        word, _, suffix = label.rpartition("-")
+        with pytest.raises(SimulationError, match="unknown domain"):
+            handle.census_row(f"{word}-{suffix.upper()}.{tld}")
 
 
 class TestCensusAndPatch:

@@ -145,7 +145,7 @@ class TestMethodologyProperties:
     def test_vulnerable_set_has_no_false_positives(self, session_sim, session_result):
         fleet = session_sim.fleet
         for ip in session_result.initial.vulnerable_ips():
-            assert fleet.unit_by_ip[ip].is_vulnerable
+            assert fleet.unit_for_ip(ip).is_vulnerable
 
     def test_conclusive_measurements_match_ground_truth_exactly(
         self, session_sim, session_result
@@ -156,6 +156,6 @@ class TestMethodologyProperties:
             for ip, record in session_result.initial.ip_records.items()
             if record.outcome.spf_measured
             and (record.outcome == DetectionOutcome.VULNERABLE)
-            != fleet.unit_by_ip[ip].is_vulnerable
+            != fleet.unit_for_ip(ip).is_vulnerable
         ]
         assert mismatches == []

@@ -9,7 +9,8 @@ from repro.simulation import Simulation
 class TestBuild:
     def test_components_wired(self, session_sim):
         assert session_sim.campaign.notifier is not None
-        assert len(session_sim.geography) >= len(session_sim.fleet.all_ips)
+        geography = session_sim.geography
+        assert all(geography.locate(ip) is not None for ip in session_sim.fleet.all_ips)
         assert session_sim.population is session_sim.campaign.population
 
     def test_run_caches_result(self, session_sim):
