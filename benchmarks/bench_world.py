@@ -7,16 +7,17 @@ The lazy world (PR 6) promises two things this bench measures directly:
   time and peak memory are flat across scales (the paper's world is
   scale 1; the ROADMAP's north star is scale 10 — about 4.4M domains).
 - **O(touched) steady state**: after a fixed-size probe sweep, peak
-  memory is a function of the probes performed plus the bounded
-  regeneration caches — not of the world behind them.  The census
-  (prefix indexes + calibration counts) is the one O(world)-time pass,
-  paid on first touch and recorded separately; its *memory* is
-  O(#chunks).
+  memory is a function of the probes performed (the rows and units they
+  touched) plus the bounded layout cache — not of the world behind
+  them.  The census (prefix indexes + calibration counts) is the one
+  O(world)-time pass, paid on first touch and recorded separately; its
+  *memory* is O(#chunks).
 
 Each scale's record lands in ``BENCH_world.json``: build and census wall
-time, tracemalloc peaks, and touched-vs-total server counts after the
-sweep.  The pytest entry point runs scale 0.1 only (the bench suite
-stays fast); the standalone form runs the full ladder::
+time, tracemalloc peaks, touched-vs-total server counts, and the rows
+drawn and units materialized after the sweep.  The pytest entry point
+runs scale 0.1 only (the bench suite stays fast); the standalone form
+runs the full ladder::
 
     PYTHONPATH=src python benchmarks/bench_world.py
     PYTHONPATH=src python benchmarks/bench_world.py --scales 1 --budget-mb 256
@@ -95,6 +96,8 @@ def _measure_scale(scale: float, *, probes: int = SWEEP_PROBES) -> dict:
         "sweep_seconds": sweep_seconds,
         "sweep_peak_mb": sweep_peak / 1e6,
         "touched_servers": network.materialized_count,
+        "population.row_regens": population.row_regens,
+        "fleet.unit_materializations": fleet.unit_materializations,
     }
 
 

@@ -123,9 +123,7 @@ def generate_report(sim: Simulation, *, title: str = "SPFail reproduction report
     write()
     write(
         "Deterministic access counters from the lazy world — a pure "
-        "function of the probe pattern and, for the `population.*` rows, "
-        "of the report's own reads of the population table so far (the "
-        "scorecard's tables scan it once), so they are identical with or "
+        "function of the probe pattern, so they are identical with or "
         "without `--perf` (wall-clock telemetry lives in the perf "
         "sideband, never here)."
     )

@@ -40,10 +40,9 @@ def _parse_listen(value: str):
 def _plan_targets(handle, *, max_domains: int = 2000, max_ips: int = 200):
     """Deterministic domain/address pools for the load-test plan."""
     population = handle.simulation.population
-    table = population.table
     total = len(population)
     step = max(1, total // max_domains)
-    domains = [table.name_at(i) for i in range(0, total, step)]
+    domains = [population.name_at(i) for i in range(0, total, step)]
     ips = sorted(handle.simulation.campaign.tracked_ips())[:max_ips]
     return domains, ips
 

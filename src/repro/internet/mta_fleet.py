@@ -423,8 +423,6 @@ class FleetDnsBackend(DnsBackend):
 _UNIT_CHUNK = 4096
 #: Regenerated layout chunks kept in the fleet's LRU.
 _LAYOUT_CACHE = 64
-#: Strong LRU of materialized unit views (weak refs keep identity beyond it).
-_UNIT_VIEW_CACHE = 16384
 
 
 class _AffinePermutation:
@@ -521,15 +519,15 @@ class MtaFleet:
         ).fork("fleet")
         self._geo_seed: Optional[int] = None
 
-        table = population.table
-        self.n_providers = table.n_providers
+        self.n_providers = population.n_providers
         self._pools = [
             _PoolState(
-                "alexa", table.n_providers, table.n_alexa - table.n_providers,
+                "alexa", population.n_providers,
+                population.n_alexa - population.n_providers,
                 ALEXA_PROFILE, self._root.fork("alexa-pool"),
             ),
             _PoolState(
-                "two-week", table.n_alexa, table.n_two_week_only,
+                "two-week", population.n_alexa, population.n_two_week_only,
                 TWO_WEEK_PROFILE, self._root.fork("two-week-pool"),
             ),
         ]
@@ -551,10 +549,8 @@ class MtaFleet:
         self._census_ready = False
         self._unit_count: Optional[int] = None
         self._layouts: "OrderedDict[Tuple[str, int], _LayoutChunk]" = OrderedDict()
-        self._unit_views: "weakref.WeakValueDictionary[int, HostingUnit]" = (
-            weakref.WeakValueDictionary()
-        )
-        self._unit_lru: "OrderedDict[int, HostingUnit]" = OrderedDict()
+        #: every unit touched so far, each materialized once.
+        self._units: Dict[int, HostingUnit] = {}
 
         # Read-only cache telemetry (repro.obs.perf counter surface);
         # always-on plain integers, deterministic for an access pattern.
@@ -676,19 +672,14 @@ class MtaFleet:
         return self._unit_count  # type: ignore[return-value]
 
     def unit_at(self, unit_id: int) -> HostingUnit:
-        """The (cached) view of one hosting unit."""
-        view = self._unit_views.get(unit_id)
-        if view is None:
+        """One hosting unit, materialized on first touch."""
+        unit = self._units.get(unit_id)
+        if unit is None:
             self.unit_materializations += 1
-            view = self._materialize_unit(unit_id)
-            self._unit_views[unit_id] = view
+            unit = self._units[unit_id] = self._materialize_unit(unit_id)
         else:
             self.unit_view_hits += 1
-        self._unit_lru[unit_id] = view
-        self._unit_lru.move_to_end(unit_id)
-        while len(self._unit_lru) > _UNIT_VIEW_CACHE:
-            self._unit_lru.popitem(last=False)
-        return view
+        return unit
 
     def _materialize_unit(self, unit_id: int) -> HostingUnit:
         if unit_id < self.n_providers:
@@ -849,7 +840,7 @@ class MtaFleet:
     def bind_geography(self, seed: int) -> None:
         """Give units a deterministic country on materialization."""
         self._geo_seed = seed
-        for unit_id, unit in list(self._unit_views.items()):
+        for unit_id, unit in self._units.items():
             unit.country = _unit_country(seed, unit_id, unit.primary_tld)
 
     def sync_server(

@@ -77,8 +77,23 @@ class SeededRng:
 
     def categorical(self, outcomes: Sequence[Tuple[T, float]]) -> T:
         """Choose among (outcome, probability) pairs; probabilities may be
-        unnormalized."""
-        return self.weighted_choice(dict(outcomes))
+        unnormalized.
+
+        The same draw as :meth:`weighted_choice` over the same (distinct)
+        outcomes — one ``random()``, the same left-to-right float sums —
+        read straight from the list: callers build their lists per call,
+        so a weight table memoized for one would never be read again.
+        """
+        total = 0.0
+        for _, weight in outcomes:
+            total += weight
+        point = self._random.random() * total
+        cumulative = 0.0
+        for outcome, weight in outcomes:
+            cumulative += weight
+            if point < cumulative:
+                return outcome
+        return outcomes[-1][0]
 
     def zipf_size(self, *, alpha: float = 1.6, max_size: int = 50000) -> int:
         """A heavy-tailed positive integer (hosting-unit size, etc.).

@@ -20,7 +20,7 @@ Record shape (one JSON object per line, compact, sorted keys)::
      "wall_seconds": 6.1, "probe_wall_seconds": 5.2,
      "sim_seconds": 9676800.0, "probes": 38000,
      "probes_per_second": 7300.0, "retried": 0, "refused": 12,
-     "counters": {"population.chunk_hits": ..., ...},
+     "counters": {"population.row_regens": ..., ...},
      "stages": [...], "noise": null}
 
 - ``kind`` is ``run`` / ``resume`` (CLI campaigns), ``record`` (a

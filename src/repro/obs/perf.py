@@ -579,8 +579,6 @@ class PerfProfile:
         for key in sorted(totals):
             lines.append(f"| {key} | {totals[key]:,} |")
         derived = [
-            ("population chunk hit rate", "population.chunk_hits",
-             "population.chunk_misses"),
             ("fleet layout hit rate", "fleet.layout_hits", "fleet.layout_misses"),
             ("dns resolver hit rate", "dns.resolver.cache_hits",
              "dns.resolver.queries"),

@@ -5,9 +5,11 @@ a request-serving engine.  The design splits into three small pieces:
 
 - **Admission.**  Requests enter a bounded queue
   (``queue_depth``); a full queue is answered ``429 overloaded``
-  immediately rather than building unbounded backlog.  Probe requests
-  additionally pass per-tenant rate limiting *before* they are queued,
-  reusing :class:`repro.core.ethics.EthicsControls` verbatim: each
+  immediately rather than building unbounded backlog, and a service
+  whose dispatcher is not running (never started, or stopped) answers
+  ``503`` at once.  Probe requests additionally pass per-tenant rate
+  limiting *before* they are queued, reusing
+  :class:`repro.core.ethics.EthicsControls` verbatim: each
   tenant gets its own controls instance, so one tenant re-probing a
   target inside the minimum reconnect wait (or exceeding the
   concurrency cap) is refused with ``429`` + ``Retry-After`` without
@@ -124,14 +126,21 @@ class ScanService:
         return self
 
     def stop(self) -> None:
-        """Drain the dispatcher and stop accepting work (idempotent)."""
-        if self._thread is None:
-            return
-        self._stopping = True
+        """Stop accepting work, drain the queue, and stop (idempotent)."""
+        with self._guard:
+            thread = self._thread
+            if thread is None or self._stopping:
+                return
+            # Set under the guard ``submit`` enqueues under, so nothing
+            # can be queued behind the sentinel.
+            self._stopping = True
+        # The blocking put waits outside the guard: the draining
+        # dispatcher takes it.
         self._queue.put(None)
-        self._thread.join()
-        self._thread = None
-        self._stopping = False
+        thread.join()
+        with self._guard:
+            self._thread = None
+            self._stopping = False
 
     def __enter__(self) -> "ScanService":
         return self.start()
@@ -212,24 +221,43 @@ class ScanService:
             method=method, payload=payload, tenant=tenant,
             release_key=release_key,
         )
-        try:
-            self._queue.put_nowait(pending)
-        except queue.Full:
+        refusal = self._enqueue(pending)
+        if refusal is not None:
             if release_key is not None:
                 self._limiter(tenant).connection_closed()
-            with self._guard:
-                self._rejected_queue += 1
-            return 429, {
-                "error": f"service overloaded (queue depth {self.queue_depth})",
-                "reason": "queue-full",
-                "retry_after": 1.0,
-            }
+            return refusal
         if not pending.done.wait(timeout=self.request_timeout):
             # The dispatcher will still finish the work and release the
             # limiter slot; the client just stops waiting.
             return 504, {"error": "request timed out in the dispatch queue"}
         self._record(method, started, pending.status)
         return pending.status, pending.body
+
+    def _enqueue(self, pending: _Pending) -> Optional[Tuple[int, dict]]:
+        """Queue ``pending`` for the dispatcher, or return the refusal.
+
+        A service with no dispatcher running (never started, stopping
+        or stopped) answers 503 at once instead of leaving the caller to
+        wait out ``request_timeout`` for work nothing will do.
+        """
+        with self._guard:
+            if self._thread is None or self._stopping:
+                return 503, {
+                    "error": "service is not running",
+                    "reason": "stopped",
+                }
+            try:
+                self._queue.put_nowait(pending)
+            except queue.Full:
+                self._rejected_queue += 1
+                return 429, {
+                    "error": (
+                        f"service overloaded (queue depth {self.queue_depth})"
+                    ),
+                    "reason": "queue-full",
+                    "retry_after": 1.0,
+                }
+        return None
 
     # -- dispatch -------------------------------------------------------------
 

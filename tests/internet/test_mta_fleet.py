@@ -229,6 +229,20 @@ class TestNetworkMaterialization:
         assert {str(rr.rdata.address) for rr in response.answers} == set(mover.new_ips)
 
 
+class TestUnitCache:
+    def test_every_unit_materialized_once_above_the_old_lru_cap(self):
+        # Scale 0.12 holds more units than the 16,384-unit LRU that
+        # once dropped them between touches.
+        fleet = build_fleet(
+            generate_population(PopulationConfig(scale=0.12, seed=11))
+        )
+        assert fleet.unit_count > 16_384
+        for _ in range(2):
+            for _unit in fleet.units:
+                pass
+        assert fleet.unit_materializations == fleet.unit_count
+
+
 class TestDeterminism:
     def test_same_population_same_fleet(self, population):
         a = build_fleet(population)

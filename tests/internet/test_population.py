@@ -179,12 +179,26 @@ class TestSetMembership:
     def test_scan_reuses_rows_a_run_already_generated(self, monkeypatch):
         population = generate_population(PopulationConfig(scale=0.002, seed=11))
         names = [d.name for d in population.domains]  # row by row, as a run does
-        assert population.table.row_regens == len(population)
+        assert population.row_regens == len(population)
 
         def no_regeneration(index):
             raise AssertionError(f"row {index} generated twice")
 
-        monkeypatch.setattr(population.table, "_generate_row", no_regeneration)
+        monkeypatch.setattr(population, "_generate_row", no_regeneration)
         combined = DomainSet.ALEXA_TOP_LIST | DomainSet.TWO_WEEK_MX
         assert population.names_in_set(combined) == names
-        assert population.table.row_regens == len(population)
+        assert population.row_regens == len(population)
+
+    def test_every_row_drawn_once_above_the_old_row_memo_cap(self):
+        # Scale 0.08 holds more rows (~35K) than the 32,768-row memo
+        # that once thrashed here; a run reads its rows more than once.
+        population = generate_population(PopulationConfig(scale=0.08, seed=11))
+        assert len(population) > 32_768
+        for _ in range(2):
+            for _domain in population.domains:
+                pass
+        for domain_set in self.SETS:
+            population.names_in_set(domain_set)
+            population.tld_counts(domain_set)
+            population.in_set(domain_set)
+        assert population.row_regens == len(population)

@@ -121,7 +121,7 @@ def test_report_cache_counters_present_and_perf_independent(
 
     assert section(serial_off.report) == section(serial_on.report)
     body = "\n".join(section(serial_off.report))
-    assert "population.chunk_hits" in body
+    assert "population.row_regens" in body
     assert "dns.resolver.queries" in body
 
 

@@ -55,7 +55,7 @@ def api_probe(batch_observation):
     handle = api.open_run(
         api.RunConfig(scale=SCALE, seed=SEED), observation=observation
     )
-    domain = handle.simulation.population.table.name_at(0)
+    domain = handle.simulation.population.name_at(0)
     result = handle.probe_domain(domain)
     return observation, result
 

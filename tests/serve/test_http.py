@@ -38,7 +38,7 @@ def handle():
 
 @pytest.fixture(scope="module")
 def domain(handle):
-    return handle.simulation.population.table.name_at(0)
+    return handle.simulation.population.name_at(0)
 
 
 def _limits():

@@ -1,7 +1,8 @@
 """Admission and dispatch behavior of :class:`ScanService`.
 
 The contracts under test: a full queue answers 429 immediately (no
-unbounded backlog), per-tenant rate limiting reuses
+unbounded backlog), a service that is not running answers 503 at once
+(no wait for a timeout), per-tenant rate limiting reuses
 :class:`EthicsControls` (second probe of one target inside the
 reconnect wait → 429 with Retry-After; a different tenant is
 unaffected), unknown methods 404, domain-level refusals are 404s (not
@@ -11,7 +12,9 @@ unaffected), unknown methods 404, domain-level refusals are 404s (not
 from __future__ import annotations
 
 import datetime as _dt
+import sys
 import threading
+import time
 
 import pytest
 
@@ -32,7 +35,7 @@ def handle():
 
 @pytest.fixture(scope="module")
 def domain(handle):
-    return handle.simulation.population.table.name_at(0)
+    return handle.simulation.population.name_at(0)
 
 
 def _service(handle, **kwargs):
@@ -190,6 +193,60 @@ class TestAdmission:
         finally:
             release.set()
             service.stop()
+
+    def test_not_running_answers_503_at_once(self, handle, domain):
+        """Never started, then stopped: refused at once, nothing queued."""
+        service = _service(
+            handle,
+            request_timeout=2,
+            tenant_limits=lambda: EthicsControls(
+                max_concurrent_connections=1,
+                min_reconnect_wait=_dt.timedelta(seconds=0),
+            ),
+        )
+        for phase in ("never started", "stopped"):
+            started = time.monotonic()
+            status, body = service.submit("spf_census_row", {"target": domain})
+            assert status == 503, phase
+            assert body["reason"] == "stopped"
+            # The refused probe gives its concurrency slot back.
+            assert service.submit("probe_domain", {"target": domain})[0] == 503
+            assert time.monotonic() - started < 1.0, phase
+            assert service._queue.qsize() == 0
+            status, body = service.submit("run_status", {})
+            assert status == 200 and "service" in body
+            service.start()
+            assert service.submit("probe_domain", {"target": domain})[0] == 200
+            service.stop()
+
+    def test_submits_racing_stop_are_answered_or_refused(self, handle, domain):
+        """Nothing is queued behind stop()'s sentinel to wait for a 504."""
+        service = _service(handle, request_timeout=5).start()
+        statuses = []
+
+        def client():
+            for _ in range(25):
+                statuses.append(
+                    service.submit("spf_census_row", {"target": domain})[0]
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [
+                threading.Thread(target=client, daemon=True) for _ in range(4)
+            ]
+            for thread in clients:
+                thread.start()
+            service.stop()
+            for thread in clients:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in clients)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(statuses) == 100
+        assert set(statuses) <= {200, 503}
+        assert service._queue.qsize() == 0
 
 
 class TestRateLimit:

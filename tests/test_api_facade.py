@@ -24,7 +24,7 @@ def handle():
 
 @pytest.fixture(scope="module")
 def first_domain(handle):
-    return handle.simulation.population.table.name_at(0)
+    return handle.simulation.population.name_at(0)
 
 
 class TestOpenRun:
@@ -111,10 +111,12 @@ class TestProbes:
         with pytest.raises(SimulationError, match="unknown domain"):
             handle.census_row("no-such-domain.invalid")
         # A real name whose base36 suffix is upper-cased names no domain.
-        table = handle.simulation.population.table
+        population = handle.simulation.population
         name = next(
             name
-            for name in map(table.name_at, range(table.n_providers, len(table)))
+            for name in map(
+                population.name_at, range(population.n_providers, len(population))
+            )
             if any(c.isalpha() for c in name.rpartition(".")[0].rpartition("-")[2])
         )
         assert handle.census_row(name)["domain"] == name
