@@ -79,7 +79,6 @@ COMMANDS: Sequence[Tuple[str, List[str]]] = (
             "--export-csv", "{w}/csv",
             "--trace", "{w}/trace.jsonl",
             "--metrics-out", "{w}/metrics.json",
-            "--log-level", "DEBUG",
             "--progress",
             "--perf", "{w}/perf",
             "--ledger", "{w}/ledger.jsonl",
@@ -88,8 +87,7 @@ COMMANDS: Sequence[Tuple[str, List[str]]] = (
     (
         "abort",
         ["-m", "repro", "run", "--scale", SCALE, "--store", "{w}/store",
-         "--abort-after-round", "3", "--trace", "{w}/trace-aborted.jsonl",
-         "--log-level", "DEBUG"],
+         "--abort-after-round", "3", "--trace", "{w}/trace-aborted.jsonl"],
     ),
     (
         "resume",
@@ -97,7 +95,7 @@ COMMANDS: Sequence[Tuple[str, List[str]]] = (
          "--trace", "{w}/trace-resumed.jsonl",
          "--export-csv", "{w}/csv-resumed",
          "--metrics-out", "{w}/metrics-resumed.json",
-         "--ledger", "{w}/ledger.jsonl", "--log-level", "DEBUG"],
+         "--ledger", "{w}/ledger.jsonl"],
     ),
     (
         "trace-summary",

@@ -4,18 +4,27 @@
 Demonstrates the downstream-facing :class:`SpfVulnerabilityScanner` API —
 the productized form of the paper's technique.  An operator stands up the
 measurement DNS responder, points the scanner at their domains, and reads
-the per-server verdicts.  The scanned estate's MX and A records are set
-with ``set_mx``/``set_a`` on a DNS backend, and every clock below reads
-one :class:`ClockRouter`, so each probe runs in its own virtual timeslot.
+the per-server verdicts.  The scanned estate's MX and A records live in
+one static :class:`Zone` per domain behind an :class:`AuthoritativeServer`,
+and every clock below reads one :class:`ClockRouter`, so each probe runs
+in its own virtual timeslot.
 
 Run:  python examples/operator_scan.py
 """
 
 from repro.clock import SimulatedClock
 from repro.core import SpfVulnerabilityScanner
-from repro.dns import CachingResolver, Name, SpfTestResponder, StubResolver
+from repro.dns import (
+    A,
+    AuthoritativeServer,
+    CachingResolver,
+    MX,
+    Name,
+    SpfTestResponder,
+    StubResolver,
+    Zone,
+)
 from repro.exec import ClockRouter
-from repro.internet.mta_fleet import PopulationDnsBackend
 from repro.smtp import Network, SmtpServer, SpfStack, SpfTiming
 
 
@@ -31,7 +40,7 @@ def main() -> None:
 
     # The operator's estate: three mail domains on three servers, one of
     # them still running the vulnerable libSPF2.
-    estate_dns = PopulationDnsBackend()
+    estate_dns = AuthoritativeServer()
     resolver.register(Name.root(), estate_dns)
     network = Network(clock=router)
     estate = {
@@ -40,8 +49,10 @@ def main() -> None:
         "lists.example": ("10.1.0.3", "rfc-compliant"),
     }
     for domain, (ip, behavior) in estate.items():
-        estate_dns.set_mx(domain, [(10, f"mx.{domain}")])
-        estate_dns.set_a(f"mx.{domain}", [ip])
+        zone = Zone(domain)
+        zone.add(domain, MX(10, f"mx.{domain}"))
+        zone.add(f"mx.{domain}", A(ip))
+        estate_dns.add_zone(zone)
         network.register(
             SmtpServer(
                 ip,

@@ -1,7 +1,9 @@
 """CSV export for every experiment's structured rows.
 
 Downstream analysis (plots, notebooks) wants machine-readable series, not
-text tables.  ``export_all(sim, directory)`` writes one CSV per artifact.
+text tables.  ``export_all(sim, directory)`` writes one CSV per artifact,
+with automatic garbage collection paused like the run and the report
+(:func:`repro.collector.collector_paused`).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import io
 import pathlib
 from typing import Dict, Iterable, List, Sequence
 
+from ..collector import collector_paused
 from ..simulation import Simulation
 
 
@@ -123,6 +126,7 @@ EXPORTERS = {
 }
 
 
+@collector_paused()
 def export_all(sim: Simulation, directory) -> Dict[str, pathlib.Path]:
     """Write every exporter's CSV into ``directory``; returns the paths."""
     directory = pathlib.Path(directory)

@@ -4,7 +4,9 @@
 built from: a paper-target scorecard followed by every regenerated table
 and figure, plus run provenance (scale, seed, population sizes).  Each
 artifact is built once; the scorecard reads the same objects the
-"Regenerated artifacts" section renders.
+"Regenerated artifacts" section renders.  Like the run, the report is
+batch work and runs with automatic garbage collection paused
+(:func:`repro.collector.collector_paused`).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import io
 from typing import List
 
+from ..collector import collector_paused
 from ..simulation import Simulation
 from . import ARTIFACTS, BuiltArtifacts
 from .paper_targets import TargetResult, evaluate_targets, score_targets
@@ -34,6 +37,7 @@ def _scorecard(results: List[TargetResult]) -> str:
     return "\n".join(lines)
 
 
+@collector_paused()
 def generate_report(sim: Simulation, *, title: str = "SPFail reproduction report") -> str:
     """The full markdown report for one completed run."""
     result = sim.run()

@@ -25,12 +25,19 @@ Checkpointable runs need their description to be a *value*: something
 that can be serialized into a store manifest and hashed so a resume can
 prove it is continuing the same experiment.
 
-:class:`RunConfig` is that value.  It is frozen, picklable, and
-JSON-round-trippable, and it splits cleanly in two:
+:class:`RunConfig` is that value, and it holds only what varies between
+runs.  The paper ran one fixed method — a 2021-10-11 sweep from one
+prober, rounds every two days in two windows around the 2021-11-15
+notification, a 2022-02-14 snapshot, no retries — so the method is
+named constants beside the code that reads them (the timeline in
+:mod:`repro.clock`, the prober in :mod:`repro.core.campaign`,
+:mod:`repro.exec.engine` and :mod:`repro.smtp.client`), not fields.
+The config is frozen, picklable and JSON-round-trippable, and splits in
+two:
 
-- **semantic fields** (``population``, ``campaign``, ``seed``,
-  ``retry``) determine every campaign artifact byte-for-byte; they are
-  covered by :meth:`RunConfig.content_hash`;
+- **semantic fields** (``scale``, ``seed``) determine every campaign
+  artifact byte-for-byte; they are covered by
+  :meth:`RunConfig.content_hash`;
 - the **runtime field** ``trace`` says whether hosts rebuilding the
   run should attach a tracer; results are byte-identical either way,
   so it is excluded from the hash — a traced run hashes the same as a
@@ -42,128 +49,64 @@ JSON-round-trippable, and it splits cleanly in two:
 from __future__ import annotations
 
 import contextlib as _contextlib
-import dataclasses
-import datetime as _dt
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .collector import collector_paused
-from .core.campaign import CampaignConfig, DomainStatus
+from .core.campaign import DomainStatus
 from .core.detector import DetectionOutcome, DetectionResult
 from .errors import SimulationError
-from .exec.engine import RetryPolicy
-from .internet.population import DomainSet, PopulationConfig
+from .internet.population import DomainSet
 
 #: Version stamped into every :class:`ProbeRequest` / :class:`ProbeResult`
 #: wire payload; bumped only on incompatible schema changes.
 SCHEMA_VERSION = 1
 
 
-def _encode_fields(obj) -> Optional[dict]:
-    """A JSON-ready dict of a config dataclass (datetimes/timedeltas tagged)."""
-    if obj is None:
-        return None
-    out = {}
-    for field in dataclasses.fields(obj):
-        value = getattr(obj, field.name)
-        if isinstance(value, _dt.datetime):
-            value = {"$datetime": value.isoformat()}
-        elif isinstance(value, _dt.timedelta):
-            value = {"$seconds": value.total_seconds()}
-        out[field.name] = value
-    return out
-
-
-def _decode_fields(cls, data: Optional[dict]):
-    if data is None:
-        return None
-    kwargs = {}
-    for key, value in data.items():
-        if isinstance(value, dict) and "$datetime" in value:
-            value = _dt.datetime.fromisoformat(value["$datetime"])
-        elif isinstance(value, dict) and "$seconds" in value:
-            value = _dt.timedelta(seconds=value["$seconds"])
-        kwargs[key] = value
-    return cls(**kwargs)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """A complete, serializable description of one campaign run."""
 
-    #: population scale relative to the paper's domain counts; used only
-    #: when ``population`` is not given explicitly.
+    #: population scale relative to the paper's domain counts.
     scale: float = 0.05
-    #: the simulation seed (population, geography, patching, notification).
+    #: the simulation seed (population, fleet, geography, patching,
+    #: notification).
     seed: int = 20211011
-    #: explicit population knobs; ``None`` derives them from scale/seed.
-    population: Optional[PopulationConfig] = None
-    #: explicit campaign timeline/probing knobs; ``None`` takes the paper's.
-    campaign: Optional[CampaignConfig] = None
-    #: probe retry policy; ``None`` is the paper's no-retry methodology.
-    retry: Optional[RetryPolicy] = None
     # -- runtime field (excluded from the content hash) -----------------------
     #: whether runs built from this config attach a virtual-time tracer.
     trace: bool = False
 
-    # -- resolution -----------------------------------------------------------
-
-    def resolved_population(self) -> PopulationConfig:
-        """The effective population config (explicit, or from scale/seed)."""
-        return self.population or PopulationConfig(scale=self.scale, seed=self.seed)
-
-    def resolved_campaign(self) -> CampaignConfig:
-        """The effective campaign config (explicit, or the paper's)."""
-        return self.campaign or CampaignConfig()
-
     # -- identity -------------------------------------------------------------
 
-    def semantic_dict(self) -> dict:
-        """The hash-covered payload: everything that determines results."""
-        return {
-            "population": _encode_fields(self.resolved_population()),
-            "campaign": _encode_fields(self.resolved_campaign()),
-            "retry": _encode_fields(self.retry),
-            "seed": self.seed,
-        }
-
     def content_hash(self) -> str:
-        """A stable hex digest of the semantic fields.
+        """A stable hex digest of the semantic fields, scale and seed.
 
         Two configs hash identically exactly when their campaigns produce
-        byte-identical artifacts: explicit configs equal to the derived
-        defaults hash the same, and the runtime ``trace`` field never
+        byte-identical artifacts; the runtime ``trace`` field never
         perturbs the digest.
         """
         blob = json.dumps(
-            self.semantic_dict(), sort_keys=True, separators=(",", ":")
+            {"scale": self.scale, "seed": self.seed},
+            sort_keys=True,
+            separators=(",", ":"),
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "scale": self.scale,
-            "seed": self.seed,
-            "population": _encode_fields(self.population),
-            "campaign": _encode_fields(self.campaign),
-            "retry": _encode_fields(self.retry),
-            "trace": self.trace,
-        }
+        return {"scale": self.scale, "seed": self.seed, "trace": self.trace}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        # Keys older versions wrote (``perf``, ``executor``, ``workers``,
-        # ``world``) are ignored, so their stores still load.
+        # Keys older versions wrote (``population``, ``campaign``,
+        # ``retry``, ``perf``, ``executor``, ``workers``, ``world``) are
+        # ignored, so their config files still decode.
         return cls(
             scale=data["scale"],
             seed=data["seed"],
-            population=_decode_fields(PopulationConfig, data.get("population")),
-            campaign=_decode_fields(CampaignConfig, data.get("campaign")),
-            retry=_decode_fields(RetryPolicy, data.get("retry")),
             trace=data.get("trace", False),
         )
 
@@ -365,7 +308,7 @@ class RunHandle:
         return {
             "v": SCHEMA_VERSION,
             "config_hash": self.config.content_hash(),
-            "scale": self.config.resolved_population().scale,
+            "scale": self.config.scale,
             "seed": self.config.seed,
             "domains": len(self._sim.population),
             "addresses": self._sim.fleet.total_ip_count(),

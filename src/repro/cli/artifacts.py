@@ -23,7 +23,7 @@ def write_trace(sim: Simulation, path: str) -> int:
 def write_metrics(sim: Simulation, path: str) -> None:
     assert sim.observation is not None and sim.config is not None
     payload = {
-        "scale": sim.config.resolved_population().scale,
+        "scale": sim.config.scale,
         "seed": sim.config.seed,
         "metrics": sim.observation.metrics.to_dict(),
         "histogram_percentiles": sim.observation.metrics.percentiles(),

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 
-from ..obs.logbridge import LEVELS
 from ..analysis import ARTIFACT_NAMES
 
 
@@ -68,10 +67,6 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     add(
         "--metrics-out", metavar="FILE", default=None,
         help="write the observability metrics registry (JSON) to FILE",
-    )
-    add(
-        "--log-level", choices=sorted(LEVELS), default=None,
-        help="enable stdlib logging for the 'repro' logger at this level",
     )
     add(
         "--progress", action="store_true", default=False,

@@ -13,7 +13,7 @@ import sys
 from typing import Optional
 
 from ..analysis import ARTIFACT_NAMES
-from ..obs import Observation, attach_trace_handler, configure_logging
+from ..obs import Observation
 from .artifacts import emit_outputs
 
 
@@ -22,7 +22,7 @@ def make_observation(
 ) -> Optional[Observation]:
     perf_dir = getattr(args, "perf", None)
     observation = None
-    if trace or args.metrics_out or args.log_level or perf_dir:
+    if trace or args.metrics_out or perf_dir:
         observation = Observation(trace=trace)
     if perf_dir:
         from ..obs.perf import PerfRecorder
@@ -30,10 +30,6 @@ def make_observation(
         # Span wall-timing rides the tracer's sink hooks, so callers
         # force trace=True whenever --perf is given.
         observation.attach_perf(PerfRecorder(perf_dir))
-    if args.log_level:
-        configure_logging(args.log_level)
-        if observation is not None and observation.tracer.enabled:
-            attach_trace_handler(observation.tracer)
     return observation
 
 

@@ -38,6 +38,8 @@ MEASUREMENTS_RESUMED = utc(2022, 1, 15)
 PUBLIC_DISCLOSURE = utc(2022, 1, 19)
 FINAL_MEASUREMENT = utc(2022, 2, 14)
 PACKAGE_MANAGER_NOTIFICATION = utc(2021, 10, 1)
+#: The spacing of longitudinal rounds inside each measurement window.
+ROUND_INTERVAL = _dt.timedelta(days=2)
 
 #: CVE identifiers assigned at public disclosure.
 CVE_IDS = ("CVE-2021-33912", "CVE-2021-33913")

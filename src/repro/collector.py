@@ -21,9 +21,9 @@ It does nothing when automatic collection is already off (a caller's
 ``gc.disable()`` or an enclosing pause), so pauses nest for free, and it
 skips the handoff while anything is frozen, so a caller's
 ``gc.freeze()`` is never undone.  The switch is process-wide: the pause
-belongs around single-threaded batch work (``Simulation.run``, loading
-and restoring a checkpoint chain, the serve daemon's warm-up), not
-around the serve daemon's per-request dispatch.
+belongs around single-threaded batch work (``Simulation.run``, the
+report and the CSVs, loading and restoring a checkpoint chain, the serve
+daemon's warm-up), not around the serve daemon's per-request dispatch.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from .detector import (
 )
 from .ethics import EthicsControls, EthicsViolation
 from .campaign import (
-    CampaignConfig,
     CampaignResult,
     DomainStatus,
     InitialMeasurement,
@@ -56,7 +55,6 @@ __all__ = [
     "VulnerabilityDetector",
     "EthicsControls",
     "EthicsViolation",
-    "CampaignConfig",
     "CampaignResult",
     "DomainStatus",
     "InitialMeasurement",

@@ -25,19 +25,21 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from .. import clock as clockmod
-from ..clock import SimulatedClock
+from ..clock import (
+    FINAL_MEASUREMENT,
+    INITIAL_MEASUREMENT,
+    LONGITUDINAL_START,
+    MEASUREMENTS_PAUSED,
+    MEASUREMENTS_RESUMED,
+    PRIVATE_NOTIFICATION,
+    ROUND_INTERVAL,
+    SimulatedClock,
+)
 from ..dns.name import Name
 from ..dns.resolver import CachingResolver, StubResolver
 from ..dns.server import SpfTestResponder
-from ..errors import CampaignError, ResolutionError, SimulationError
-from ..exec import (
-    ClockRouter,
-    ExecutionEnvironment,
-    ProbeExecutor,
-    ProbeTask,
-    RetryPolicy,
-)
+from ..errors import CampaignError, SimulationError
+from ..exec import ClockRouter, ExecutionEnvironment, ProbeExecutor, ProbeTask
 from ..internet.mta_fleet import MtaFleet
 from ..internet.population import Domain, DomainPopulation
 from ..smtp.transport import Network
@@ -60,21 +62,13 @@ class DomainStatus(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Campaign-level knobs."""
-
-    base_domain: str = "spf-test.dns-lab.org"
-    probe_client_ip: str = "198.51.100.7"
-    round_interval: _dt.timedelta = _dt.timedelta(days=2)
-    #: Simulated seconds budgeted per probe for clock advancement.
-    seconds_per_probe: float = 0.25
-    initial_measurement: _dt.datetime = clockmod.INITIAL_MEASUREMENT
-    window1_start: _dt.datetime = clockmod.LONGITUDINAL_START
-    window1_end: _dt.datetime = clockmod.MEASUREMENTS_PAUSED
-    notification_date: _dt.datetime = clockmod.PRIVATE_NOTIFICATION
-    window2_start: _dt.datetime = clockmod.MEASUREMENTS_RESUMED
-    window2_end: _dt.datetime = clockmod.FINAL_MEASUREMENT
+#: The measurement zone whose SPF policies and query log the probes use.
+MEASUREMENT_BASE = "spf-test.dns-lab.org"
+#: The two longitudinal windows, ``(first round, last possible round)``.
+_WINDOWS = (
+    (LONGITUDINAL_START, MEASUREMENTS_PAUSED),
+    (MEASUREMENTS_RESUMED, FINAL_MEASUREMENT),
+)
 
 
 @dataclass
@@ -160,18 +154,15 @@ class MeasurementCampaign:
         population: DomainPopulation,
         fleet: MtaFleet,
         *,
-        config: Optional[CampaignConfig] = None,
         clock: Optional[SimulatedClock] = None,
         notifier: Optional[NotifierFn] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.population = population
         self.fleet = fleet
-        self.config = config or CampaignConfig()
-        self.clock = clock or SimulatedClock(start=self.config.initial_measurement)
+        self.clock = clock or SimulatedClock(start=INITIAL_MEASUREMENT)
         self.notifier = notifier
 
-        base = Name.from_text(self.config.base_domain)
+        base = Name.from_text(MEASUREMENT_BASE)
         self.responder = SpfTestResponder(base)
         # Every time read below the campaign goes through the router, so
         # probes observe their task's virtual timeslot (see repro.exec).
@@ -192,10 +183,8 @@ class MeasurementCampaign:
             responder=self.responder,
             labels=self.labels,
             ethics=self.ethics,
-            client_ip=self.config.probe_client_ip,
-            seconds_per_probe=self.config.seconds_per_probe,
         )
-        self.executor = ProbeExecutor(self.env, retry=retry)
+        self.executor = ProbeExecutor(self.env)
         #: preferred probe method per address, learned at initial time.
         self._preferred: Dict[str, ProbeMethod] = {}
         #: a representative hosted domain per address (RCPT TO targets).
@@ -221,25 +210,8 @@ class MeasurementCampaign:
         """MX → A resolution for every domain (RFC 5321 target selection)."""
         mapping: Dict[str, List[str]] = {}
         for domain in domains if domains is not None else self.population.domains:
-            mapping[domain.name] = self._resolve_one(domain.name)
+            mapping[domain.name] = self._stub.mail_addresses(domain.name)
         return mapping
-
-    def _resolve_one(self, domain_name: str) -> List[str]:
-        try:
-            exchanges = self._stub.get_mx(domain_name)
-            if exchanges:
-                addresses: List[str] = []
-                for _, exchange in exchanges:
-                    addresses.extend(
-                        str(a) for a in self._stub.get_addresses(exchange, want_ipv6=False)
-                    )
-                return addresses
-            # No MX: fall back to the domain's own A record (RFC 5321).
-            return [
-                str(a) for a in self._stub.get_addresses(domain_name, want_ipv6=False)
-            ]
-        except ResolutionError:
-            return []
 
     def resolve_ips(self, domain_name: str) -> List[str]:
         """Public single-domain MX→A resolution (RFC 5321 target selection).
@@ -248,7 +220,7 @@ class MeasurementCampaign:
         snapshot use, so API/daemon callers and batch runs agree on a
         domain's address list.
         """
-        return self._resolve_one(domain_name)
+        return self._stub.mail_addresses(domain_name)
 
     def recipient_domain(self, ip: str, default: Optional[str] = None) -> Optional[str]:
         """The representative hosted domain used as an address's RCPT TO
@@ -305,7 +277,7 @@ class MeasurementCampaign:
 
     def run_initial(self) -> InitialMeasurement:
         """The 2021-10-11 sweep over both domain sets."""
-        self.clock.advance_to(max(self.clock.now, self.config.initial_measurement))
+        self.clock.advance_to(max(self.clock.now, INITIAL_MEASUREMENT))
         domain_ips = self.resolve_domain_ips()
 
         unique_ips: List[str] = []
@@ -328,7 +300,7 @@ class MeasurementCampaign:
             for name, ips in domain_ips.items()
         }
         self.initial = InitialMeasurement(
-            date=self.config.initial_measurement,
+            date=INITIAL_MEASUREMENT,
             domain_ips=domain_ips,
             ip_records=ip_records,
             domain_status=domain_status,
@@ -366,14 +338,11 @@ class MeasurementCampaign:
     def round_dates(self) -> List[_dt.datetime]:
         """Every scheduled longitudinal round date (both windows)."""
         dates: List[_dt.datetime] = []
-        for start, end in (
-            (self.config.window1_start, self.config.window1_end),
-            (self.config.window2_start, self.config.window2_end),
-        ):
+        for start, end in _WINDOWS:
             current = start
             while current <= end:
                 dates.append(current)
-                current += self.config.round_interval
+                current += ROUND_INTERVAL
         return dates
 
     def advance_rounds(
@@ -405,12 +374,12 @@ class MeasurementCampaign:
             if (
                 not self.notified
                 and self.notifier is not None
-                and date >= self.config.notification_date
+                and date >= PRIVATE_NOTIFICATION
             ):
-                self.clock.advance_to(max(self.clock.now, self.config.notification_date))
+                self.clock.advance_to(max(self.clock.now, PRIVATE_NOTIFICATION))
                 self._notified_clock = self.clock.now
                 self.notification_report = self.notifier(
-                    initial.vulnerable_domains(), self.config.notification_date
+                    initial.vulnerable_domains(), PRIVATE_NOTIFICATION
                 )
             self.rounds.append(self.run_round(date, tracked))
             if store is not None:
@@ -435,7 +404,7 @@ class MeasurementCampaign:
             if store is not None:
                 store.after_initial(self)
         self.advance_rounds(store=store)
-        snapshot_date = self.config.window2_end
+        snapshot_date = FINAL_MEASUREMENT
         return CampaignResult(
             initial=self.initial,
             rounds=list(self.rounds),
@@ -463,7 +432,7 @@ class MeasurementCampaign:
         unique_ips: List[str] = []
         recipients: Dict[str, str] = {}
         for name in vulnerable:
-            ips = self._resolve_one(name)
+            ips = self._stub.mail_addresses(name)
             domain_ips[name] = ips
             for ip in ips:
                 if ip not in recipients:

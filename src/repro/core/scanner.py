@@ -16,7 +16,7 @@ object, so adopting the technique takes four lines:
 
 ``router`` is the :class:`~repro.exec.ClockRouter` the network and its
 resolvers were built to read, the same time protocol the campaign runs
-on: each probe gets its own ``seconds_per_probe`` slot of the shared
+on: each probe gets its own ``SECONDS_PER_PROBE`` slot of the shared
 clock, and waits inside a probe (greylist retries, ethics pacing)
 advance only that probe's virtual clock.
 """
@@ -25,22 +25,16 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..dns.resolver import StubResolver
 from ..dns.server import SpfTestResponder
 from ..errors import ResolutionError
-from ..exec import (
-    ClockRouter,
-    ExecutionEnvironment,
-    ProbeExecutor,
-    ProbeTask,
-    RetryPolicy,
-)
+from ..exec import ClockRouter, ExecutionEnvironment, ProbeExecutor, ProbeTask
+from ..smtp.client import PROBE_CLIENT_IP
 from ..smtp.transport import Network
 from .detector import DetectionOutcome, DetectionResult
 from .ethics import EthicsControls
-from .fingerprint import ExpansionBehavior
 from .labels import LabelAllocator
 
 
@@ -118,9 +112,8 @@ class SpfVulnerabilityScanner:
         *,
         router: ClockRouter,
         resolver: Optional[StubResolver] = None,
-        client_ip: str = "198.51.100.7",
+        client_ip: str = PROBE_CLIENT_IP,
         ethics: Optional[EthicsControls] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.clock = router.shared
         self.responder = responder
@@ -135,7 +128,7 @@ class SpfVulnerabilityScanner:
             ethics=self.ethics,
             client_ip=client_ip,
         )
-        self.executor = ProbeExecutor(self.env, retry=retry)
+        self.executor = ProbeExecutor(self.env)
 
     # -- scanning ---------------------------------------------------------------
 
@@ -173,7 +166,7 @@ class SpfVulnerabilityScanner:
         recipient_domains: Dict[str, str] = {}
         ordered: List[str] = []
         for name in domains:
-            ips = self._resolve(name)
+            ips = self.resolver.mail_addresses(name)
             domain_ips[name] = ips
             for ip in ips:
                 if ip not in recipient_domains:
@@ -182,22 +175,3 @@ class SpfVulnerabilityScanner:
         report = self.scan_ips(ordered, recipient_domains=recipient_domains)
         report.domain_ips = domain_ips
         return report
-
-    def _resolve(self, domain: str) -> List[str]:
-        assert self.resolver is not None
-        try:
-            exchanges = self.resolver.get_mx(domain)
-            if exchanges:
-                addresses: List[str] = []
-                for _, exchange in exchanges:
-                    addresses.extend(
-                        str(a)
-                        for a in self.resolver.get_addresses(exchange, want_ipv6=False)
-                    )
-                return addresses
-            return [
-                str(a)
-                for a in self.resolver.get_addresses(domain, want_ipv6=False)
-            ]
-        except ResolutionError:
-            return []

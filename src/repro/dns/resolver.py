@@ -224,3 +224,22 @@ class StubResolver:
             for rr in self.resolve(name, RRType.AAAA):
                 addresses.append(rr.rdata.address)  # type: ignore[union-attr]
         return addresses
+
+    def mail_addresses(self, domain: Union[str, Name]) -> List[str]:
+        """A mail domain's server addresses (RFC 5321 target selection).
+
+        Each MX exchange's A records in preference order; with no MX,
+        the domain's own A record.  A failed lookup yields no addresses.
+        """
+        try:
+            exchanges = self.get_mx(domain)
+            if not exchanges:
+                return [str(a) for a in self.get_addresses(domain, want_ipv6=False)]
+            addresses: List[str] = []
+            for _, exchange in exchanges:
+                addresses.extend(
+                    str(a) for a in self.get_addresses(exchange, want_ipv6=False)
+                )
+            return addresses
+        except ResolutionError:
+            return []

@@ -9,17 +9,12 @@ The executor is the faithful one-at-a-time tool: the shared
 simulated clock advances after every probe, firing scheduled events
 (patches, MX moves) exactly where the paper's serial tool would have
 observed them.  Task ``k`` of a stage starts at
-``stage_base + k * seconds_per_probe``, and in-task waits (greylist
+``stage_base + k * SECONDS_PER_PROBE``, and in-task waits (greylist
 backoff, ethics pacing) advance only that task's :class:`VirtualClock`,
 so every stamp and label is a pure function of the work list.
 """
 
-from .engine import (
-    ExecutionEnvironment,
-    ProbeExecutor,
-    RetryPolicy,
-    transient_failure,
-)
+from .engine import SECONDS_PER_PROBE, ExecutionEnvironment, ProbeExecutor
 from .metrics import ExecutorMetrics, StageMetrics
 from .task import ProbeTask
 from .virtualclock import ClockRouter, VirtualClock
@@ -30,8 +25,7 @@ __all__ = [
     "ExecutorMetrics",
     "ProbeExecutor",
     "ProbeTask",
-    "RetryPolicy",
+    "SECONDS_PER_PROBE",
     "StageMetrics",
     "VirtualClock",
-    "transient_failure",
 ]

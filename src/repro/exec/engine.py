@@ -2,17 +2,19 @@
 
 :class:`ProbeExecutor` runs every :class:`~repro.exec.task.ProbeTask`
 of a stage one at a time: task ``k`` starts at
-``stage_base + k * seconds_per_probe`` of simulated time, and the
+``stage_base + k * SECONDS_PER_PROBE`` of simulated time, and the
 *shared* clock (which fires scheduled events: patches, MX migrations,
 blacklist flips) advances to the end of each task's slot before the next
 task runs, the way the one-at-a-time paper tool experienced time.
 
-In-task waits (greylist backoff, ethics pacing, retry backoff) advance
-only the task's own :class:`~repro.exec.virtualclock.VirtualClock`, and
-each task draws its id labels from a block reserved by its position in
-the work list.  Every virtual-time stamp, label and trace key is
-therefore a pure function of the work list, which is what keeps traces,
-CSVs and resumed runs byte-identical for the same seed.
+In-task waits (greylist backoff, ethics pacing) advance only the task's
+own :class:`~repro.exec.virtualclock.VirtualClock`, and each task draws
+its id labels from a block reserved by its position in the work list.
+Every virtual-time stamp, label and trace key is therefore a pure
+function of the work list, which is what keeps traces, CSVs and resumed
+runs byte-identical for the same seed.  Like the paper's tool, the
+executor does not retry: a dialogue that broke is SMTP-Failed for the
+stage.
 
 The executor owns its probe context — the task clock, the SMTP client
 and the detector — and builds it once, so a stage (one per serve probe)
@@ -22,7 +24,6 @@ costs no set-up of its own.
 from __future__ import annotations
 
 import datetime as _dt
-import logging
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -38,50 +39,17 @@ from ..core.detector import (
 from ..core.ethics import EthicsControls
 from ..core.labels import LabelAllocator
 from ..dns.server import SpfTestResponder
-from ..smtp.client import SmtpClient, TransactionStatus
-from ..smtp.protocol import ReplyCode
+from ..smtp.client import PROBE_CLIENT_IP, SmtpClient
 from ..smtp.transport import Network
 from .metrics import ExecutorMetrics, StageMetrics
 from .task import ProbeTask
 from .virtualclock import ClockRouter, VirtualClock
 
-_log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff for transient SMTP failures.
-
-    A probe whose dialogue broke on a transient condition — a 421
-    service-not-available reply, or greylist deferrals that outlasted the
-    detector's own 8-minute waits — is re-driven from scratch after
-    ``backoff_seconds * backoff_factor**attempt`` of (virtual) time, at
-    most ``max_retries`` times.  The default is no retries: the paper's
-    methodology took a broken dialogue as SMTP-Failed for the round.
-    """
-
-    max_retries: int = 0
-    backoff_seconds: float = 60.0
-    backoff_factor: float = 2.0
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt + 1`` (0-based)."""
-        return self.backoff_seconds * (self.backoff_factor ** attempt)
-
-
-def transient_failure(result: DetectionResult) -> bool:
-    """True if a failed detection looks retryable (421 / greylisting)."""
-    if result.outcome != DetectionOutcome.SMTP_FAILED:
-        return False
-    for transaction in result.transactions:
-        if transaction.status == TransactionStatus.GREYLISTED:
-            return True
-        if any(
-            reply.code == ReplyCode.SERVICE_UNAVAILABLE
-            for reply in transaction.replies
-        ):
-            return True
-    return False
+#: Simulated seconds of the shared clock each probe's timeslot spans.
+SECONDS_PER_PROBE = 0.25
+#: Id labels reserved per task: one ``detect()`` drives at most two
+#: probe methods, each with its own label.
+_LABEL_STRIDE = 2
 
 
 @dataclass
@@ -99,8 +67,7 @@ class ExecutionEnvironment:
     responder: SpfTestResponder
     labels: LabelAllocator
     ethics: EthicsControls
-    client_ip: str = "198.51.100.7"
-    seconds_per_probe: float = 0.25
+    client_ip: str = PROBE_CLIENT_IP
 
     @property
     def clock(self) -> SimulatedClock:
@@ -111,21 +78,12 @@ class ExecutionEnvironment:
 class ProbeExecutor:
     """Runs a stage's tasks one at a time, advancing the shared clock after each."""
 
-    def __init__(
-        self,
-        env: ExecutionEnvironment,
-        *,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
+    def __init__(self, env: ExecutionEnvironment) -> None:
         self.env = env
-        self.retry = retry or RetryPolicy()
         self.metrics = ExecutorMetrics()
         #: optional live stderr reporter (``--progress``); operator-facing
         #: only — it never writes into the trace or the metrics registry.
         self.progress: Optional[ProgressReporter] = None
-        #: each detect() drives at most two probe methods; each attempt
-        #: (original + retries) therefore needs at most two id labels.
-        self._stride = 2 * (1 + self.retry.max_retries)
         #: the running task's clock: the task's waits advance it, never
         #: the shared clock.
         self._vclock = vclock = VirtualClock(env.clock.now)
@@ -152,7 +110,7 @@ class ProbeExecutor:
         obs = self._begin_stage_obs(stage, tasks)
         started = time.perf_counter()
         base = clock.now
-        slot = _dt.timedelta(seconds=self.env.seconds_per_probe)
+        slot = _dt.timedelta(seconds=SECONDS_PER_PROBE)
         results: List[DetectionResult] = []
         for index, task in enumerate(tasks):
             results.append(self._execute(task, index, base + index * slot, metrics))
@@ -195,14 +153,6 @@ class ProbeExecutor:
                 queries=metrics.queries_observed,
                 sim_seconds=metrics.sim_seconds,
             )
-        if _log.isEnabledFor(logging.INFO):
-            _log.info(
-                "stage %s: %d tasks, %d probes (%d retried, %d refused), "
-                "%d DNS queries over %.0f simulated seconds",
-                metrics.stage, metrics.tasks, metrics.probes_attempted,
-                metrics.retried, metrics.refused, metrics.queries_observed,
-                metrics.sim_seconds,
-            )
         # Sideband only: push buffered wall-timing records to disk at
         # stage boundaries (after the stage's wall_seconds is captured, so
         # the flush itself is not charged to the stage).
@@ -218,7 +168,9 @@ class ProbeExecutor:
         metrics: StageMetrics,
     ) -> DetectionResult:
         env = self.env
-        env.labels.reserve_block(task.suite, index * self._stride, self._stride)
+        env.labels.reserve_block(
+            task.suite, index * _LABEL_STRIDE, _LABEL_STRIDE
+        )
         obs = _obs.ACTIVE
         tracing = obs is not None and obs.tracer.enabled
         if tracing:
@@ -235,7 +187,16 @@ class ProbeExecutor:
         self._vclock.reset(virtual_start)
         env.router.push(self._vclock)
         try:
-            result = self._detect_with_retry(task, metrics)
+            result = self.detector.detect(
+                task.ip,
+                task.suite,
+                preferred_method=task.preferred_method,
+                recipient_domain=task.recipient_domain,
+            )
+            metrics.probes_attempted += 1
+            metrics.queries_observed += result.queries_observed
+            if result.outcome == DetectionOutcome.REFUSED:
+                metrics.refused += 1
             if obs is not None:
                 # Still inside the task's virtual timeslot: stamp the end
                 # event with the task clock, not the shared one.
@@ -267,32 +228,3 @@ class ProbeExecutor:
                 ),
                 behaviors=sorted(b.value for b in result.behaviors),
             )
-
-    def _detect_with_retry(
-        self, task: ProbeTask, metrics: StageMetrics
-    ) -> DetectionResult:
-        attempt = 0
-        while True:
-            result = self.detector.detect(
-                task.ip,
-                task.suite,
-                preferred_method=task.preferred_method,
-                recipient_domain=task.recipient_domain,
-            )
-            metrics.probes_attempted += 1
-            metrics.queries_observed += result.queries_observed
-            if result.outcome == DetectionOutcome.REFUSED:
-                metrics.refused += 1
-            if attempt >= self.retry.max_retries or not transient_failure(result):
-                return result
-            metrics.retried += 1
-            backoff = self.retry.delay(attempt)
-            obs = _obs.ACTIVE
-            if obs is not None:
-                obs.metrics.histogram("exec.backoff_seconds").observe(backoff)
-                if obs.tracer.enabled:
-                    obs.tracer.event(
-                        "task.retry", attempt=attempt, backoff_seconds=backoff
-                    )
-            attempt += 1
-            self._vclock.advance_seconds(backoff)

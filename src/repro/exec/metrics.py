@@ -3,17 +3,22 @@
 The executor keeps one :class:`StageMetrics` per measurement stage
 (the initial sweep, each longitudinal round, the final snapshot).  The
 counters answer the operational questions a large-scale scan raises:
-how many probes ran (including retries), how many were refused, how much
-DNS evidence arrived, and how the stage's wall-clock cost compares to
-the simulated time it covered.
+how many probes ran, how many were refused, how much DNS evidence
+arrived, and how the stage's wall-clock cost compares to the simulated
+time it covered.
 
 This is the only record of a stage's counts and wall time: the
 checkpoint persists it, the ``stage.end`` trace event and ``--progress``
 read it, the report's stage table and ``--metrics-out``'s
 ``executor_stages`` render it, and the ledger takes its totals from it.
 The open :class:`~repro.obs.metrics.MetricsRegistry` holds only what no
-stage row records (per-probe outcomes, DNS queries per probe, retry
-backoff), so a batch run's registry carries no wall-clock value.
+stage row records (per-probe outcomes, DNS queries per probe), so a
+batch run's registry carries no wall-clock value.
+
+``retried`` is always 0: the executor does not retry, as the paper's
+tool did not.  The field stays because the ``stage.end`` trace event
+carries it (so removing it would change trace bytes) and the
+repository benchmark reads it from :meth:`ExecutorMetrics.total`.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ class StageMetrics:
 
     stage: str
     tasks: int = 0
-    #: detector invocations, including executor-level retries.
+    #: detector invocations (one per task).
     probes_attempted: int = 0
+    #: always 0: the executor never retries (see the module docstring).
     retried: int = 0
     refused: int = 0
     #: DNS queries observed at the measurement server for this stage.

@@ -1,7 +1,7 @@
 """Task-local simulated time.
 
 The execution engine assigns every probe task a fixed virtual timeslot
-(``stage_base + index * seconds_per_probe``).  While the task runs, all
+(``stage_base + index * SECONDS_PER_PROBE``).  While the task runs, all
 its time reads and waits go through a :class:`VirtualClock` seeded at
 that slot — greylist backoff and ethics pacing advance the task's own
 cursor, never the shared :class:`~repro.clock.SimulatedClock`.  Because

@@ -38,6 +38,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from ..clock import INITIAL_MEASUREMENT
 from ..dns.message import Message, Rcode
 from ..dns.name import Name
 from ..dns.rdata import A, MX, RRType, ResourceRecord
@@ -312,50 +313,6 @@ def _decode_slot(ip: str) -> Optional[int]:
     return slot
 
 
-class PopulationDnsBackend(DnsBackend):
-    """Answers MX and A queries from explicitly installed records.
-
-    A dict-backed authoritative responder, kept for tests and tools that
-    wire up small scenarios by hand (``set_mx``/``set_a``).  The fleet
-    itself answers through :class:`FleetDnsBackend`, which derives
-    records from the lazy world instead of storing them.
-    """
-
-    def __init__(self) -> None:
-        self._mx: Dict[Tuple[str, ...], List[Tuple[int, Name]]] = {}
-        self._a: Dict[Tuple[str, ...], List[str]] = {}
-
-    def set_mx(self, domain: str, exchanges: List[Tuple[int, str]]) -> None:
-        key = Name.from_text(domain).key
-        self._mx[key] = [(pref, Name.from_text(host)) for pref, host in exchanges]
-
-    def set_a(self, host: str, addresses: List[str]) -> None:
-        self._a[Name.from_text(host).key] = list(addresses)
-
-    def query(self, message: Message, *, source: str = "", now=None) -> Message:
-        if message.question is None:
-            return message.make_response(Rcode.FORMERR)
-        qname, rrtype = message.question.name, message.question.rrtype
-        response = message.make_response()
-        key = qname.key
-        if rrtype == RRType.MX and key in self._mx:
-            for pref, host in self._mx[key]:
-                response.answers.append(
-                    ResourceRecord(name=qname, rdata=MX(pref, host), ttl=300)
-                )
-            return response
-        if rrtype == RRType.A and key in self._a:
-            for address in self._a[key]:
-                response.answers.append(
-                    ResourceRecord(name=qname, rdata=A(address), ttl=300)
-                )
-            return response
-        if key in self._mx or key in self._a:
-            return response  # NODATA
-        response.rcode = Rcode.NXDOMAIN
-        return response
-
-
 def _unit_moved(unit: HostingUnit, now: Optional[_dt.datetime]) -> bool:
     """Whether a mover's migration is in effect at ``now``."""
     return (
@@ -503,20 +460,9 @@ class MtaFleet:
     counts instead of instantiated units.
     """
 
-    def __init__(
-        self,
-        population: DomainPopulation,
-        *,
-        seed: Optional[int] = None,
-        campaign_start: Optional[_dt.datetime] = None,
-    ) -> None:
-        from ..clock import INITIAL_MEASUREMENT
-
+    def __init__(self, population: DomainPopulation) -> None:
         self.population = population
-        self.campaign_start = campaign_start or INITIAL_MEASUREMENT
-        self._root = SeededRng(
-            seed if seed is not None else population.config.seed
-        ).fork("fleet")
+        self._root = SeededRng(population.config.seed).fork("fleet")
         self._geo_seed: Optional[int] = None
 
         self.n_providers = population.n_providers
@@ -715,7 +661,7 @@ class MtaFleet:
             mail_hostname=f"mx.{domains[0].name}",
             category=UnitCategory.NO_SPF,
         )
-        _configure_unit(unit, category, pool.profile, rate, rng, self.campaign_start)
+        _configure_unit(unit, category, pool.profile, rate, rng)
         if unit.moves_at is not None:
             unit.new_ips = [_encode_slot(slot + ip_count + k) for k in range(ip_count)]
         if self._geo_seed is not None:
@@ -1109,7 +1055,6 @@ def _configure_unit(
     profile: FleetProfile,
     vulnerable_rate: float,
     rng: SeededRng,
-    campaign_start: _dt.datetime,
 ) -> None:
     """Fill in a unit's SMTP/SPF configuration for its assigned bucket."""
     unit.category = category
@@ -1166,7 +1111,7 @@ def _configure_unit(
     if rng.bernoulli(blacklist_p):
         unit.blacklists_after = rng.randint(3, 14)
     if rng.bernoulli(move_p):
-        unit.moves_at = campaign_start + _dt.timedelta(days=rng.randint(10, 100))
+        unit.moves_at = INITIAL_MEASUREMENT + _dt.timedelta(days=rng.randint(10, 100))
 
 
 def _unit_country(geo_seed: int, unit_id: int, primary_tld: str) -> str:
@@ -1178,24 +1123,17 @@ def _unit_country(geo_seed: int, unit_id: int, primary_tld: str) -> str:
     return country
 
 
-def build_fleet(
-    population: DomainPopulation,
-    *,
-    seed: Optional[int] = None,
-    campaign_start: Optional[_dt.datetime] = None,
-) -> MtaFleet:
-    """The (lazy) hosting fleet for a population.
+def build_fleet(population: DomainPopulation) -> MtaFleet:
+    """The (lazy) hosting fleet for a population, seeded by its seed.
 
     Returns in O(1): units, addresses, servers, and DNS answers all
     regenerate deterministically on first touch.
     """
-    return MtaFleet(population, seed=seed, campaign_start=campaign_start)
+    return MtaFleet(population)
 
 
 def _configure_provider_unit(unit: HostingUnit, domain: Domain, rng: SeededRng) -> None:
     """Top email providers: never refuse; mostly measurable (Table 3)."""
-    from ..clock import INITIAL_MEASUREMENT
-
     unit.accepts_postmaster = True
     if domain.name in VULNERABLE_PROVIDER_DOMAINS:
         unit.category = UnitCategory.SPF_BLANKMSG

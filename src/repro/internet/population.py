@@ -90,9 +90,17 @@ class Domain:
         return bool(self.sets & domain_set)
 
 
+#: Fraction of the 2-Week MX set also present in the Alexa Top List
+#: (Table 1: 2,922 / 22,911).
+TWO_WEEK_ALEXA_OVERLAP = 2_922 / 22_911
+#: Fraction of the 2-Week MX set also present in the Alexa Top 1000
+#: (Table 1: 135 / 22,911).
+TWO_WEEK_ALEXA1000_OVERLAP = 135 / 22_911
+
+
 @dataclass(frozen=True)
 class PopulationConfig:
-    """Knobs for population generation.
+    """What varies between populations: their size and their seed.
 
     ``scale`` multiplies the paper's set sizes (1.0 = full size).  The
     Table 1 overlap fractions are preserved at every scale.
@@ -100,12 +108,6 @@ class PopulationConfig:
 
     scale: float = 0.05
     seed: int = 20211011
-    #: Fraction of the 2-Week MX set also present in the Alexa Top List
-    #: (Table 1: 2,922 / 22,911).
-    two_week_alexa_overlap: float = 2_922 / 22_911
-    #: Fraction of the 2-Week MX set also present in the Alexa Top 1000
-    #: (Table 1: 135 / 22,911).
-    two_week_alexa1000_overlap: float = 135 / 22_911
 
     @property
     def alexa_size(self) -> int:
@@ -226,9 +228,9 @@ class DomainPopulation:
         self.n_top = min(config.alexa_1000_size, self.n_alexa)
         self.n_two_week = config.two_week_size
 
-        n_overlap = int(round(config.two_week_alexa_overlap * self.n_two_week))
+        n_overlap = int(round(TWO_WEEK_ALEXA_OVERLAP * self.n_two_week))
         n_overlap_top = min(
-            int(round(config.two_week_alexa1000_overlap * self.n_two_week)),
+            int(round(TWO_WEEK_ALEXA1000_OVERLAP * self.n_two_week)),
             n_overlap,
         )
         #: overlap pulled from the Alexa 1000 head (providers included,

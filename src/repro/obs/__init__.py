@@ -11,16 +11,13 @@ a metrics source.
   canonically ordered JSONL that is byte-identical across runs (and
   resumes) of the same seed.
 - :mod:`repro.obs.metrics` — named counters and histograms (SMTP
-  reply codes, DNS queries per probe, macro expansions, probe outcomes,
-  retry backoff) for what the executor's per-stage
+  reply codes, DNS queries per probe, macro expansions, probe outcomes)
+  for what the executor's per-stage
   :class:`repro.exec.metrics.StageMetrics` does not record; a batch
   run's registry holds no wall-clock value.
 - :mod:`repro.obs.context` — the ambient :class:`Observation` that
   instrumented hot paths consult with a single global read, so the layer
   costs nothing when disabled (the default).
-- :mod:`repro.obs.logbridge` — stdlib-``logging`` integration: console
-  output for ``--log-level`` and a handler that mirrors ``repro.*``
-  records into the trace.
 - :mod:`repro.obs.records` / :mod:`repro.obs.analyze` — the consumption
   side: parse canonical JSONL back into typed records, reconstruct span
   trees and per-probe timelines, aggregate per-stage/per-span virtual
@@ -60,7 +57,6 @@ from .analyze import TraceAnalysis
 from .context import Observation, activate, observing
 from .diff import TraceDivergence, assert_traces_identical, diff_events, diff_files
 from .ledger import ComparisonResult, LedgerError
-from .logbridge import TraceLogHandler, attach_trace_handler, configure_logging
 from .metrics import Counter, Histogram, MetricsRegistry
 from .perf import PerfProfile, PerfRecorder
 from .progress import ProgressReporter
@@ -81,12 +77,9 @@ __all__ = [
     "TraceAnalysis",
     "TraceDivergence",
     "TraceEvent",
-    "TraceLogHandler",
     "Tracer",
     "activate",
     "assert_traces_identical",
-    "attach_trace_handler",
-    "configure_logging",
     "diff_events",
     "diff_files",
     "load_jsonl",

@@ -243,7 +243,7 @@ def build_record(
         "ts": round(ts if ts is not None else time.time(), 3),
         "config_hash": sim.config.content_hash(),
         "env": environment_info(),
-        "scale": sim.config.resolved_population().scale,
+        "scale": sim.config.scale,
         "seed": sim.config.seed,
         "wall_seconds": round(
             wall_seconds if wall_seconds is not None else total.wall_seconds, 6
@@ -369,7 +369,7 @@ def retro_record(
         "ts": round(ts if ts is not None else time.time(), 3),
         "config_hash": config.content_hash(),
         "env": environment_info(),
-        "scale": config.resolved_population().scale,
+        "scale": config.scale,
         "seed": config.seed,
         "noise": noise,
     }

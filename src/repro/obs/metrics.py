@@ -2,7 +2,7 @@
 
 An open registry any subsystem can write to: SMTP reply-code
 distributions, DNS queries per probe, SPF macro expansions, probe
-outcomes, retry backoff.  Counters support an optional key, so one
+outcomes.  Counters support an optional key, so one
 instrument holds a whole distribution (e.g. ``smtp.replies`` keyed by
 reply code).  A stage's counts and wall time are not copied here: they
 live once, in the executor's :class:`repro.exec.metrics.StageMetrics`.

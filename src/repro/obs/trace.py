@@ -3,7 +3,7 @@
 Every event is stamped with **virtual time** — the simulated instant the
 emitting component observed through the campaign's clock router — never
 the wall clock.  Virtual time is a pure function of the work list (task
-``k`` of a stage runs at ``stage_base + k * seconds_per_probe``, and
+``k`` of a stage runs at ``stage_base + k * SECONDS_PER_PROBE``, and
 in-task waits advance only that task's cursor), so the same seed
 produces the same stamps in every run.  A wall-clock timestamp would
 differ between runs, which is why wall time is banned from trace
@@ -438,8 +438,8 @@ class Tracer:
         trace exports byte-identical to the uninterrupted one.
         ``stages_begun`` then re-seeds stage numbering so the resumed
         run's stages continue the ordinals where the checkpoint stopped,
-        and the run scope's sequence (log records) continues after the
-        run-scope events of the prefix.
+        and the run scope's sequence (events emitted outside any stage)
+        continues after the run-scope events of the prefix.
         """
         run_events = 0
         for segment in segments:

@@ -240,7 +240,7 @@ def loadtest_record(
         "ts": round(ts if ts is not None else time.time(), 3),
         "config_hash": config.content_hash(),
         "env": environment_info(),
-        "scale": config.resolved_population().scale,
+        "scale": config.scale,
         "seed": config.seed,
         "requests": report.requests,
         "wall_seconds": round(report.wall_seconds, 6),

@@ -25,14 +25,18 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .api import RunConfig
-from .clock import SimulatedClock
+from .clock import INITIAL_MEASUREMENT, SimulatedClock
 from .collector import collector_paused
 from .core.campaign import CampaignResult, MeasurementCampaign
 from .core.inference import InferenceEngine
 from .internet.geo import GeoDatabase, assign_geography
 from .internet.mta_fleet import MtaFleet, build_fleet
 from .internet.patching import PatchBehaviorModel
-from .internet.population import DomainPopulation, generate_population
+from .internet.population import (
+    DomainPopulation,
+    PopulationConfig,
+    generate_population,
+)
 from .notification.delivery import NotificationCampaign, NotificationReport
 from .obs import Observation, observing
 
@@ -83,24 +87,18 @@ class Simulation:
         """
         if config is None:
             config = RunConfig()
-        population_config = config.resolved_population()
-        campaign_config = config.resolved_campaign()
         seed = config.seed
 
-        population = generate_population(population_config)
+        population = generate_population(
+            PopulationConfig(scale=config.scale, seed=seed)
+        )
         fleet = build_fleet(population)
         geography = assign_geography(fleet, seed=seed)
 
-        clock = SimulatedClock(start=campaign_config.initial_measurement)
+        clock = SimulatedClock(start=INITIAL_MEASUREMENT)
         patch_model = PatchBehaviorModel(seed=seed)
 
-        campaign = MeasurementCampaign(
-            population,
-            fleet,
-            config=campaign_config,
-            clock=clock,
-            retry=config.retry,
-        )
+        campaign = MeasurementCampaign(population, fleet, clock=clock)
         notification = NotificationCampaign(
             fleet, patch_model, campaign.network, clock, seed=seed
         )

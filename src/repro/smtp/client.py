@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..obs import context as _obs
 from .protocol import Reply, ReplyCode
 from .transport import ConnectionRefused, Network
+
+#: The measurement prober's source address (a TEST-NET-2 address).
+PROBE_CLIENT_IP = "198.51.100.7"
 
 
 class TransactionKind(enum.Enum):
@@ -64,7 +67,7 @@ class SmtpClient:
         self,
         network: Network,
         *,
-        client_ip: str = "198.51.100.7",
+        client_ip: str = PROBE_CLIENT_IP,
         helo_hostname: str = "probe.dns-lab.org",
     ) -> None:
         self.network = network

@@ -42,6 +42,8 @@ import datetime as _dt
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, TYPE_CHECKING
 
+from ..clock import PRIVATE_NOTIFICATION
+
 if TYPE_CHECKING:
     from ..core.campaign import InitialMeasurement, MeasurementRound
     from ..simulation import Simulation
@@ -49,8 +51,10 @@ if TYPE_CHECKING:
 #: bump when the checkpoint payload shape changes incompatibly (4: trace
 #: segments hold tuple :class:`~repro.obs.trace.TraceEvent` records; 5:
 #: records carry no class, servers and the campaign no stub query id,
-#: and the metrics snapshot no gauges).
-CHECKPOINT_VERSION = 5
+#: and the metrics snapshot no gauges), or when the run key changes (6:
+#: the config hash covers only scale and seed, so an older chain's run
+#: directory is not the one this build's writer continues).
+CHECKPOINT_VERSION = 6
 
 #: the keyed maps of a world snapshot; a delta stores, per map, the
 #: added or changed entries and the removed keys.  Every other world
@@ -367,8 +371,7 @@ def restore_simulation(sim: "Simulation", state) -> None:
     if checkpoint.notified:
         clock.advance_to(max(clock.now, checkpoint.notified_clock))
         campaign.notification_report = sim.notification.send_notifications(
-            checkpoint.initial.vulnerable_domains(),
-            campaign.config.notification_date,
+            checkpoint.initial.vulnerable_domains(), PRIVATE_NOTIFICATION
         )
 
     clock.advance_to(max(clock.now, checkpoint.clock_now))

@@ -5,10 +5,18 @@ import pytest
 from repro.clock import SimulatedClock
 from repro.core.detector import DetectionOutcome
 from repro.core.scanner import SpfVulnerabilityScanner
-from repro.dns import CachingResolver, Name, SpfTestResponder, StubResolver
+from repro.dns import (
+    A,
+    AuthoritativeServer,
+    CachingResolver,
+    MX,
+    Name,
+    SpfTestResponder,
+    StubResolver,
+    Zone,
+)
 from repro.errors import ResolutionError
-from repro.exec import ClockRouter
-from repro.internet.mta_fleet import PopulationDnsBackend
+from repro.exec import SECONDS_PER_PROBE, ClockRouter
 from repro.smtp import (
     GreylistPolicy,
     Network,
@@ -21,19 +29,31 @@ from repro.smtp import (
 BASE = "spf-test.dns-lab.org"
 
 
+def publish(estate_dns, domain, *, mx=None, ips=()):
+    """Serve ``domain`` from its own zone: an MX to ``mx`` and/or A records."""
+    zone = Zone(domain)
+    if mx is not None:
+        zone.add(domain, MX(10, mx))
+    for ip in ips:
+        zone.add(domain, A(ip))
+    estate_dns.add_zone(zone)
+
+
 def build_scanner(servers, *, world_reads_router=True):
     """A scanner over ``servers``, each ``(ip, behavior, timing, policy)``.
 
     The network and resolvers read the scanner's router, or with
-    ``world_reads_router=False`` its shared clock directly.
+    ``world_reads_router=False`` its shared clock directly.  Returns the
+    scanner and the static DNS server the scanned domains are published
+    on (:func:`publish`).
     """
     router = ClockRouter(SimulatedClock())
     tick = router if world_reads_router else (lambda: router.shared.now)
     responder = SpfTestResponder(Name.from_text(BASE))
-    population_dns = PopulationDnsBackend()
+    estate_dns = AuthoritativeServer()
     resolver = CachingResolver(clock=tick)
     resolver.register(BASE, responder)
-    resolver.register(Name.root(), population_dns)
+    resolver.register(Name.root(), estate_dns)
     network = Network(clock=tick)
     for ip, behavior, timing, policy in servers:
         stacks = [] if behavior is None else [SpfStack.named(behavior, timing)]
@@ -51,7 +71,7 @@ def build_scanner(servers, *, world_reads_router=True):
         router=router,
         resolver=StubResolver(resolver, identity="scanner", clock=tick),
     )
-    return scanner, population_dns
+    return scanner, estate_dns
 
 
 @pytest.fixture()
@@ -99,20 +119,20 @@ class TestScanIps:
 
 class TestScanDomains:
     def test_resolves_and_scans(self, setup):
-        scanner, population_dns = setup
-        population_dns.set_mx("victim.example", [(10, "mx.victim.example")])
-        population_dns.set_a("mx.victim.example", ["10.0.0.1"])
-        population_dns.set_mx("fine.example", [(10, "mx.fine.example")])
-        population_dns.set_a("mx.fine.example", ["10.0.0.2"])
+        scanner, estate_dns = setup
+        publish(estate_dns, "victim.example", mx="mx.victim.example")
+        publish(estate_dns, "mx.victim.example", ips=["10.0.0.1"])
+        publish(estate_dns, "fine.example", mx="mx.fine.example")
+        publish(estate_dns, "mx.fine.example", ips=["10.0.0.2"])
         report = scanner.scan_domains(["victim.example", "fine.example"])
         assert report.vulnerable_domains() == ["victim.example"]
         assert report.domain_ips["fine.example"] == ["10.0.0.2"]
 
     def test_shared_mx_scanned_once(self, setup):
-        scanner, population_dns = setup
+        scanner, estate_dns = setup
         for name in ("a.example", "b.example"):
-            population_dns.set_mx(name, [(10, "shared.example")])
-        population_dns.set_a("shared.example", ["10.0.0.1"])
+            publish(estate_dns, name, mx="shared.example")
+        publish(estate_dns, "shared.example", ips=["10.0.0.1"])
         report = scanner.scan_domains(["a.example", "b.example"])
         assert report.scanned == 1
         assert report.vulnerable_domains() == ["a.example", "b.example"]
@@ -160,7 +180,7 @@ class TestRoutedClock:
 
         assert report.results["10.0.0.9"].outcome == DetectionOutcome.VULNERABLE
         elapsed = (scanner.clock.now - started).total_seconds()
-        assert elapsed == scanner.env.seconds_per_probe == 0.25
+        assert elapsed == SECONDS_PER_PROBE == 0.25
 
     def test_world_off_the_router_never_sees_the_wait(self):
         """A world that reads the shared clock instead of the router

@@ -253,19 +253,19 @@ class TestLedgerRunIntegration:
         gate even through the 0.5 noise floor used on this container."""
         from time import sleep
 
-        from repro.exec.engine import ProbeExecutor
+        from repro.core.detector import VulnerabilityDetector
 
         base = tmp_path / "base.jsonl"
         cand = tmp_path / "cand.jsonl"
         assert main([*self.BASE, "--ledger", str(base)]) == 0
 
-        real = ProbeExecutor._detect_with_retry
+        real = VulnerabilityDetector.detect
 
-        def slowed(self, task, metrics):
+        def slowed(self, *args, **kwargs):
             sleep(0.004)
-            return real(self, task, metrics)
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(ProbeExecutor, "_detect_with_retry", slowed)
+        monkeypatch.setattr(VulnerabilityDetector, "detect", slowed)
         assert main([*self.BASE, "--ledger", str(cand)]) == 0
         result = L.compare_records(
             L.read_ledger(str(base)), L.read_ledger(str(cand)),

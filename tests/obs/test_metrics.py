@@ -77,9 +77,9 @@ class TestRegistry:
     def test_render_markdown_has_counter_and_histogram_tables(self):
         registry = MetricsRegistry()
         registry.counter("smtp.replies").inc("250")
-        registry.histogram("exec.backoff_seconds").observe(60.0)
+        registry.histogram("dns.queries_per_probe").observe(6.0)
         text = registry.render_markdown()
         assert "| counter | total | top keys |" in text
         assert "smtp.replies" in text and "250=1" in text
         assert "| histogram | count |" in text
-        assert "exec.backoff_seconds" in text
+        assert "dns.queries_per_probe" in text

@@ -128,8 +128,9 @@ class TestExceptionPaths:
 
 class TestStitch:
     def test_run_scope_sequence_continues_after_a_resume(self):
-        """Run-scope events (log records) emitted after a stitch continue
-        the checkpointed prefix's sequence, as one tracer's would."""
+        """Run-scope events (emitted outside any stage) after a stitch
+        continue the checkpointed prefix's sequence, as one tracer's
+        would."""
 
         def leg(tracer, stage, messages):
             tracer.begin_stage(stage, tasks=0)

@@ -7,6 +7,7 @@ hash-keyed store layout — everything below the full resume tests in
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,8 +17,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api import RunConfig
-from repro.core.campaign import CampaignConfig
-from repro.internet.population import PopulationConfig
 from repro.simulation import Simulation
 from repro.store import CampaignAborted, RunStore, StoreError
 from repro.store.checkpoint import WORLD_MAPS, diff_world_state, fold_world_state
@@ -28,25 +27,27 @@ SEED = 5
 
 
 class TestRunConfig:
+    def test_fields_are_what_varies(self):
+        """The paper's method is constants; a run varies only by these."""
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "scale", "seed", "trace",
+        ]
+
     def test_json_round_trip(self):
         config = RunConfig(scale=0.004, seed=7, trace=True)
         clone = RunConfig.from_json(config.to_json())
         assert clone == config
         assert clone.content_hash() == config.content_hash()
-        # Configs written by older versions carry a "perf" key; it is
-        # ignored on load.
-        legacy = dict(config.to_dict(), perf="perf")
-        assert RunConfig.from_dict(legacy) == config
-
-    def test_round_trip_with_explicit_subconfigs(self):
-        config = RunConfig(
-            scale=0.004,
-            seed=7,
-            population=PopulationConfig(scale=0.004, seed=7),
-            campaign=CampaignConfig(),
+        # Configs written by older versions carry "perf" and the
+        # sub-config keys; they are ignored on load.
+        legacy = dict(
+            config.to_dict(),
+            perf="perf",
+            population={"scale": 0.004, "seed": 7},
+            campaign={"round_interval": {"$seconds": 172800.0}},
+            retry=None,
         )
-        clone = RunConfig.from_json(config.to_json())
-        assert clone == config
+        assert RunConfig.from_dict(legacy) == config
 
     def test_runtime_fields_do_not_change_the_hash(self):
         base = RunConfig(scale=0.004, seed=7)
@@ -57,13 +58,6 @@ class TestRunConfig:
         base = RunConfig(scale=0.004, seed=7)
         assert RunConfig(scale=0.005, seed=7).content_hash() != base.content_hash()
         assert RunConfig(scale=0.004, seed=8).content_hash() != base.content_hash()
-
-    def test_explicit_population_hashes_like_the_derived_default(self):
-        base = RunConfig(scale=0.004, seed=7)
-        explicit = RunConfig(
-            scale=0.004, seed=7, population=PopulationConfig(scale=0.004, seed=7)
-        )
-        assert explicit.content_hash() == base.content_hash()
 
 
 @pytest.fixture(scope="module")
@@ -185,10 +179,10 @@ class TestStoreLayout:
         store, copy = _copy_store(aborted, tmp_path)
         path = copy / store.runs()[0] / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["checkpoint_version"] = 4
+        manifest["checkpoint_version"] = 5
         path.write_text(json.dumps(manifest))
         with pytest.raises(
-            StoreError, match=r"format version 4, .*reads only version 5; re-run"
+            StoreError, match=r"format version 5, .*reads only version 6; re-run"
         ):
             store.load_latest()
 

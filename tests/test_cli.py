@@ -72,30 +72,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "trace:" in out and "metrics written" in out
 
-    def test_log_level_flag(self, capsys):
-        import logging
-
-        logger = logging.getLogger("repro")
-        try:
-            self._run_with_log_level(capsys)
-        finally:
-            logger.handlers.clear()
-            logger.setLevel(logging.NOTSET)
-
-    def _run_with_log_level(self, capsys):
-        assert (
-            main(
-                [
-                    "run", "--scale", "0.002", "--seed", "5",
-                    "--artifact", "table6",
-                    "--log-level", "INFO",
-                ]
-            )
-            == 0
-        )
-        err = capsys.readouterr().err
-        assert "INFO repro" in err
-
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "run", "--list"],

@@ -1,12 +1,13 @@
 """The collector policy (:mod:`repro.collector`) and what it rests on.
 
-Batch work pauses automatic cyclic garbage collection.  That is safe
-only because a run makes no reference cycles: :class:`TestCycleFreedom`
-runs campaigns with automatic collection off and asserts that a full
-collection then finds nothing, with the simulation alive and after it
-is dropped.  Any new cycle in the world, the run, the report, the CSVs,
-the trace, the perf sideband or the checkpoint store fails it instead
-of quietly costing collections (or, under the pause, memory).
+Batch work (the run, the report, the CSVs) pauses automatic cyclic
+garbage collection.  That is safe only because a run makes no reference
+cycles: :class:`TestCycleFreedom` runs campaigns with automatic
+collection off and asserts that a full collection then finds nothing,
+with the simulation alive and after it is dropped.  Any new cycle in
+the world, the run, the report, the CSVs, the trace, the perf sideband
+or the checkpoint store fails it instead of quietly costing collections
+(or, under the pause, memory).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import os
 import pytest
 
 from repro import api
-from repro.analysis.export import export_all
+from repro.analysis import ARTIFACTS, Artifact
+from repro.analysis.export import EXPORTERS, export_all
 from repro.analysis.report import generate_report
 from repro.collector import collector_paused
 from repro.errors import CampaignAborted
@@ -161,6 +163,44 @@ class TestWhereItApplies:
         campaign.probe_ips = recording_probe
         handle.check_mta(sorted(campaign.tracked_ips())[0])
         assert seen == {"initial": False, "probe": True}
+
+    def test_report_and_csvs_are_paused_and_reenable_after_a_raise(
+        self, monkeypatch, tmp_path
+    ):
+        handle = api.open_run(api.RunConfig(scale=0.002, seed=SEED))
+        handle.run()
+        sim = handle.simulation
+        seen = []
+        table6 = ARTIFACTS["table6"]
+
+        def recording_build(sim):
+            seen.append(gc.isenabled())
+            return table6.build(sim)
+
+        def recording_csv(sim):
+            seen.append(gc.isenabled())
+            return ""
+
+        monkeypatch.setitem(
+            ARTIFACTS, "table6", Artifact(recording_build, table6.render)
+        )
+        monkeypatch.setitem(EXPORTERS, "table1.csv", recording_csv)
+        generate_report(sim)
+        export_all(sim, str(tmp_path / "csv"))
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+        def failing_build(sim):
+            seen.append(gc.isenabled())
+            raise ValueError("builder failed")
+
+        monkeypatch.setitem(
+            ARTIFACTS, "table6", Artifact(failing_build, table6.render)
+        )
+        with pytest.raises(ValueError, match="builder failed"):
+            generate_report(sim)
+        assert seen[-1] is False
+        assert gc.isenabled()
 
 
 def _emit(sim, directory, *, trace: bool) -> None:
