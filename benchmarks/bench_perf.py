@@ -3,7 +3,7 @@ does tracing itself cost?
 
 ``--perf`` hangs a write-only sink off the tracer, so every span/task/
 stage boundary pays one ``perf_counter()`` call plus a buffered record
-append, and a daemon thread samples RSS/GC/counters twice a second.
+append, and ``finalize()`` takes one end-of-run RSS/GC/counter reading.
 The sideband's whole value proposition is that it can stay on during
 real campaigns; this bench holds it to that claim.
 
@@ -72,17 +72,18 @@ def _run(perf_dir, *, trace: bool = True) -> dict:
     if perf_dir:
         obs.attach_perf(PerfRecorder(perf_dir))
     sim = Simulation.build(config=config, observation=obs)
-    if obs.perf is not None:
-        obs.perf.start_sampler(lambda: simulation_counters(sim))
     started = perf_counter()
     sim.run()
-    summary = obs.perf.finalize() if obs.perf is not None else None
+    summary = (
+        obs.perf.finalize(simulation_counters(sim))
+        if obs.perf is not None
+        else None
+    )
     wall = perf_counter() - started
     return {
         "wall": wall,
         "events": obs.tracer.event_count(),
         "records": summary["records"] if summary else 0,
-        "samples": summary["samples"] if summary else 0,
     }
 
 
@@ -125,7 +126,6 @@ def _compare(scratch: str) -> dict:
         "reps": REPS,
         "trace_events": profiled[-1]["events"],
         "span_records": profiled[-1]["records"],
-        "samples": profiled[-1]["samples"],
         "baseline_wall_seconds": min(run["wall"] for run in baseline),
         "profiled_wall_seconds": min(run["wall"] for run in profiled),
         "pair_ratios": result.pair_ratios,
@@ -156,8 +156,7 @@ def _render(record: dict) -> str:
         f"{record['tracing_target']:.0%}, untraced noise "
         f"{record['untraced_noise']:.1%}; recorded, not asserted)\n"
         f"  with --perf       {record['profiled_wall_seconds']:8.3f}s (best)  "
-        f"({record['span_records']:,} span records, "
-        f"{record['samples']} samples)\n"
+        f"({record['span_records']:,} span records)\n"
         f"  overhead          {record['overhead']:+8.1%}  "
         f"(budget {record['max_overhead']:.0%}; baseline noise "
         f"{record['baseline_noise']:.1%}"
@@ -207,7 +206,6 @@ def test_perf_sideband_overhead_under_budget(benchmark, tmp_path):
     emit_json("perf", record)
     _warn_if_unasserted(record)
     assert record["span_records"] > 10_000
-    assert record["samples"] > 0
     failures = _check(record)
     assert not failures, "; ".join(failures)
 

@@ -64,9 +64,16 @@ def emit_json(name: str, payload: dict) -> pathlib.Path:
     # ledger record below reuses it rather than probing git again.
     record["env"] = obs_ledger.environment_info(str(RESULTS_DIR))
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    obs_ledger.append_record(
-        str(LEDGER_PATH), obs_ledger.bench_record(name, record)
-    )
+    entry = obs_ledger.record_header("bench", env=record["env"])
+    entry["bench"] = name
+    # The scalar fields (bools included, e.g. ``overhead_asserted``)
+    # trend under ``metrics`` with the same machinery as run records.
+    entry["metrics"] = {
+        key: value
+        for key, value in record.items()
+        if isinstance(value, (int, float))
+    }
+    obs_ledger.append_record(str(LEDGER_PATH), entry)
     return path
 
 

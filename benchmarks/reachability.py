@@ -12,7 +12,7 @@ The command set:
 - ``run`` with every output flag and all 15 artifacts;
 - ``run --store --abort-after-round 3``, then ``resume``;
 - ``trace summary``, ``trace profile`` and ``trace diff``;
-- ``obs history``, ``obs regress`` and ``obs record``;
+- ``obs history`` and ``obs regress``;
 - ``serve --loadtest 300 --warm-rounds 2``, over TCP and over ``--socket``;
 - the six examples.
 
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import ast
 import fnmatch
-import glob
 import json
 import os
 import runpy
@@ -67,8 +66,7 @@ ARTIFACTS = (
 ).split()
 
 #: ``(label, argv)``; ``-m repro ...`` runs the CLI, a path runs a
-#: script.  ``{w}`` is the work directory, ``{run_dir}`` the store's run
-#: directory once ``abort`` has made it.  Every command must exit 0.
+#: script.  ``{w}`` is the work directory.  Every command must exit 0.
 COMMANDS: Sequence[Tuple[str, List[str]]] = (
     (
         "run",
@@ -114,12 +112,6 @@ COMMANDS: Sequence[Tuple[str, List[str]]] = (
         "trace-diff",
         ["-m", "repro", "trace", "diff", "{w}/trace.jsonl",
          "{w}/trace-resumed.jsonl"],
-    ),
-    (
-        "obs-record",
-        ["-m", "repro", "obs", "record", "{run_dir}",
-         "--ledger", "{w}/ledger.jsonl",
-         "--metrics", "{w}/metrics-resumed.json"],
     ),
     (
         "obs-history",
@@ -294,9 +286,7 @@ def run_commands(work: Path) -> Tuple[Set[Tuple[str, int]], List[str]]:
     failures: List[str] = []
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for label, template in COMMANDS:
-        run_dirs = sorted(glob.glob(str(work / "store" / "run-*" / "")))
-        fill = {"w": str(work), "run_dir": run_dirs[0] if run_dirs else ""}
-        argv = [arg.format(**fill) for arg in template]
+        argv = [arg.format(w=str(work)) for arg in template]
         out = work / f"reach-{label}.json"
         log = work / f"{label}.log"
         print(f"  {label} ...", flush=True)

@@ -78,6 +78,11 @@ class RunConfig:
     #: whether runs built from this config attach a virtual-time tracer.
     trace: bool = False
 
+    def __post_init__(self) -> None:
+        # An int scale describes the same experiment as the equal float:
+        # store the float so both hash, and name their run, alike.
+        object.__setattr__(self, "scale", float(self.scale))
+
     # -- identity -------------------------------------------------------------
 
     def content_hash(self) -> str:

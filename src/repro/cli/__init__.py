@@ -49,9 +49,7 @@ def main(argv=None) -> int:
 
         if args.obs_command == "history":
             return obscmd.obs_history(args)
-        if args.obs_command == "regress":
-            return obscmd.obs_regress(args)
-        return obscmd.obs_record(args)
+        return obscmd.obs_regress(args)
     if command == "serve":
         from .servecmd import serve_command
 

@@ -68,27 +68,3 @@ def obs_regress(args: argparse.Namespace) -> int:
     print(result.render())
     return 1 if result.regressed else 0
 
-
-def obs_record(args: argparse.Namespace) -> int:
-    from ..obs.ledger import LedgerError, retro_record
-
-    if args.perf and not args.trace:
-        print("obs record: --perf requires --trace", file=sys.stderr)
-        return 2
-    try:
-        record, path = retro_record(
-            args.run_dir,
-            ledger_path=args.ledger,
-            metrics_path=args.metrics,
-            trace_path=args.trace,
-            perf_dir=args.perf,
-            noise=args.noise,
-        )
-    except LedgerError as error:
-        print(f"obs record failed: {error}", file=sys.stderr)
-        return 2
-    print(
-        f"ledger: record for config {record['config_hash'][:12]} "
-        f"appended to {path}"
-    )
-    return 0

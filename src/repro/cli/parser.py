@@ -75,17 +75,18 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     )
     add(
         "--perf", metavar="DIR", default=None,
-        help="record wall-clock span timings and resource samples into DIR "
-        "(a sideband: trace, report, and CSV bytes are unchanged); implies "
-        "tracing; inspect with `python -m repro trace profile`",
+        help="record wall-clock span timings and an end-of-run resource "
+        "and counter reading into DIR (a sideband: trace, report, and CSV "
+        "bytes are unchanged); implies tracing; inspect with "
+        "`python -m repro trace profile`",
     )
     add(
         "--ledger", metavar="FILE", default=None,
-        help="append one performance-ledger record for this run to FILE "
-        "(config hash, env + git commit, throughput, stage wall "
-        "attribution when --perf is on); with --store a record also "
-        "lands in the run directory's ledger.jsonl; inspect with "
-        "`python -m repro obs history` / `obs regress`",
+        help="append one performance-ledger record for this run to FILE, "
+        "its only destination (config hash, env + git commit, wall time, "
+        "throughput, and the executor's per-stage rows as --metrics-out "
+        "writes them); inspect with `python -m repro obs history` / "
+        "`obs regress`",
     )
 
 
@@ -288,10 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--json", metavar="FILE", default=None,
-        help="also write the machine-readable wall-vs-virtual attribution "
-        "as JSON to FILE ('-' for stdout; suppresses the default "
-        "markdown-to-stdout unless --out is given); the 'stages' rows "
-        "are exactly what a profiled run's ledger record embeds",
+        help="also write the machine-readable wall-vs-virtual attribution, "
+        "hottest spans and end-of-run reading as JSON to FILE ('-' for "
+        "stdout; suppresses the default markdown-to-stdout unless --out "
+        "is given)",
     )
 
     obs = sub.add_parser(
@@ -305,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     history.add_argument(
         "ledger",
-        help="ledger JSONL file, a run directory holding ledger.jsonl, or "
-        "a single-record .json file",
+        help="ledger JSONL file, a directory holding ledger.jsonl, or a "
+        "single-record .json file",
     )
     history.add_argument(
         "--metric", action="append", metavar="NAME", default=None,
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     history.add_argument(
         "--kind", action="append", metavar="KIND", default=None,
-        help="only records of this kind (run/resume/record/bench/serve; "
+        help="only records of this kind (run/resume/serve/bench; "
         "repeatable)",
     )
     history.add_argument(
@@ -339,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     regress.add_argument(
         "baseline",
-        help="baseline slice: ledger JSONL, run dir, or single-record .json "
-        "(e.g. a committed benchmarks/BASELINE.json)",
+        help="baseline slice: ledger JSONL, a directory holding "
+        "ledger.jsonl, or single-record .json (e.g. a committed "
+        "benchmarks/BASELINE.json)",
     )
     regress.add_argument("candidate", help="candidate slice (same spellings)")
     regress.add_argument(
@@ -370,38 +372,5 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="FILE", default=None,
         help="also write the full comparison verdict as JSON to FILE "
         "('-' for stdout)",
-    )
-
-    record = obs_sub.add_parser(
-        "record",
-        help="append a ledger record for an existing run directory "
-        "retroactively",
-    )
-    record.add_argument(
-        "run_dir",
-        help="a RunStore run directory (holds config.json / manifest.json)",
-    )
-    record.add_argument(
-        "--ledger", metavar="FILE", default=None,
-        help="append to FILE instead of <run_dir>/ledger.jsonl",
-    )
-    record.add_argument(
-        "--metrics", metavar="FILE", default=None,
-        help="join the executor's probe totals (probe wall time, probes, "
-        "throughput) from a --metrics-out JSON file of that run",
-    )
-    record.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="canonical trace of that run (with --perf: join per-stage "
-        "wall attribution)",
-    )
-    record.add_argument(
-        "--perf", metavar="DIR", default=None,
-        help="perf sideband directory of that run (requires --trace)",
-    )
-    record.add_argument(
-        "--noise", type=float, default=None, metavar="FRAC",
-        help="declare the machine's measured identical-run wall spread in "
-        "the record, so later comparisons gate on it",
     )
     return parser

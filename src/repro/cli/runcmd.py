@@ -33,53 +33,38 @@ def make_observation(
     return observation
 
 
-def finalize_perf(observation: Optional[Observation]) -> None:
-    """Finish the perf streams and print a one-line summary."""
+def finalize_perf(observation: Optional[Observation], sim) -> None:
+    """Finish the perf sideband with its end-of-run reading and print a
+    one-line summary."""
     if observation is None or observation.perf is None:
         return
-    summary = observation.perf.finalize()
+    from ..obs.perf import simulation_counters
+
+    summary = observation.perf.finalize(simulation_counters(sim))
     print(
-        f"perf: {summary['records']:,} span records, "
-        f"{summary['samples']:,} samples written to {summary['directory']}"
+        f"perf: {summary['records']:,} span records written to "
+        f"{summary['directory']}"
     )
 
 
 def append_ledger(
-    sim,
-    args: argparse.Namespace,
-    *,
-    store,
-    wall_seconds: float,
-    kind: str,
+    sim, args: argparse.Namespace, *, wall_seconds: float, kind: str
 ) -> None:
-    """Append one performance-ledger record for a completed run.
+    """Append one performance-ledger record for a completed run to the
+    ``--ledger`` file, its only destination.
 
-    Targets: the RunStore run directory's ``ledger.jsonl`` (when the run
-    was checkpointed) and the shared ``--ledger`` file (when given).
     Appending happens strictly *after* every deterministic artifact and
-    the perf streams are on disk — the ledger reads the run, never the
+    the perf sideband are on disk — the ledger reads the run, never the
     other way around, so trace/CSV/report bytes are identical with the
     ledger on or off.
     """
-    paths = []
-    if store is not None and sim.config is not None:
-        paths.append(store.ledger_path(sim.config))
-    shared = getattr(args, "ledger", None)
-    if shared:
-        paths.append(shared)
-    if not paths:
+    path = getattr(args, "ledger", None)
+    if not path:
         return
     from ..obs.ledger import append_record, build_record
 
-    record = build_record(
-        sim,
-        kind=kind,
-        wall_seconds=wall_seconds,
-        perf_dir=getattr(args, "perf", None),
-    )
-    for path in paths:
-        append_record(path, record)
-    print(f"ledger: record appended to {', '.join(paths)}")
+    append_record(path, build_record(sim, kind=kind, wall_seconds=wall_seconds))
+    print(f"ledger: record appended to {path}")
 
 
 def finish_run(
@@ -87,11 +72,11 @@ def finish_run(
 ) -> int:
     """Run ``handle`` to the end of its timeline and write everything after.
 
-    The tail ``run`` and ``resume`` share: start the perf sampler, attach
-    the ``--progress`` reporter, time ``handle.run``, emit the outputs,
-    finalize the perf streams and append the ledger record.  ``kind``
-    (``"run"`` or ``"resume"``) prefixes an abort or failure message and
-    labels the ledger record.
+    The tail ``run`` and ``resume`` share: attach the ``--progress``
+    reporter, time ``handle.run``, emit the outputs, finalize the perf
+    sideband and append the ledger record.  ``kind`` (``"run"`` or
+    ``"resume"``) prefixes an abort or failure message and labels the
+    ledger record.
     """
     from time import perf_counter
 
@@ -99,16 +84,11 @@ def finish_run(
     from ..store import StoreError
 
     sim = handle.simulation
-    if observation is not None and observation.perf is not None:
-        from ..obs.perf import simulation_counters
-
-        observation.perf.start_sampler(lambda: simulation_counters(sim))
     if args.progress:
         from ..obs.progress import ProgressReporter
 
         reporter = ProgressReporter()
-        if observation is not None:
-            reporter.perf = observation.perf
+        reporter.show_rss = observation is not None and observation.perf is not None
         sim.campaign.executor.progress = reporter
     try:
         started = perf_counter()
@@ -125,10 +105,8 @@ def finish_run(
         run_wall = perf_counter() - started
         code = emit_outputs(sim, args)
     finally:
-        finalize_perf(observation)
-    # The ledger record is built after the perf streams are finalized so
-    # a profiled run's record can embed the per-stage wall attribution.
-    append_ledger(sim, args, store=store, wall_seconds=run_wall, kind=kind)
+        finalize_perf(observation, sim)
+    append_ledger(sim, args, wall_seconds=run_wall, kind=kind)
     return code
 
 

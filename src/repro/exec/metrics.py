@@ -10,7 +10,8 @@ time it covered.
 This is the only record of a stage's counts and wall time: the
 checkpoint persists it, the ``stage.end`` trace event and ``--progress``
 read it, the report's stage table and ``--metrics-out``'s
-``executor_stages`` render it, and the ledger takes its totals from it.
+``executor_stages`` render it, and the ledger takes its totals and its
+per-stage rows from it.
 The open :class:`~repro.obs.metrics.MetricsRegistry` holds only what no
 stage row records (per-probe outcomes, DNS queries per probe), so a
 batch run's registry carries no wall-clock value.

@@ -28,16 +28,17 @@ a metrics source.
 - :mod:`repro.obs.progress` — live stderr progress for a running
   campaign (``--progress``): stage, tasks done/total, probes/s, ETA.
 - :mod:`repro.obs.perf` — the wall-clock sideband (``--perf <dir>``):
-  per-span ``perf_counter`` timings and resource/cache-counter samples
-  written to separate files that join the canonical trace by span id,
-  consumed by ``trace profile``; deterministic artifacts stay
-  byte-identical with perf on or off.
-- :mod:`repro.obs.ledger` — the cross-run performance ledger: every
-  ``run``/``resume``/benchmark appends one compact JSON record
-  (config hash, env + git commit, throughput, stage wall attribution)
-  to an append-only ``ledger.jsonl``; ``obs history`` renders trend
-  tables and ``obs regress`` compares two slices with explicit noise
-  gating (non-zero exit only on a *confirmed* regression).
+  per-span ``perf_counter`` timings that join the canonical trace by
+  span id, plus one end-of-run resource/cache-counter reading, written
+  to separate files and consumed by ``trace profile``; deterministic
+  artifacts stay byte-identical with perf on or off.
+- :mod:`repro.obs.ledger` — the cross-run performance ledger: a
+  ``run``/``resume`` with ``--ledger``, a ``serve`` load test or a
+  benchmark appends one compact JSON record (config hash, env + git
+  commit, throughput, the executor's per-stage rows) to an append-only
+  ``ledger.jsonl``; ``obs history`` renders trend tables and ``obs
+  regress`` compares two slices with explicit noise gating (non-zero
+  exit only on a *confirmed* regression).
 
 Usage::
 

@@ -364,8 +364,7 @@ class TraceAnalysis:
 
         Same content as :meth:`render_markdown` — stages, critical path,
         span-duration percentiles, event counts — as plain JSON-ready
-        values, so scripts (and the performance ledger's join tests)
-        never scrape markdown.
+        values, so scripts never scrape markdown.
         """
         start, end = self.virtual_start, self.virtual_end
         stages = [

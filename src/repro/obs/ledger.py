@@ -1,8 +1,8 @@
 """Cross-run performance ledger: persist measurements, detect regressions.
 
 Everything else in :mod:`repro.obs` looks at *one* run in depth — the
-tracer records it, ``trace profile`` attributes its wall time, the perf
-sideband samples its memory.  None of it persists across runs: the
+tracer records it, the perf sideband times its spans and ``trace
+profile`` attributes its wall time.  None of it persists across runs: the
 benchmark trajectory is invisible PR-over-PR, and a hot-path
 optimization has no instrument that proves (or protects) its win.  The
 ledger is that instrument: an append-only JSONL history of compact
@@ -14,29 +14,33 @@ Record shape (one JSON object per line, compact, sorted keys)::
 
     {"v": 1, "kind": "run", "ts": 1723100000.0,
      "config_hash": "<sha256 of the RunConfig semantic fields>",
-     "env": {"cpus": 1, "python": "3.11.7",
+     "env": {"cpus": 2, "python": "3.11.7",
              "git_commit": "5a9d62d...", "git_dirty": false},
-     "scale": 0.02, "seed": 20211011,
+     "scale": 0.02, "seed": 20211011, "noise": null,
      "wall_seconds": 6.1, "probe_wall_seconds": 5.2,
      "sim_seconds": 9676800.0, "probes": 38000,
      "probes_per_second": 7300.0, "retried": 0, "refused": 12,
      "counters": {"population.row_regens": ..., ...},
-     "stages": [...], "noise": null}
+     "stages": [{"stage": "initial", "wall_seconds": ..., ...}, ...]}
 
-- ``kind`` is ``run`` / ``resume`` (CLI campaigns), ``record`` (a
-  retroactive ``obs record``), or ``bench`` (a ``BENCH_*.json``
-  emission mirrored by ``benchmarks/conftest.emit_json``; its scalar
-  payload lands under ``metrics``).
+- The header is spelled once, by :func:`record_header`: ``v``,
+  ``kind``, ``ts`` and ``env`` on every record, plus ``config_hash``,
+  ``scale``, ``seed`` and ``noise`` on a record backed by a run.
+- ``kind`` is ``run`` / ``resume`` (CLI campaigns, written only to the
+  ``--ledger`` file), ``serve`` (a ``serve --loadtest`` latency record,
+  :func:`repro.serve.loadtest.loadtest_record`), or ``bench`` (a
+  ``BENCH_*.json`` emission mirrored by ``benchmarks/conftest.emit_json``;
+  its scalar payload lands under ``metrics``).
 - ``config_hash`` is :meth:`repro.api.RunConfig.content_hash`, so a
   history can be filtered down to byte-comparable experiments.
 - ``env`` carries machine + commit provenance
-  (:func:`environment_info`): bench numbers are meaningless without
-  knowing what produced them.
-- ``stages`` is present when the run was profiled (``--perf``): the
-  exact wall-vs-virtual stage attribution rows of
-  :meth:`repro.obs.perf.PerfProfile.stage_rows`, i.e. the same rows
-  ``trace profile --json`` emits — the ledger and the profiler never
-  disagree because they share the join.
+  (:func:`environment_info`) of the process that made the measurement:
+  bench numbers are meaningless without knowing what produced them.
+- ``stages`` holds one row per executor stage,
+  :meth:`repro.exec.metrics.StageMetrics.to_dict` verbatim: the rows
+  ``--metrics-out`` writes under ``executor_stages``, whatever the run's
+  tracing or profiling.  Their ``wall_seconds`` add up to
+  ``probe_wall_seconds``.
 - ``noise`` optionally declares the machine's measured wall-noise
   spread (identical-run max/min − 1) so later comparisons can gate on
   it; ``null`` means "not measured".
@@ -88,7 +92,6 @@ __all__ = [
     "LedgerError",
     "ComparisonResult",
     "append_record",
-    "bench_record",
     "build_record",
     "compare",
     "compare_records",
@@ -100,14 +103,15 @@ __all__ = [
     "metric_value",
     "pair_ratios",
     "read_ledger",
+    "record_header",
     "render_history",
-    "retro_record",
     "validate_record",
 ]
 
 LEDGER_VERSION = 1
 
-#: The ledger file name inside a RunStore run directory.
+#: The ledger file a directory spelling of a slice reads
+#: (``benchmarks/ledger.jsonl`` is the benchmark suite's).
 LEDGER_FILENAME = "ledger.jsonl"
 
 #: Record keys every ledger line must carry (schema floor).
@@ -210,24 +214,45 @@ def _round_floats(value, digits: int = 6):
     return value
 
 
-def build_record(
-    sim,
+def record_header(
+    kind: str,
     *,
-    kind: str = "run",
-    wall_seconds: Optional[float] = None,
-    perf_dir: Optional[str] = None,
+    config=None,
     noise: Optional[float] = None,
-    ts: Optional[float] = None,
+    env: Optional[Dict[str, object]] = None,
 ) -> dict:
+    """The fields every ledger record starts with, spelled only here.
+
+    ``v``, ``kind``, ``ts`` and ``env`` on every record (``env`` is
+    probed with :func:`environment_info` unless the caller already
+    holds one); a record backed by a run passes its
+    :class:`~repro.api.RunConfig` as ``config``, which adds
+    ``config_hash``, ``scale``, ``seed`` and the declared ``noise``.
+    """
+    header: dict = {
+        "v": LEDGER_VERSION,
+        "kind": kind,
+        "ts": round(time.time(), 3),
+        "env": dict(env) if env is not None else environment_info(),
+    }
+    if config is not None:
+        header["config_hash"] = config.content_hash()
+        header["scale"] = config.scale
+        header["seed"] = config.seed
+        header["noise"] = noise
+    return header
+
+
+def build_record(sim, *, kind: str, wall_seconds: float) -> dict:
     """One ledger record for a completed :class:`~repro.simulation.Simulation`.
 
-    ``wall_seconds`` is the campaign's end-to-end wall time when the
-    caller measured it (the CLI does); the executor's probe wall time is
-    always recorded separately as ``probe_wall_seconds``.  When
-    ``perf_dir`` names a finalized ``--perf`` sideband and the
-    simulation holds a live tracer, the record additionally carries the
-    per-stage wall-vs-virtual attribution rows — byte-for-byte the rows
-    ``trace profile --json`` reports for the same run.
+    ``wall_seconds`` is the campaign's end-to-end wall time as the
+    caller measured it.  Everything else comes from the run itself: the
+    executor's :class:`~repro.exec.metrics.StageMetrics` (the one record
+    of stage wall time) give the totals and one ``stages`` row per
+    stage, and :func:`~repro.obs.perf.simulation_counters` the world's
+    cache counters.  The record has the same keys whether or not the run
+    was traced or profiled.
     """
     if sim.config is None:
         raise LedgerError(
@@ -236,79 +261,21 @@ def build_record(
         )
     from .perf import simulation_counters
 
-    total = sim.campaign.executor.metrics.total()
-    record: dict = {
-        "v": LEDGER_VERSION,
-        "kind": kind,
-        "ts": round(ts if ts is not None else time.time(), 3),
-        "config_hash": sim.config.content_hash(),
-        "env": environment_info(),
-        "scale": sim.config.scale,
-        "seed": sim.config.seed,
-        "wall_seconds": round(
-            wall_seconds if wall_seconds is not None else total.wall_seconds, 6
-        ),
-        "probe_wall_seconds": round(total.wall_seconds, 6),
-        "sim_seconds": round(total.sim_seconds, 3),
-        "probes": total.probes_attempted,
-        "retried": total.retried,
-        "refused": total.refused,
-        "probes_per_second": round(total.probes_per_second, 3),
-        "counters": simulation_counters(sim),
-        "noise": noise,
-    }
-    stages = _stage_attribution(sim, perf_dir)
-    if stages is not None:
-        record["stages"] = stages
+    metrics = sim.campaign.executor.metrics
+    total = metrics.total()
+    record = record_header(kind, config=sim.config)
+    record.update(
+        wall_seconds=round(wall_seconds, 6),
+        probe_wall_seconds=round(total.wall_seconds, 6),
+        sim_seconds=round(total.sim_seconds, 3),
+        probes=total.probes_attempted,
+        retried=total.retried,
+        refused=total.refused,
+        probes_per_second=round(total.probes_per_second, 3),
+        counters=simulation_counters(sim),
+        stages=[stage.to_dict() for stage in metrics.stages],
+    )
     return record
-
-
-def _stage_attribution(sim, perf_dir: Optional[str]) -> Optional[List[dict]]:
-    """Per-stage wall-vs-virtual rows joined from a finalized sideband."""
-    if not perf_dir:
-        return None
-    obs = sim.observation
-    if obs is None or not obs.tracer.enabled:
-        return None
-    from .perf import SPAN_STREAM, PerfProfile, load_perf_dir
-
-    if not os.path.exists(os.path.join(perf_dir, SPAN_STREAM)):
-        return None
-    from .analyze import TraceAnalysis
-
-    records, samples = load_perf_dir(perf_dir)
-    profile = PerfProfile(TraceAnalysis.from_tracer(obs.tracer), records, samples)
-    return profile.stage_rows()
-
-
-def _scalar_payload(payload: dict) -> dict:
-    """The numeric/boolean fields of a benchmark payload, flat."""
-    out = {}
-    for key, value in payload.items():
-        if isinstance(value, bool) or isinstance(value, (int, float)):
-            out[key] = value
-    return out
-
-
-def bench_record(name: str, payload: dict, *, ts: Optional[float] = None) -> dict:
-    """A ledger record mirroring one ``BENCH_<name>.json`` emission.
-
-    The scalar payload fields land under ``metrics`` so a benchmark's
-    history (``obs history --metric overhead benchmarks/ledger.jsonl``)
-    reads with the same machinery as campaign records — including
-    not-asserted statuses like ``overhead_asserted: false``.  The
-    payload's own ``env`` (an :func:`environment_info` result) is used
-    when present; otherwise the environment is probed here.
-    """
-    env = payload.get("env")
-    return {
-        "v": LEDGER_VERSION,
-        "kind": "bench",
-        "ts": round(ts if ts is not None else time.time(), 3),
-        "bench": name,
-        "env": dict(env) if isinstance(env, dict) else environment_info(),
-        "metrics": _scalar_payload(payload),
-    }
 
 
 def validate_record(record: dict) -> dict:
@@ -323,87 +290,6 @@ def validate_record(record: dict) -> dict:
     if not isinstance(record["env"], dict):
         raise LedgerError("ledger record 'env' must be an object")
     return record
-
-
-def retro_record(
-    run_dir: str,
-    *,
-    ledger_path: Optional[str] = None,
-    metrics_path: Optional[str] = None,
-    trace_path: Optional[str] = None,
-    perf_dir: Optional[str] = None,
-    noise: Optional[float] = None,
-    ts: Optional[float] = None,
-):
-    """Append a ledger record for an existing run directory, retroactively.
-
-    ``run_dir`` is a :class:`repro.store.RunStore` run directory (it
-    must hold the run's ``config.json``).  The record always carries the
-    config hash and current environment; richer fields are joined from
-    the run's own artifacts when the caller points at them — a
-    ``--metrics-out`` JSON supplies the executor's probe totals
-    (``probe_wall_seconds``, ``probes``, throughput), a trace + perf
-    sideband pair supplies the per-stage wall attribution.  The record
-    has no ``wall_seconds``: none of those artifacts holds the run's
-    end-to-end wall time, and probe wall time is not a stand-in for it.
-    Returns ``(record, path_appended_to)``.
-    """
-    config_path = os.path.join(run_dir, "config.json")
-    try:
-        with open(config_path, "r") as handle:
-            config_text = handle.read()
-    except OSError as exc:
-        raise LedgerError(
-            f"{run_dir!r} is not a run directory (no readable config.json: {exc})"
-        ) from exc
-    from ..api import RunConfig
-
-    try:
-        config = RunConfig.from_json(config_text)
-    except Exception as exc:
-        raise LedgerError(f"{config_path}: not a RunConfig: {exc}") from exc
-
-    record: dict = {
-        "v": LEDGER_VERSION,
-        "kind": "record",
-        "ts": round(ts if ts is not None else time.time(), 3),
-        "config_hash": config.content_hash(),
-        "env": environment_info(),
-        "scale": config.scale,
-        "seed": config.seed,
-        "noise": noise,
-    }
-    if metrics_path:
-        try:
-            with open(metrics_path, "r") as handle:
-                metrics = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise LedgerError(f"cannot read metrics {metrics_path!r}: {exc}") from exc
-        total = (metrics.get("executor_stages") or {}).get("total") or {}
-        if total:
-            record["probe_wall_seconds"] = round(
-                float(total.get("wall_seconds", 0.0)), 6
-            )
-            record["sim_seconds"] = round(float(total.get("sim_seconds", 0.0)), 3)
-            record["probes"] = int(total.get("probes_attempted", 0))
-            record["retried"] = int(total.get("retried", 0))
-            record["refused"] = int(total.get("refused", 0))
-            record["probes_per_second"] = round(
-                float(total.get("probes_per_second", 0.0)), 3
-            )
-    if trace_path and perf_dir:
-        from .perf import PerfProfile
-
-        try:
-            profile = PerfProfile.load(trace_path, perf_dir)
-        except Exception as exc:
-            raise LedgerError(
-                f"cannot join trace {trace_path!r} with perf {perf_dir!r}: {exc}"
-            ) from exc
-        record["stages"] = profile.stage_rows()
-    path = ledger_path or os.path.join(run_dir, LEDGER_FILENAME)
-    append_record(path, record)
-    return record, path
 
 
 # -- persistence --------------------------------------------------------------
@@ -457,9 +343,9 @@ def load_slice(path: str) -> List[dict]:
     """Records from a ledger path in any accepted spelling.
 
     ``path`` may be a ledger JSONL file, a directory holding one
-    (``<run dir>/ledger.jsonl`` — a RunStore run dir works directly), or
-    a ``.json`` file holding a single record object (a committed
-    baseline like ``benchmarks/BASELINE.json``).
+    (``<dir>/ledger.jsonl``, as ``benchmarks/`` does), or a ``.json``
+    file holding a single record object (a committed baseline like
+    ``benchmarks/BASELINE.json``).
     """
     if os.path.isdir(path):
         candidate = os.path.join(path, LEDGER_FILENAME)

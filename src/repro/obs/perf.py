@@ -13,35 +13,33 @@ The design makes perturbation impossible rather than merely avoided:
 - the recorder is a write-only **sink** hung off :class:`~.trace.Tracer`
   (``tracer.sink``); it receives span ids and never returns a value the
   tracer could incorporate into an event;
-- records go to files of their own (``perf.jsonl`` and
-  ``perf_samples.jsonl`` in the ``--perf`` directory), appended with raw
-  ``os.write`` calls so no Python-level stream buffer can hold records
-  back or flush them twice;
+- records go to files of their own in the ``--perf`` directory,
+  appended with raw ``os.write`` calls so no Python-level stream buffer
+  can hold records back or flush them twice;
 - the join back to the deterministic world happens offline: each span
   record carries the tracer's span id (``s<stage>.t<task>#<n>``), which
   matches the ``span`` field of the canonical trace 1:1, so ``trace
   profile`` can attribute wall seconds to virtual spans after the fact.
 
-The streams
------------
+The files
+---------
 
-The run's one process writes both streams directly: span records are
-buffered in memory and appended at every stage boundary (and whenever
-the buffer fills), samples are appended as they are taken.
-:meth:`PerfRecorder.finalize` stops the sampler, appends what is still
-buffered and writes ``perf_meta.json``.
+The run's one process writes both, and starts no thread to do so:
 
-Sampler
--------
+- ``perf.jsonl``: one record per closed span, task and stage, buffered
+  in memory and appended at every stage boundary (and whenever the
+  buffer fills);
+- ``perf_meta.json``: written once by :meth:`PerfRecorder.finalize`,
+  the end-of-run reading — peak RSS (``getrusage``), final RSS, the
+  collector's statistics, and the lazy world's counters
+  (:func:`simulation_counters`: row draws, unit/server materializations,
+  DNS cache hits).  Reading counters cannot disturb them: they are plain
+  integers the world increments whether or not perf is enabled, which
+  is also what lets the report print them deterministically.
 
-``start_sampler`` launches a daemon thread that periodically appends a
-resource sample: RSS (``/proc/self/status``), GC statistics, and — when
-a counter source is bound — the read-only counter surface of the lazy
-world (chunk-LRU hits/misses, unit/server materializations, DNS cache
-hit rate).  Reading counters cannot disturb them: they are plain
-integers incremented by the world regardless of whether perf is
-enabled, which is also what lets the report print them
-deterministically.
+The performance ledger never reads this directory: its per-stage rows
+come from the executor's :class:`~repro.exec.metrics.StageMetrics`, the
+one record of stage wall time, in every mode.
 """
 
 from __future__ import annotations
@@ -50,9 +48,8 @@ import gc as _gc
 import json
 import os
 import sys
-import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .analyze import add_folded
 
@@ -60,23 +57,32 @@ __all__ = [
     "PerfRecorder",
     "PerfProfile",
     "SPAN_STREAM",
-    "SAMPLE_STREAM",
     "simulation_counters",
     "load_perf_dir",
     "rss_kb",
 ]
 
-#: Stream file names inside a ``--perf`` directory.
+#: File names inside a ``--perf`` directory.
 SPAN_STREAM = "perf.jsonl"
-SAMPLE_STREAM = "perf_samples.jsonl"
 META_FILE = "perf_meta.json"
 
 #: Span records buffered in memory before an ``os.write`` flush.
 _FLUSH_LINES = 50_000
 
 
+def _peak_rss_kb() -> int:
+    """This process's peak resident set size in KiB (0 when unknown)."""
+    try:
+        import resource
+
+        return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    except (ImportError, OSError):  # no ``resource`` module off Unix
+        return 0
+
+
 def rss_kb() -> int:
-    """Resident set size of this process in KiB (0 when unreadable)."""
+    """Resident set size of this process in KiB (the peak when the
+    current size is unreadable, 0 when both are)."""
     try:
         with open("/proc/self/status", "rb") as handle:
             for line in handle:
@@ -84,12 +90,7 @@ def rss_kb() -> int:
                     return int(line.split()[1])
     except (OSError, ValueError, IndexError):
         pass
-    try:
-        import resource
-
-        return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-    except Exception:
-        return 0
+    return _peak_rss_kb()
 
 
 def _gc_stats() -> Dict[str, object]:
@@ -107,33 +108,24 @@ class PerfRecorder:
 
     Acts as the tracer's ``sink``: :meth:`enter` / :meth:`exit` bracket a
     span, task or stage by its tracer-assigned id and append one JSON
-    record per closed pair.  All writes go to the sideband's own files
-    via unbuffered ``os.write`` appends, never near a deterministic
-    artifact.
+    record per closed pair.  All writes go to the sideband's own files,
+    never near a deterministic artifact.
     """
 
-    def __init__(self, directory: str, *, sample_interval: float = 0.5) -> None:
+    def __init__(self, directory: str) -> None:
         self.directory = directory
-        self.sample_interval = sample_interval
         self.record_count = 0
-        self.sample_count = 0
         os.makedirs(directory, exist_ok=True)
         self._span_path = os.path.join(directory, SPAN_STREAM)
-        self._sample_path = os.path.join(directory, SAMPLE_STREAM)
-        # A rerun into the same directory must not append to stale streams.
-        for path in (self._span_path, self._sample_path):
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+        # A rerun into the same directory must not append to a stale stream.
+        try:
+            os.remove(self._span_path)
+        except OSError:
+            pass
         self._epoch = time.perf_counter()
         self._open: Dict[str, Tuple[float, str, str, Optional[str]]] = {}
         self._buf: List[str] = []
-        self._lock = threading.Lock()
         self._esc_cache: Dict[Optional[str], str] = {None: "null"}
-        self._counters: Optional[Callable[[], Dict[str, int]]] = None
-        self._stop: Optional[threading.Event] = None
-        self._thread: Optional[threading.Thread] = None
 
     # -- tracer sink protocol -------------------------------------------------
 
@@ -157,15 +149,12 @@ class PerfRecorder:
             escaped_probe = cache[probe] = json.dumps(probe)
         # Keys in sorted order, matching json.dumps(sort_keys=True).  The
         # sid is tracer-generated ([a-z0-9.#] only) and embeds raw.
-        line = (
+        self._buf.append(
             f'{{"kind":"{kind}","name":{escaped_name},"probe":{escaped_probe},'
             f'"sid":"{sid}","t0":{t0 - self._epoch:.6f},"wall":{ended - t0:.9f}}}\n'
         )
-        with self._lock:
-            self._buf.append(line)
-            pending = len(self._buf)
         self.record_count += 1
-        if pending >= _FLUSH_LINES:
+        if len(self._buf) >= _FLUSH_LINES:
             self.flush()
 
     def discard(self, sid: str) -> None:
@@ -174,89 +163,38 @@ class PerfRecorder:
 
     # -- file plumbing --------------------------------------------------------
 
-    @staticmethod
-    def _append(path: str, text: str) -> None:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    def flush(self) -> None:
+        """Append buffered span records to ``perf.jsonl``.
+
+        The executor calls this at every stage boundary, so a run's span
+        records are on disk stage by stage.
+        """
+        if not self._buf:
+            return
+        text, self._buf = "".join(self._buf), []
+        fd = os.open(self._span_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
             os.write(fd, text.encode("utf-8"))
         finally:
             os.close(fd)
 
-    def flush(self) -> None:
-        """Write buffered span records out.
-
-        The executor calls this at every stage boundary, so a run's span
-        records are on disk stage by stage.
-        """
-        with self._lock:
-            lines = self._buf
-            self._buf = []
-        if lines:
-            self._append(self._span_path, "".join(lines))
-
-    # -- resource sampler -----------------------------------------------------
-
-    def start_sampler(
-        self, counters: Optional[Callable[[], Dict[str, int]]] = None
-    ) -> None:
-        """Begin periodic resource/counter sampling on a daemon thread."""
-        self._counters = counters
-        if self._thread is not None:
-            return
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._sample_loop, name="perf-sampler", daemon=True
-        )
-        self._thread.start()
-
-    def _sample_loop(self) -> None:
-        stop = self._stop
-        while stop is not None and not stop.wait(self.sample_interval):
-            self._write_sample()
-
-    def stop_sampler(self) -> None:
-        thread, self._thread = self._thread, None
-        if thread is None:
-            return
-        if self._stop is not None:
-            self._stop.set()
-        thread.join(timeout=5.0)
-        # One final sample so even sub-interval runs record end state.
-        self._write_sample()
-        # The counters callback closes over the simulation, which holds
-        # this recorder through its observation: keeping it would make a
-        # finished run's whole world a reference cycle.
-        self._counters = None
-
-    def _write_sample(self) -> None:
-        record = {
-            "kind": "sample",
-            "t": round(time.perf_counter() - self._epoch, 6),
-            "rss_kb": rss_kb(),
-            "gc": _gc_stats(),
-            "spans": self.record_count,
-        }
-        counters = self._counters
-        if counters is not None:
-            try:
-                record["counters"] = counters()
-            except Exception:
-                pass
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._append(self._sample_path, line + "\n")
-        self.sample_count += 1
-
     # -- finish ---------------------------------------------------------------
 
-    def finalize(self) -> Dict[str, object]:
-        """Stop sampling, write out buffered records and the meta file."""
-        self.stop_sampler()
+    def finalize(self, counters: Dict[str, int]) -> Dict[str, object]:
+        """Write out buffered records and the end-of-run reading.
+
+        The reading is taken once, here: peak and final RSS, the
+        collector's statistics, and ``counters`` (the caller's
+        :func:`simulation_counters` snapshot of the finished run).
+        """
         self.flush()
         meta = {
             "python": sys.version.split()[0],
-            "sample_interval": self.sample_interval,
             "records": self.record_count,
-            "samples": self.sample_count,
+            "rss_peak_kb": _peak_rss_kb(),
+            "rss_last_kb": rss_kb(),
+            "gc": _gc_stats(),
+            "counters": dict(counters),
         }
         # No ``indent``: it selects json's pure-Python encoder, whose
         # closures leave a reference cycle behind on every call.
@@ -291,8 +229,12 @@ def simulation_counters(sim) -> Dict[str, int]:
 # -- consumption: load + join ------------------------------------------------
 
 
-def load_perf_dir(directory: str) -> Tuple[list, List[dict]]:
-    """``(PerfRecord list, sample dicts)`` from a ``--perf`` directory."""
+def load_perf_dir(directory: str) -> Tuple[list, dict]:
+    """``(PerfRecord list, end-of-run reading)`` from a ``--perf`` directory.
+
+    The reading is ``{}`` when ``perf_meta.json`` is missing (a run
+    that never finalized).
+    """
     from .records import TraceFormatError, parse_perf_jsonl
 
     span_path = os.path.join(directory, SPAN_STREAM)
@@ -300,21 +242,17 @@ def load_perf_dir(directory: str) -> Tuple[list, List[dict]]:
     if os.path.exists(span_path):
         with open(span_path, "r") as handle:
             records = parse_perf_jsonl(handle.read())
-    samples: List[dict] = []
-    sample_path = os.path.join(directory, SAMPLE_STREAM)
-    if os.path.exists(sample_path):
-        with open(sample_path, "r") as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    samples.append(json.loads(line))
-                except ValueError as exc:
-                    raise TraceFormatError(
-                        f"{sample_path}:{lineno}: not valid JSON: {exc}"
-                    ) from exc
-    return records, samples
+    meta_path = os.path.join(directory, META_FILE)
+    meta: dict = {}
+    if os.path.exists(meta_path):
+        with open(meta_path, "r") as handle:
+            try:
+                meta = json.load(handle)
+            except ValueError as exc:
+                raise TraceFormatError(
+                    f"{meta_path}: not valid JSON: {exc}"
+                ) from exc
+    return records, meta
 
 
 def _fmt_seconds(value: float) -> str:
@@ -384,10 +322,11 @@ class PerfProfile:
     caches performed.
     """
 
-    def __init__(self, analysis, records: list, samples: List[dict]) -> None:
+    def __init__(self, analysis, records: list, meta: dict) -> None:
         self.analysis = analysis
         self.records = records
-        self.samples = samples
+        #: the end-of-run reading (``perf_meta.json``).
+        self.meta = meta
         self.span_wall: Dict[str, float] = {}
         self.task_wall: Dict[str, float] = {}
         #: stage ordinal -> wall seconds (covers stage bookkeeping, not
@@ -411,17 +350,16 @@ class PerfProfile:
     def load(cls, trace_path: str, perf_dir: str) -> "PerfProfile":
         from .analyze import TraceAnalysis
 
-        records, samples = load_perf_dir(perf_dir)
-        return cls(TraceAnalysis.from_file(trace_path), records, samples)
+        records, meta = load_perf_dir(perf_dir)
+        return cls(TraceAnalysis.from_file(trace_path), records, meta)
 
     # -- attribution ----------------------------------------------------------
 
     def stage_rows(self) -> List[dict]:
         """Wall-vs-virtual attribution rows, one per stage.
 
-        Floats are pre-rounded (µs precision) so the rows are JSON-stable:
-        the performance-ledger record and ``trace profile --json`` both
-        embed these rows verbatim and must join 1:1.
+        Floats are pre-rounded (µs precision) so the rows are JSON-stable
+        in ``trace profile --json``.
         """
         total_virtual = sum(s.seconds for s in self.analysis.stages)
         total_wall = sum(self.stage_wall.values())
@@ -452,29 +390,24 @@ class PerfProfile:
                 _aggregate_span_wall(root, self.span_wall, agg)
         return sorted(agg.values(), key=lambda r: (-r["self_wall"], r["name"]))
 
-    # -- samples --------------------------------------------------------------
+    # -- the end-of-run reading ----------------------------------------------
 
     def resources(self) -> Optional[dict]:
-        """Sample count, peak and final RSS, and GC collections (``None``
-        when no sample was taken)."""
-        if not self.samples:
+        """Peak and final RSS and GC collections (``None`` when the run
+        recorded no reading)."""
+        meta = self.meta
+        if "rss_peak_kb" not in meta:
             return None
-        rss = [int(sample.get("rss_kb", 0)) for sample in self.samples]
-        gc_info = self.samples[-1].get("gc") or {}
         return {
-            "samples": len(self.samples),
-            "rss_peak_kb": max(rss),
-            "rss_last_kb": rss[-1],
-            "gc_collections": int(gc_info.get("collections", 0)),
+            "rss_peak_kb": int(meta["rss_peak_kb"]),
+            "rss_last_kb": int(meta.get("rss_last_kb", 0)),
+            "gc_collections": int((meta.get("gc") or {}).get("collections", 0)),
         }
 
     def final_counters(self) -> Dict[str, int]:
-        """The last sampled counter snapshot (empty when none was taken)."""
-        for sample in reversed(self.samples):
-            counters = sample.get("counters")
-            if counters:
-                return {key: int(value) for key, value in counters.items()}
-        return {}
+        """The end-of-run counter snapshot (empty when none was taken)."""
+        counters = self.meta.get("counters") or {}
+        return {key: int(value) for key, value in counters.items()}
 
     # -- folded wall stacks ---------------------------------------------------
 
@@ -519,18 +452,12 @@ class PerfProfile:
     # -- machine-readable export ----------------------------------------------
 
     def to_dict(self, *, top_spans: int = 15) -> dict:
-        """The ``trace profile --json`` payload.
-
-        ``stages`` holds exactly the rows :meth:`stage_rows` computes —
-        the same rows a profiled run's performance-ledger record embeds,
-        so the two sources always join 1:1.
-        """
+        """The ``trace profile --json`` payload."""
         total_wall = sum(self.stage_wall.values())
         total_virtual = sum(s.seconds for s in self.analysis.stages)
         counters = self.final_counters()
         return {
             "records": len(self.records),
-            "samples": len(self.samples),
             "stage_wall_seconds": total_wall,
             "virtual_seconds": total_virtual,
             "stages": self.stage_rows(),
@@ -574,7 +501,7 @@ class PerfProfile:
     def render_cache_table(self) -> str:
         totals = self.final_counters()
         if not totals:
-            return "(no counter samples recorded)"
+            return "(no end-of-run counters recorded)"
         lines = ["| counter | total |", "|---|---|"]
         for key in sorted(totals):
             lines.append(f"| {key} | {totals[key]:,} |")
@@ -600,12 +527,12 @@ class PerfProfile:
     def render_resource_table(self) -> str:
         row = self.resources()
         if row is None:
-            return "(no resource samples recorded)"
+            return "(no end-of-run reading recorded)"
         return "\n".join(
             [
-                "| samples | peak RSS MB | final RSS MB | gc collections |",
-                "|---|---|---|---|",
-                f"| {row['samples']} | {row['rss_peak_kb'] / 1024.0:.1f} "
+                "| peak RSS MB | final RSS MB | gc collections |",
+                "|---|---|---|",
+                f"| {row['rss_peak_kb'] / 1024.0:.1f} "
                 f"| {row['rss_last_kb'] / 1024.0:.1f} "
                 f"| {row['gc_collections']} |",
             ]
@@ -618,8 +545,7 @@ class PerfProfile:
         parts = [
             "# Wall-clock profile",
             "",
-            f"- perf records: {len(self.records):,} spans/tasks/stages; "
-            f"samples: {len(self.samples):,}",
+            f"- perf records: {len(self.records):,} spans/tasks/stages",
             f"- stage wall time: {total_wall:.2f} s for "
             f"{total_virtual:,.0f} virtual s "
             f"({total_virtual / total_wall:,.0f}x real-time)"
@@ -634,7 +560,7 @@ class PerfProfile:
             "",
             self.render_span_table(top=top_spans),
             "",
-            "## Cache efficiency (final counter samples)",
+            "## Cache efficiency (end-of-run counters)",
             "",
             self.render_cache_table(),
             "",

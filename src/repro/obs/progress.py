@@ -56,10 +56,10 @@ class ProgressReporter:
         self.stream = stream if stream is not None else sys.stderr
         self.min_interval = min_interval
         self.clock = clock
-        #: optional :class:`repro.obs.perf.PerfRecorder`; when attached
-        #: the line also shows live RSS and the perf sample count (same
-        #: stderr-only wall-clock exemption as the rest of this module).
-        self.perf = None
+        #: when set (the CLI sets it under ``--perf``) the line also
+        #: shows live RSS (same stderr-only exemption as the rest of
+        #: this module).
+        self.show_rss = False
         self._stage: Optional[str] = None
         self._total = 0
         self._done = 0
@@ -129,13 +129,10 @@ class ProgressReporter:
             f"({percent:.0f}%) | {rate:,.0f} probes/s | "
             f"{retried} retried, {refused} refused | ETA {eta}"
         )
-        if self.perf is not None:
+        if self.show_rss:
             from .perf import rss_kb
 
-            line += (
-                f" | rss {rss_kb() / 1024:,.0f}MB"
-                f" | {self.perf.sample_count} samples"
-            )
+            line += f" | rss {rss_kb() / 1024:,.0f}MB"
         padding = " " * max(0, self._last_width - len(line))
         self._last_width = len(line)
         self.stream.write("\r" + line + padding)

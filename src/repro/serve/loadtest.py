@@ -219,38 +219,28 @@ def run_loadtest(
 
 
 def loadtest_record(
-    report: LoadTestReport,
-    *,
-    config,
-    noise: Optional[float] = None,
-    ts: Optional[float] = None,
+    report: LoadTestReport, *, config, noise: Optional[float] = None
 ) -> dict:
     """A performance-ledger record (``kind: "serve"``) for one load test.
 
-    Latency percentiles land top-level (``request_p50_ms`` /
-    ``request_p99_ms``, registered lower-is-better) next to
-    ``requests_per_second``, so ``obs regress --metric request_p99_ms``
-    gates serve latency exactly like campaign throughput.
+    The header is :func:`repro.obs.ledger.record_header`'s.  Latency
+    percentiles land top-level (``request_p50_ms`` / ``request_p99_ms``,
+    registered lower-is-better) next to ``requests_per_second``, so
+    ``obs regress --metric request_p99_ms`` gates serve latency exactly
+    like campaign throughput.
     """
-    from ..obs.ledger import LEDGER_VERSION, environment_info
+    from ..obs.ledger import record_header
 
-    record: dict = {
-        "v": LEDGER_VERSION,
-        "kind": "serve",
-        "ts": round(ts if ts is not None else time.time(), 3),
-        "config_hash": config.content_hash(),
-        "env": environment_info(),
-        "scale": config.scale,
-        "seed": config.seed,
-        "requests": report.requests,
-        "wall_seconds": round(report.wall_seconds, 6),
-        "requests_per_second": round(report.requests_per_second, 3),
-        "errors_5xx": report.errors_5xx,
-        "rejected_429": report.rejected_429,
-        "transport_errors": report.transport_errors,
-        "by_method": dict(sorted(report.by_method.items())),
-        "noise": noise,
-    }
+    record = record_header("serve", config=config, noise=noise)
+    record.update(
+        requests=report.requests,
+        wall_seconds=round(report.wall_seconds, 6),
+        requests_per_second=round(report.requests_per_second, 3),
+        errors_5xx=report.errors_5xx,
+        rejected_429=report.rejected_429,
+        transport_errors=report.transport_errors,
+        by_method=dict(sorted(report.by_method.items())),
+    )
     if report.latencies_ms:
         record["request_p50_ms"] = round(report.percentile_ms(0.50), 3)
         record["request_p90_ms"] = round(report.percentile_ms(0.90), 3)

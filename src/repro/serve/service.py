@@ -3,11 +3,14 @@
 :class:`ScanService` turns a resident :class:`repro.api.RunHandle` into
 a request-serving engine.  The design splits into three small pieces:
 
-- **Admission.**  Requests enter a bounded queue
-  (``queue_depth``); a full queue is answered ``429 overloaded``
-  immediately rather than building unbounded backlog, and a service
-  whose dispatcher is not running (never started, or stopped) answers
-  ``503`` at once.  Probe requests additionally pass per-tenant rate
+- **Admission.**  A body whose ``v`` names a schema version other
+  than :data:`repro.api.SCHEMA_VERSION` is answered ``400`` before
+  anything else; a body without ``v`` is taken as the current version.
+  Requests enter a bounded queue (``queue_depth``); a full queue is
+  answered ``429 overloaded`` immediately rather than building
+  unbounded backlog, and a service whose dispatcher is not running
+  (never started, or stopped) answers ``503`` at once.  Probe requests
+  additionally pass per-tenant rate
   limiting *before* they are queued, reusing
   :class:`repro.core.ethics.EthicsControls` verbatim: each
   tenant gets its own controls instance, so one tenant re-probing a
@@ -48,7 +51,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..api import ProbeRequest, RunHandle
+from ..api import SCHEMA_VERSION, ProbeRequest, RunHandle
 from ..core.ethics import EthicsControls, EthicsViolation
 from ..errors import ReproError
 from ..obs.metrics import sorted_percentile
@@ -192,6 +195,14 @@ class ScanService:
             return 404, {
                 "error": f"unknown method {method!r}",
                 "methods": list(METHODS),
+            }
+        # A body may name its schema version; one this build does not
+        # speak is refused before admission and queueing.
+        version = payload.get("v", SCHEMA_VERSION)
+        if version.__class__ is not int or version != SCHEMA_VERSION:
+            return 400, {
+                "error": f"unsupported schema version {version!r} "
+                f"(this service speaks v{SCHEMA_VERSION})"
             }
         if method == "run_status":
             # Pure counter read: never queues, stays responsive under load.

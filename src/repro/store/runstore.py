@@ -303,31 +303,23 @@ class RunStore:
                 "RunStore needs a config-built Simulation (Simulation.build"
                 "(config=...)); this one has no RunConfig attached"
             )
-        run_dir = self._run_dir(sim.config)
         lock = self.acquire_lock(sim.config)
         if sim.provenance is not None:
+            # A resumed chain continues in the directory it was loaded
+            # from: an older build may have named it by another hash.
             return CheckpointWriter(
-                run_dir, sim, resumed=sim.provenance,
+                os.path.join(self.root, sim.provenance.run_id), sim,
+                resumed=sim.provenance,
                 abort_after_round=self.abort_after_round, lock=lock,
             )
         # A fresh run of this config replaces any previous attempt: the
         # old chain describes a different execution's evidence stream
-        # and must not be stitched into this one.  The performance
-        # ledger is the exception — its records describe *measurements
-        # of* past executions, which is exactly what should accumulate
-        # across re-runs — so it survives the replacement.
+        # and must not be stitched into this one.
+        run_dir = self._run_dir(sim.config)
         try:
-            ledger = None
             if os.path.isdir(run_dir):
-                ledger_file = self.ledger_path(sim.config)
-                if os.path.isfile(ledger_file):
-                    with open(ledger_file, "rb") as handle:
-                        ledger = handle.read()
                 shutil.rmtree(run_dir)
             os.makedirs(run_dir)
-            if ledger is not None:
-                with open(self.ledger_path(sim.config), "wb") as handle:
-                    handle.write(ledger)
             _atomic_write(
                 os.path.join(run_dir, "config.json"),
                 sim.config.to_json().encode("utf-8"),
@@ -360,20 +352,6 @@ class RunStore:
     def run_dir(self, config: "RunConfig") -> str:
         """The run directory a config maps to (may not exist yet)."""
         return self._run_dir(config)
-
-    def ledger_path(self, config: "RunConfig") -> str:
-        """Where this run's performance-ledger records are appended.
-
-        The ledger lives beside the checkpoint chain but is append-only
-        across re-runs of the same config: :meth:`writer` replaces a
-        fresh run's checkpoint chain (it describes one execution's
-        evidence stream) while carrying the ledger file over, because
-        ledger records describe *measurements of* executions — exactly
-        what one wants to trend across re-runs.
-        """
-        from ..obs.ledger import LEDGER_FILENAME
-
-        return os.path.join(self._run_dir(config), LEDGER_FILENAME)
 
     # -- reading --------------------------------------------------------------
 
@@ -412,6 +390,11 @@ class RunStore:
                 if manifest.get("config_hash") == config_hash
             ]
             if not matching:
+                # A chain in another checkpoint format may well be this
+                # experiment under an older hash: say why it cannot be
+                # read rather than call it a different experiment.
+                for name, manifest in candidates:
+                    _refuse_other_format(name, manifest)
                 available = ", ".join(
                     f"{name} ({str(manifest.get('config_hash', '?'))[:12]})"
                     for name, manifest in candidates
@@ -511,13 +494,7 @@ def _checked_entries(name: str, manifest: dict) -> List[dict]:
     Entry ``i`` must name ``checkpoint-<i>.pkl``, which also keeps every
     file the loader opens inside the run directory.
     """
-    stored = manifest.get("checkpoint_version")
-    if stored != CHECKPOINT_VERSION:
-        raise StoreError(
-            f"run {name!r} was checkpointed in format version {stored!r}, "
-            f"but this build reads only version {CHECKPOINT_VERSION}; "
-            "re-run the campaign to write a new chain"
-        )
+    _refuse_other_format(name, manifest)
     if not isinstance(manifest.get("config"), dict):
         raise StoreError(f"run {name!r}: manifest has no 'config' object")
     if not isinstance(manifest.get("config_hash"), str):
@@ -539,3 +516,15 @@ def _checked_entries(name: str, manifest: dict) -> List[dict]:
                 f"{where} names file {entry['file']!r}, expected {expected!r}"
             )
     return entries
+
+
+def _refuse_other_format(name: str, manifest: dict) -> None:
+    """Raise :class:`StoreError` if run ``name`` was written in another
+    checkpoint format than the one this build reads."""
+    stored = manifest.get("checkpoint_version")
+    if stored != CHECKPOINT_VERSION:
+        raise StoreError(
+            f"run {name!r} was checkpointed in format version {stored!r}, "
+            f"but this build reads only version {CHECKPOINT_VERSION}; "
+            "re-run the campaign to write a new chain"
+        )

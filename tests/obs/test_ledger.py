@@ -9,12 +9,14 @@ Three layers:
 - the CLI end to end: ``obs history`` / ``obs regress`` exit codes on
   synthetic ledgers, a real ``run --ledger`` appending exactly one
   well-formed record, identical reruns NOT firing the gate on this
-  noisy container, and a sleep-instrumented slowdown firing it; and
-  ``obs record`` back-filling a record from a stored run's artifacts.
+  noisy container, and a sleep-instrumented slowdown firing it; and a
+  run record's stage rows, which are the executor's ``StageMetrics``
+  rows, with the same keys untraced, traced and profiled.
 """
 
 import json
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -82,14 +84,15 @@ class TestRecordShape:
             L.validate_record(dict(rec, env="not-a-dict"))
 
     def test_load_slice_spellings(self, tmp_path):
-        """jsonl file, run directory, and single-record .json all load."""
+        """jsonl file, directory holding one, and single-record .json all
+        load."""
         jsonl = tmp_path / "ledger.jsonl"
         _write_ledger(jsonl, [100.0, 200.0])
         assert len(L.load_slice(str(jsonl))) == 2
-        run_dir = tmp_path / "run-deadbeef"
-        run_dir.mkdir()
-        _write_ledger(run_dir / L.LEDGER_FILENAME, [300.0])
-        assert len(L.load_slice(str(run_dir))) == 1
+        directory = tmp_path / "bench"
+        directory.mkdir()
+        _write_ledger(directory / L.LEDGER_FILENAME, [300.0])
+        assert len(L.load_slice(str(directory))) == 1
         single = tmp_path / "BASELINE.json"
         single.write_text(json.dumps(_record(400.0)))
         [loaded] = L.load_slice(str(single))
@@ -214,6 +217,14 @@ class TestObsCli:
         assert main(["obs", "history", str(tmp_path / "absent.jsonl")]) == 2
         assert "obs history failed" in capsys.readouterr().err
 
+    def test_obs_record_is_gone(self, tmp_path, capsys):
+        # A record is written by the process that measured the run; there
+        # is no back-filling one from a run's artifacts afterwards.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obs", "record", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'record'" in capsys.readouterr().err
+
 
 class TestLedgerRunIntegration:
     BASE = ["run", "--scale", "0.002", "--seed", "5", "--artifact", "table6"]
@@ -295,128 +306,88 @@ class TestLedgerRunIntegration:
         )
         assert plain.read_bytes() == with_ledger.read_bytes()
 
-    def test_perf_run_stages_join_profile_json(self, tmp_path):
-        """Acceptance: a ``run --perf`` ledger record embeds per-stage
-        wall attribution identical to what ``trace profile --json``
-        reports for the same artifacts."""
-        trace = tmp_path / "trace.jsonl"
-        perf = tmp_path / "perf"
-        ledger = tmp_path / "ledger.jsonl"
-        profile_json = tmp_path / "profile.json"
+    def test_perf_run_stages_join_profile_json(self, modes):
+        """A profiled run's ledger rows (the executor's) and ``trace
+        profile --json``'s rows (the sideband's) describe the same stages
+        in the same order, with the same probe counts."""
+        profile_json = modes.root / "profile.json"
         assert (
             main(
                 [
-                    "run", "--scale", "0.02", "--seed", "20211011",
-                    "--artifact", "table6",
-                    "--trace", str(trace),
-                    "--perf", str(perf),
-                    "--ledger", str(ledger),
-                ]
-            )
-            == 0
-        )
-        [record] = L.read_ledger(str(ledger))
-        assert record["stages"], "profiled run record is missing stage rows"
-        assert (
-            main(
-                [
-                    "trace", "profile", str(trace),
-                    "--perf", str(perf),
+                    "trace", "profile", str(modes.trace),
+                    "--perf", str(modes.perf),
                     "--json", str(profile_json),
                 ]
             )
             == 0
         )
         profile = json.loads(profile_json.read_text())
-        assert record["stages"] == profile["stages"]
-        wall_total = sum(row["wall"] for row in record["stages"])
-        assert wall_total > 0
+        rows = modes.records["profiled"]["stages"]
+        assert [(row["stage"], row["probes_attempted"]) for row in rows] == [
+            (row["name"], row["probes"]) for row in profile["stages"]
+        ]
+        assert sum(row["wall"] for row in profile["stages"]) > 0
+
+    def test_stage_rows_equal_metrics_out_executor_stages(self, modes):
+        """The record's stage rows are ``--metrics-out``'s
+        ``executor_stages`` rows at the ledger's float rounding, and
+        their wall times add up to the record's probe wall time."""
+        for mode, record in modes.records.items():
+            metrics = json.loads(modes.metrics[mode].read_text())
+            expected = json.loads(
+                L.serialize_record(metrics["executor_stages"]["stages"])
+            )
+            assert record["stages"] == expected, mode
+            wall = sum(row["wall_seconds"] for row in record["stages"])
+            assert wall == pytest.approx(record["probe_wall_seconds"], abs=1e-5)
+
+    def test_record_keys_do_not_depend_on_the_mode(self, modes):
+        """No field says whether a run was traced or profiled, and no
+        field appears only in one of those modes."""
+        keys = {mode: set(record) for mode, record in modes.records.items()}
+        assert keys["untraced"] == keys["traced"] == keys["profiled"]
+        assert "stages" in keys["untraced"]
+        row_keys = {
+            frozenset(row)
+            for record in modes.records.values()
+            for row in record["stages"]
+        }
+        assert len(row_keys) == 1
+
+    def test_store_holds_no_ledger(self, modes):
+        # The --ledger file is a record's only destination.
+        assert list(modes.store.rglob("*.jsonl")) == []
+        assert list(modes.store.glob("run-*/manifest.json"))
 
 
 @pytest.fixture(scope="module")
-def stored_run(tmp_path_factory):
-    """One checkpointed, traced and profiled run with its metrics file."""
-    root = tmp_path_factory.mktemp("stored-run")
-    paths = {
-        "store": root / "store",
-        "metrics": root / "metrics.json",
-        "trace": root / "trace.jsonl",
-        "perf": root / "perf",
+def modes(tmp_path_factory):
+    """One run per measurement mode, each with ``--ledger`` and
+    ``--metrics-out``; the untraced one is checkpointed into a store."""
+    root = tmp_path_factory.mktemp("ledger-modes")
+    base = ["run", "--scale", "0.002", "--seed", "5", "--artifact", "table6"]
+    extra = {
+        "untraced": ["--store", str(root / "store")],
+        "traced": ["--trace", str(root / "traced.jsonl")],
+        "profiled": [
+            "--trace", str(root / "profiled.jsonl"),
+            "--perf", str(root / "perf"),
+        ],
     }
-    assert main([
-        "run", "--scale", "0.002", "--seed", "5", "--artifact", "table6",
-        "--store", str(paths["store"]),
-        "--metrics-out", str(paths["metrics"]),
-        "--trace", str(paths["trace"]),
-        "--perf", str(paths["perf"]),
-    ]) == 0
-    (run_dir,) = [path for path in paths["store"].glob("run-*") if path.is_dir()]
-    [own] = L.read_ledger(str(run_dir / L.LEDGER_FILENAME))
-    return dict(paths, run_dir=run_dir, own=own)
-
-
-class TestObsRecord:
-    def _record(self, stored_run, tmp_path, *extra):
-        ledger = tmp_path / "retro.jsonl"
+    records, metrics = {}, {}
+    for mode, flags in extra.items():
+        ledger = root / f"{mode}.ledger.jsonl"
+        metrics[mode] = root / f"{mode}.metrics.json"
         assert main([
-            "obs", "record", str(stored_run["run_dir"]),
-            "--ledger", str(ledger), *extra,
+            *base, *flags,
+            "--ledger", str(ledger), "--metrics-out", str(metrics[mode]),
         ]) == 0
-        [record] = L.read_ledger(str(ledger))
-        return record
-
-    def test_joins_executor_totals_from_metrics(self, stored_run, tmp_path):
-        record = self._record(
-            stored_run, tmp_path, "--metrics", str(stored_run["metrics"])
-        )
-        assert record["kind"] == "record"
-        assert record["config_hash"] == stored_run["own"]["config_hash"]
-        total = json.loads(stored_run["metrics"].read_text())[
-            "executor_stages"
-        ]["total"]
-        assert record["probes"] == total["probes_attempted"]
-        assert record["probe_wall_seconds"] == round(total["wall_seconds"], 6)
-
-    def test_carries_no_end_to_end_wall_time(self, stored_run, tmp_path):
-        # Probe wall time is not the process's wall time: a retroactive
-        # record has no artifact holding the latter, so it omits it.
-        record = self._record(
-            stored_run, tmp_path, "--metrics", str(stored_run["metrics"])
-        )
-        assert "wall_seconds" not in record
-        assert "wall_seconds" in stored_run["own"]
-        assert L.metric_value(record, "wall_seconds") is None
-
-    def test_stage_rows_match_trace_profile(self, stored_run, tmp_path, capsys):
-        record = self._record(
-            stored_run,
-            tmp_path,
-            "--trace", str(stored_run["trace"]),
-            "--perf", str(stored_run["perf"]),
-        )
-        capsys.readouterr()
-        assert main([
-            "trace", "profile", str(stored_run["trace"]),
-            "--perf", str(stored_run["perf"]), "--json", "-",
-        ]) == 0
-        profile = json.loads(capsys.readouterr().out)
-        assert record["stages"] == profile["stages"]
-
-    def test_perf_without_trace_is_usage_error(
-        self, stored_run, tmp_path, capsys
-    ):
-        assert main([
-            "obs", "record", str(stored_run["run_dir"]),
-            "--ledger", str(tmp_path / "unused.jsonl"),
-            "--perf", str(stored_run["perf"]),
-        ]) == 2
-        assert "--perf requires --trace" in capsys.readouterr().err
-        assert not (tmp_path / "unused.jsonl").exists()
-
-    def test_directory_without_config_is_usage_error(self, tmp_path, capsys):
-        assert main([
-            "obs", "record", str(tmp_path),
-            "--ledger", str(tmp_path / "unused.jsonl"),
-        ]) == 2
-        assert "not a run directory" in capsys.readouterr().err
-        assert not (tmp_path / "unused.jsonl").exists()
+        [records[mode]] = L.read_ledger(str(ledger))
+    return SimpleNamespace(
+        root=root,
+        records=records,
+        metrics=metrics,
+        store=root / "store",
+        trace=root / "profiled.jsonl",
+        perf=root / "perf",
+    )

@@ -1,15 +1,17 @@
 """The perf sideband must never change a canonical byte.
 
-``--perf`` records wall-clock span timings and resource samples into a
-*separate* directory; the contract (DESIGN.md, "Performance telemetry
-sideband") is that turning it on changes nothing the determinism suite
-byte-compares: the canonical trace, the exported CSVs, and the report
+``--perf`` records wall-clock span timings and an end-of-run resource
+reading into a *separate* directory; the contract (DESIGN.md,
+"Performance telemetry sideband") is that turning it on changes nothing
+the determinism suite byte-compares: the canonical trace, the exported
+CSVs, and the report
 (modulo the report's pre-existing wall-clock columns, which differ
 between *any* two runs, perf or not).
 
 The second half of the contract is that the sideband itself is useful:
 every span/task/stage record joins 1:1 against the canonical trace by
-span id, and the streams carry resource samples and world counters.
+span id, and the end-of-run reading carries resources and world
+counters.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from repro.api import RunConfig
 from repro.obs import Observation, PerfRecorder
 from repro.obs.perf import (
     META_FILE,
-    SAMPLE_STREAM,
     SPAN_STREAM,
     load_perf_dir,
     simulation_counters,
@@ -50,17 +51,15 @@ def _run(root, *, perf):
     config = RunConfig(scale=SCALE, seed=SEED, trace=True)
     obs = Observation(trace=True)
     if perf_dir:
-        obs.attach_perf(PerfRecorder(perf_dir, sample_interval=0.05))
+        obs.attach_perf(PerfRecorder(perf_dir))
     sim = Simulation.build(config=config, observation=obs)
-    if obs.perf is not None:
-        obs.perf.start_sampler(lambda: simulation_counters(sim))
     sim.run()
     trace = root / "trace.jsonl"
     obs.tracer.write_jsonl(str(trace))
     export_all(sim, str(root / "csv"))
     report = generate_report(sim)
     if obs.perf is not None:
-        obs.perf.finalize()
+        obs.perf.finalize(simulation_counters(sim))
     return SimpleNamespace(
         sim=sim,
         trace=trace.read_bytes(),
@@ -170,13 +169,13 @@ def test_perf_records_join_trace_one_to_one(fixture, request):
 
 
 def test_merged_streams_and_meta_exist(serial_on):
-    for name in (SPAN_STREAM, SAMPLE_STREAM, META_FILE):
+    for name in (SPAN_STREAM, META_FILE):
         path = os.path.join(serial_on.perf_dir, name)
         assert os.path.exists(path), name
         assert os.path.getsize(path) > 0, name
-    # The streams are the only record files in the directory.
+    # The span stream and the meta file are the only files written.
     assert sorted(os.listdir(serial_on.perf_dir)) == sorted(
-        [SPAN_STREAM, SAMPLE_STREAM, META_FILE]
+        [SPAN_STREAM, META_FILE]
     )
     meta = json.load(open(os.path.join(serial_on.perf_dir, META_FILE)))
     # One process writes the streams: there is no per-process role.
@@ -185,15 +184,15 @@ def test_merged_streams_and_meta_exist(serial_on):
     assert meta["records"] == len(records)
 
 
-def test_samples_carry_resources_and_counters(serial_on):
-    records, samples = load_perf_dir(serial_on.perf_dir)
-    assert samples
-    # Neither stream names the process that wrote it.
-    assert not any("role" in sample for sample in samples)
+def test_meta_carries_the_end_of_run_reading(serial_on):
+    records, meta = load_perf_dir(serial_on.perf_dir)
+    # Neither file names the process that wrote it.
+    assert "role" not in meta
     assert not any(hasattr(record, "role") for record in records)
     with open(os.path.join(serial_on.perf_dir, SPAN_STREAM)) as handle:
         assert '"role"' not in handle.read()
-    final = samples[-1]
-    assert final["rss_kb"] > 0
-    assert "gc" in final
-    assert final["counters"].get("dns.resolver.queries", 0) > 0
+    assert meta["rss_peak_kb"] >= meta["rss_last_kb"] > 0
+    assert meta["gc"]["collections"] >= 0
+    # The reading's counters are the finished run's.
+    assert meta["counters"] == simulation_counters(serial_on.sim)
+    assert meta["counters"]["dns.resolver.queries"] > 0

@@ -61,6 +61,16 @@ class TestReporter:
         assert "4/4 tasks (100%)" in frames[-1]
         assert stream.getvalue().endswith("\n")
 
+    def test_rss_cell_only_when_asked(self):
+        clock, stream = FakeClock(), io.StringIO()
+        reporter = ProgressReporter(stream, min_interval=0.0, clock=clock)
+        reporter.begin_stage("initial", 1)
+        assert "rss" not in _lines(stream)[-1]
+        reporter.show_rss = True
+        reporter.end_stage(FakeMetrics(probes=1))
+        last = _lines(stream)[-1]
+        assert last.endswith("MB") and "| rss " in last
+
     def test_wall_clock_throttling(self):
         clock, stream = FakeClock(), io.StringIO()
         reporter = ProgressReporter(stream, min_interval=0.5, clock=clock)

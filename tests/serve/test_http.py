@@ -113,6 +113,14 @@ class TestTCPEndpoints:
             assert status == 400
             assert "since" in body["error"]
 
+    def test_other_schema_version_is_400(self, tcp_server, domain):
+        with _client(tcp_server) as client:
+            status, body = client.request(
+                "spf_census_row", {"v": 2, "target": domain}
+            )
+            assert status == 400
+            assert "schema version 2" in body["error"]
+
     def test_run_status_get_and_post(self, tcp_server, handle):
         with _client(tcp_server) as client:
             body = client.run_status()

@@ -20,7 +20,7 @@ import pytest
 
 from repro import api
 from repro.core.ethics import EthicsControls
-from repro.serve import PROBE_METHODS, ScanService, exact_percentile
+from repro.serve import METHODS, PROBE_METHODS, ScanService, exact_percentile
 
 SCALE = 0.002
 SEED = 5
@@ -86,6 +86,32 @@ class TestAdmission:
             )
             assert status == 200
             assert body["since"] == payload.get("since", 0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("version", [2, "two", None, True, 1.0])
+    def test_other_schema_version_is_400_before_admission(
+        self, handle, domain, method, version
+    ):
+        # Not started: anything that got as far as the queue would be
+        # answered 503, and a probe that passed admission would have
+        # made its tenant's limiter.
+        service = _service(handle)
+        status, body = service.submit(
+            method, {"v": version, "target": domain}, tenant="versioned"
+        )
+        assert status == 400
+        assert f"unsupported schema version {version!r}" in body["error"]
+        assert service._limiters == {}
+        assert service.stats()["requests"] == 0
+
+    def test_current_schema_version_is_accepted(self, handle, domain):
+        # A body without ``v`` is what ScanClient and perfbench send.
+        with _service(handle) as service:
+            for payload in ({}, {"v": api.SCHEMA_VERSION}):
+                status, _ = service.submit(
+                    "spf_census_row", dict(payload, target=domain)
+                )
+                assert status == 200
 
     def test_unknown_domain_is_404_not_500(self, handle):
         with _service(handle) as service:

@@ -212,18 +212,23 @@ class TestErrors:
         # Query a domain no backend serves.
         assert check(evaluator, "8.8.8.8", domain="other.org").result == SpfResult.TEMPERROR
 
-    def test_lookup_limit_permerror(self):
+    @pytest.mark.parametrize("terms", [MAX_DNS_MECHANISMS, MAX_DNS_MECHANISMS + 1])
+    def test_lookup_limit_permerror(self, terms):
+        # RFC 7208 §4.6.4: ten DNS-querying terms are allowed, the
+        # eleventh is a PermError.
         zone = Zone("example.com")
-        mechanisms = " ".join(
-            f"a:host{i}.example.com" for i in range(MAX_DNS_MECHANISMS + 2)
-        )
+        mechanisms = " ".join(f"a:host{i}.example.com" for i in range(terms))
         zone.add("example.com", TXT(f"v=spf1 {mechanisms} -all"))
-        for i in range(MAX_DNS_MECHANISMS + 2):
+        for i in range(terms):
             zone.add(f"host{i}", A(f"198.51.100.{i + 1}"))
         evaluator, _ = build(zone)
         outcome = check(evaluator, "203.0.113.200")
-        assert outcome.result == SpfResult.PERMERROR
-        assert outcome.dns_mechanism_count > MAX_DNS_MECHANISMS
+        if terms <= MAX_DNS_MECHANISMS:
+            assert outcome.result == SpfResult.FAIL
+            assert outcome.dns_mechanism_count == terms
+        else:
+            assert outcome.result == SpfResult.PERMERROR
+            assert outcome.dns_mechanism_count > MAX_DNS_MECHANISMS
 
     def test_include_self_recursion_limited(self):
         zone = Zone("example.com")
@@ -231,14 +236,17 @@ class TestErrors:
         evaluator, _ = build(zone)
         assert check(evaluator, "8.8.8.8").result == SpfResult.PERMERROR
 
-    def test_void_lookup_limit(self):
+    @pytest.mark.parametrize(
+        "voids, result", [(2, SpfResult.FAIL), (3, SpfResult.PERMERROR)]
+    )
+    def test_void_lookup_limit(self, voids, result):
+        # RFC 7208 §4.6.4: two void lookups are allowed, the third is a
+        # PermError.
         zone = Zone("example.com")
-        zone.add(
-            "example.com",
-            TXT("v=spf1 a:v1.example.com a:v2.example.com a:v3.example.com -all"),
-        )
+        mechanisms = " ".join(f"a:v{i}.example.com" for i in range(voids))
+        zone.add("example.com", TXT(f"v=spf1 {mechanisms} -all"))
         evaluator, _ = build(zone)
-        assert check(evaluator, "8.8.8.8").result == SpfResult.PERMERROR
+        assert check(evaluator, "8.8.8.8").result == result
 
 
 class TestOutcomeMetadata:

@@ -54,6 +54,14 @@ class TestRunConfig:
         traced = RunConfig(scale=0.004, seed=7, trace=True)
         assert traced.content_hash() == base.content_hash()
 
+    def test_an_int_scale_is_the_same_experiment_as_its_float(self):
+        as_int, as_float = RunConfig(scale=1, seed=5), RunConfig(scale=1.0, seed=5)
+        assert as_int == as_float
+        assert as_int.scale.__class__ is float
+        assert as_int.content_hash() == as_float.content_hash()
+        # A float config keeps the hash it always had.
+        assert as_float.content_hash()[:12] == "a8d2351d0ff4"
+
     def test_semantic_fields_change_the_hash(self):
         base = RunConfig(scale=0.004, seed=7)
         assert RunConfig(scale=0.005, seed=7).content_hash() != base.content_hash()
@@ -186,6 +194,20 @@ class TestStoreLayout:
         ):
             store.load_latest()
 
+    def test_old_format_under_another_hash_is_refused_by_version(
+        self, aborted, tmp_path
+    ):
+        # An older build may have hashed the same experiment differently:
+        # the format refusal, not "no stored run matches", is the answer.
+        store, copy = _copy_store(aborted, tmp_path)
+        path = copy / store.runs()[0] / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["checkpoint_version"] = 5
+        manifest["config_hash"] = "0" * 64
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=r"format version 5, .*; re-run"):
+            store.load_latest(config_hash=aborted.config.content_hash())
+
 
 def _drop_sha256(manifest):
     del manifest["checkpoints"][1]["sha256"]
@@ -298,3 +320,22 @@ class TestWriter:
         assert len(state.checkpoint.rounds) == len(sim.result.rounds)
         # initial + one entry per round, freshly renumbered from zero
         assert len(state.entries) == len(sim.result.rounds) + 1
+
+    def test_resumed_chain_continues_in_the_directory_it_came_from(
+        self, aborted, tmp_path
+    ):
+        # A run directory need not carry today's hash (an older build may
+        # have named it): the chain goes on where it was loaded from.
+        store, copy = _copy_store(aborted, tmp_path)
+        os.rename(copy / store.runs()[0], copy / "run-renamed")
+        state = store.load_latest(config_hash=aborted.config.content_hash())
+        assert state.run_id == "run-renamed"
+        sim = Simulation.resume(state)
+        store.abort_after_round = 3
+        with pytest.raises(CampaignAborted):
+            sim.run(store=store)
+        assert store.runs() == ["run-renamed"]
+        manifest = json.loads((copy / "run-renamed" / "manifest.json").read_text())
+        entries = manifest["checkpoints"]
+        assert [e["rounds_completed"] for e in entries] == [0, 1, 2, 3]
+        assert (copy / "run-renamed" / entries[-1]["file"]).is_file()

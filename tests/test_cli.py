@@ -158,7 +158,7 @@ class TestRunResumeCli:
             "--perf", str(perf_dir),
         ]) == 0
         before = {path.name: path.read_bytes() for path in perf_dir.iterdir()}
-        assert "perf.jsonl" in before and "perf_samples.jsonl" in before
+        assert sorted(before) == ["perf.jsonl", "perf_meta.json"]
         capsys.readouterr()
         assert main([
             "run", *self.BASE, "--abort-after-round", "1",
@@ -351,12 +351,12 @@ class TestTraceSubcommands:
         ]) == 0
         captured = capsys.readouterr()
         assert "perf:" in captured.out and "span records" in captured.out
-        # --progress grows RSS/sample cells when perf is on.
-        assert "rss" in captured.err and "samples" in captured.err
+        # --progress grows an RSS cell when perf is on.
+        assert "rss" in captured.err and "samples" not in captured.err
         # the sideband never alters the canonical trace bytes
         assert perf_trace.read_bytes() == smoke_trace.read_bytes()
         assert (perf_dir / "perf.jsonl").stat().st_size > 0
-        assert (perf_dir / "perf_samples.jsonl").stat().st_size > 0
+        assert (perf_dir / "perf_meta.json").stat().st_size > 0
 
         profile_md = tmp_path / "profile.md"
         folded = tmp_path / "wall.folded"
@@ -369,6 +369,9 @@ class TestTraceSubcommands:
         assert "## Wall vs virtual attribution by stage" in text
         assert "## Hottest span types" in text
         assert "## Cache efficiency" in text
+        assert "| dns.resolver.queries |" in text
+        assert "## Resource usage" in text
+        assert "| peak RSS MB | final RSS MB | gc collections |" in text
         for line in folded.read_text().splitlines():
             path, value = line.rsplit(" ", 1)
             assert path.startswith("campaign;")
@@ -383,6 +386,23 @@ class TestTraceSubcommands:
         ]) == 0
         assert "perf:" in capsys.readouterr().out
         assert (perf_dir / "perf.jsonl").stat().st_size > 0
+
+    def test_profiled_run_starts_no_thread(self, tmp_path, monkeypatch):
+        # The sideband takes one reading at the end instead of sampling
+        # from a thread while the run goes on.
+        import threading
+
+        started = []
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda thread: started.append(thread.name)
+        )
+        perf_dir = tmp_path / "perf"
+        assert main([
+            "run", "--scale", "0.002", "--seed", "5", "--artifact", "table6",
+            "--perf", str(perf_dir), "--progress",
+        ]) == 0
+        assert started == []
+        assert sorted(os.listdir(perf_dir)) == ["perf.jsonl", "perf_meta.json"]
 
     def test_metrics_out_carries_histogram_percentiles(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"

@@ -233,17 +233,16 @@ class TestCycleFreedom:
             assert gc.collect() == 0
 
     def test_traced_profiled_run_makes_no_cycles(self, tmp_path):
-        # ``repro run --trace --perf``: the tracer, the perf sideband and
-        # its sampler thread, whose counters callback holds the simulation.
+        # ``repro run --trace --perf``: the tracer, and the perf sideband
+        # with its end-of-run counter reading.
         config = api.RunConfig(scale=self.SCALE, seed=SEED, trace=True)
         with _collection_off():
             observation = Observation(trace=True)
             observation.attach_perf(PerfRecorder(str(tmp_path / "perf")))
             handle = api.open_run(config, observation=observation)
             sim = handle.simulation
-            observation.perf.start_sampler(lambda: simulation_counters(sim))
             handle.run()
-            observation.perf.finalize()
+            observation.perf.finalize(simulation_counters(sim))
             _emit(sim, str(tmp_path), trace=True)
             assert gc.collect() == 0
             del handle, sim, observation
